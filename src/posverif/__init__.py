@@ -8,8 +8,11 @@ Layers, bottom up:
 - nonlocal_game: the separated two-solver game and its strategy catalog.
 - spacetime: exact rational 1D timing simulator with speed-1 delivery.
 - protocol: the timing-constrained verification protocol family and the
-  timing-free proof-of-quantumness transform.
+  timing-free proof-of-quantumness transform, run by the same two provers
+  (HonestProver, ClassicalProver).
 - adversary: the two-site attack catalog and the forwarding compiler.
+- stats: the seeded trial engine (tally), Wilson intervals and the
+  closed-form rates.
 - cli / experiments: seeded experiment runners with Wilson intervals.
 """
 

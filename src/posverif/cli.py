@@ -18,31 +18,30 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .adversary import ATTACK_NAMES, make_attack
 from .errors import ConfigInvalid, PosverifError
 from .nonlocal_game import (
     STRATEGIES,
-    estimate_2of2_rate,
-    estimate_win_rate,
     make_strategy,
+    play_2of2,
+    play_nonlocal,
     reduce_to_2of2,
 )
 from .protocol import (
-    ClassicalPoQProver,
     ClassicalProver,
+    FailureReason,
     HonestProver,
     ProtocolConfig,
-    QuantumPoQProver,
     poq_transform,
     run_prpv,
     run_roprpv,
 )
 from .puzzle import BasePuzzle
-from .rng import child_seed
+from .rng import Rng, child_seed
 from .stats import (
     classical_prover_rate,
     guessing_rate,
@@ -51,6 +50,7 @@ from .stats import (
     measure_and_guess_rate,
     reduction_slack,
     teleport_rate,
+    tally,
     uniform_equation_rate,
     wilson_interval,
 )
@@ -121,50 +121,38 @@ def format_json(rows: list[Row]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tallying (optionally across processes)
+# Trials: module-level functions over plain arguments, so that tally can
+# send them to worker processes
 
 
-def _tally_range(args):
-    config, hashed, actor_kind, actor_name, seed, start, stop = args
+def _timed_run(config: ProtocolConfig, hashed: bool, attack_name: str | None,
+               seed: int, record_trace: bool = False):
+    """One timed run of the honest prover, or of the named attack pair."""
     runner = run_roprpv if hashed else run_prpv
-    prover = adversaries = None
-    if actor_kind == "honest":
-        prover = HonestProver()
-    elif actor_kind == "classical":
-        prover = ClassicalProver()
-    else:
-        adversaries = make_attack(actor_name, config)
-    successes = 0
-    reasons: dict[str, int] = {}
-    for i in range(start, stop):
-        outcome = runner(config, child_seed(seed, i), prover=prover,
-                         adversaries=adversaries)
-        if outcome.verdict.accept:
-            successes += 1
-        else:
-            key = outcome.verdict.reason.value
-            reasons[key] = reasons.get(key, 0) + 1
-    return successes, reasons
+    if attack_name is None:
+        return runner(config, seed, prover=HonestProver(),
+                      record_trace=record_trace)
+    return runner(config, seed, adversaries=make_attack(attack_name, config),
+                  record_trace=record_trace)
 
 
-def _tally(config: ProtocolConfig, hashed: bool, actor_kind: str,
-           actor_name: str | None, trials: int, seed: int, workers: int):
-    """Per-trial seeds are global indices, so any worker split sums to
-    the same totals as a serial run."""
-    if workers <= 1 or trials < 2 * workers:
-        return _tally_range((config, hashed, actor_kind, actor_name, seed,
-                             0, trials))
-    step = -(-trials // workers)
-    chunks = [(config, hashed, actor_kind, actor_name, seed, lo,
-               min(lo + step, trials)) for lo in range(0, trials, step)]
-    successes = 0
-    reasons: dict[str, int] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part_successes, part_reasons in pool.map(_tally_range, chunks):
-            successes += part_successes
-            for key, count in part_reasons.items():
-                reasons[key] = reasons.get(key, 0) + count
-    return successes, reasons
+def _timed_trial(config, hashed, attack_name, seed) -> FailureReason:
+    return _timed_run(config, hashed, attack_name, seed).verdict.reason
+
+
+def _game_trial(puz, strategy, seed) -> bool:
+    return play_nonlocal(puz, strategy, Rng(seed)).win
+
+
+def _reduced_trial(puz, strategy, seed) -> bool:
+    return play_2of2(puz, reduce_to_2of2(strategy), Rng(seed))
+
+
+def _poq_trial(poq, prover, seed) -> tuple[bool, bool]:
+    """(accepted, transcript in protocol order)."""
+    result = poq.run(prover, seed)
+    return result.accept, [label for label, _ in result.transcript] == [
+        "pk", "y", "b", "ans"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +165,9 @@ def completeness_rows(n: int, k: int, lam: int, trials: int, seed: int,
     rows = []
     for index, position in enumerate(positions):
         config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-        successes, _ = _tally(config, hashed, "honest", None, trials,
-                              child_seed(seed, index), workers)
+        counts = tally(partial(_timed_trial, config, hashed, None), trials,
+                       child_seed(seed, index), workers)
+        successes = counts[FailureReason.NONE]
         label = f"completeness@{position}"
         rows.append(coverage_row(label, n, k, successes, trials, theory))
     return rows
@@ -194,8 +183,10 @@ def attack_rows(name: str, n: int, k: int, lam: int, trials: int, seed: int,
         "teleport": teleport_rate(n, k),
         "classical_forward": classical_prover_rate(n, k),
     }[name]
-    successes, _ = _tally(config, False, "attack", name, trials, seed, workers)
-    return [coverage_row(f"attack_{name}", n, k, successes, trials, theory)]
+    counts = tally(partial(_timed_trial, config, False, name), trials, seed,
+                   workers)
+    return [coverage_row(f"attack_{name}", n, k, counts[FailureReason.NONE],
+                         trials, theory)]
 
 
 _GAME_THEORY = {
@@ -213,40 +204,34 @@ _REDUCED_THEORY = {
 }
 
 
-def nonlocal_rows(name: str, n: int, trials: int, seed: int) -> list[Row]:
+def nonlocal_rows(name: str, n: int, trials: int, seed: int,
+                  workers: int) -> list[Row]:
     strategy = make_strategy(name, n)
     puz = BasePuzzle(n)
-    tau = estimate_win_rate(puz, strategy, trials, child_seed(seed, 0))
-    solver = reduce_to_2of2(make_strategy(name, n))
-    reduced = estimate_2of2_rate(puz, solver, trials, child_seed(seed, 1))
-    sigma = reduction_slack(reduced.rate, reduced.trials, tau.rate, tau.trials)
+    wins = tally(partial(_game_trial, puz, strategy), trials,
+                 child_seed(seed, 0), workers)
+    tau = coverage_row(f"game_{name}", n, 1, wins[True], trials,
+                       _GAME_THEORY[name](n))
+    wins = tally(partial(_reduced_trial, puz, strategy), trials,
+                 child_seed(seed, 1), workers)
+    reduced = coverage_row(f"reduced_{name}", n, 1, wins[True], trials,
+                           _REDUCED_THEORY[name](n))
+    sigma = reduction_slack(reduced.rate, trials, tau.rate, trials)
     bound = 2 * tau.rate - 1 - 5 * sigma
-    rows = [
-        coverage_row(f"game_{name}", n, 1, tau.successes, tau.trials,
-                     _GAME_THEORY[name](n)),
-        coverage_row(f"reduced_{name}", n, 1, reduced.successes,
-                     reduced.trials, _REDUCED_THEORY[name](n)),
-        Row(f"reduction_bound_{name}", n, 1, reduced.trials,
-            reduced.successes, reduced.rate, reduced.ci_low, reduced.ci_high,
-            bound, reduced.rate >= bound),
-    ]
-    return rows
+    return [tau, reduced,
+            replace(reduced, experiment=f"reduction_bound_{name}",
+                    theory=bound, passed=reduced.rate >= bound)]
 
 
-def poq_rows(n: int, k: int, trials: int, seed: int) -> list[Row]:
+def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
     poq = poq_transform(ProtocolConfig(n=n, k=k))
-    quantum_seed = child_seed(seed, 0)
-    classical_seed = child_seed(seed, 1)
-    quantum_wins = 0
-    order_ok = 0
-    for i in range(trials):
-        result = poq.run(QuantumPoQProver, child_seed(quantum_seed, i))
-        quantum_wins += result.accept
-        order_ok += [label for label, _ in result.transcript] == ["pk", "y",
-                                                                  "b", "ans"]
-    classical_wins = sum(
-        poq.run(ClassicalPoQProver, child_seed(classical_seed, i)).accept
-        for i in range(trials))
+    quantum = tally(partial(_poq_trial, poq, HonestProver()), trials,
+                    child_seed(seed, 0), workers)
+    classical = tally(partial(_poq_trial, poq, ClassicalProver()), trials,
+                      child_seed(seed, 1), workers)
+    quantum_wins = sum(c for (accept, _), c in quantum.items() if accept)
+    order_ok = sum(c for (_, in_order), c in quantum.items() if in_order)
+    classical_wins = sum(c for (accept, _), c in classical.items() if accept)
     return [
         coverage_row("poq_quantum", n, k, quantum_wins, trials,
                      honest_completeness(n, k)),
@@ -259,14 +244,7 @@ def poq_rows(n: int, k: int, trials: int, seed: int) -> list[Row]:
 def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
                 attack_name: str | None, hashed: bool) -> str:
     config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-    runner = run_roprpv if hashed else run_prpv
-    if attack_name is None:
-        outcome = runner(config, seed, prover=HonestProver(),
-                         record_trace=True)
-    else:
-        outcome = runner(config, seed,
-                         adversaries=make_attack(attack_name, config),
-                         record_trace=True)
+    outcome = _timed_run(config, hashed, attack_name, seed, record_trace=True)
     return outcome.trace.to_json_lines()
 
 
@@ -460,9 +438,9 @@ def main(argv=None) -> int:
             name = opts.text("name")
             if name is None:
                 raise ConfigInvalid("nonlocal requires --name")
-            rows = nonlocal_rows(name, n, trials, seed)
+            rows = nonlocal_rows(name, n, trials, seed, workers)
         elif args.command == "poq":
-            rows = poq_rows(n, k, trials, seed)
+            rows = poq_rows(n, k, trials, seed, workers)
         else:
             position = _to_position(opts.raw("pos") or "3/2", "pos")
             text = trace_lines(n, k, lam, seed, position, opts.text("name"),

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
-from .errors import InvalidTrials, TagMismatch, UnknownStrategy
+from .errors import TagMismatch, UnknownStrategy
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
 from .qsim import ScopedState, SharedState
-from .rng import Rng, child_seed
-from .stats import wilson_interval
+from .rng import Rng
+from .stats import Estimate, tally
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ class GameResult:
     accept_c: bool
     challenge: str
     obligation: str
-
-
-@dataclass(frozen=True)
-class WinEstimate:
-    successes: int
-    trials: int
-    rate: float
-    ci_low: float
-    ci_high: float
 
 
 def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
@@ -123,22 +114,13 @@ def play_2of2(puz: BasePuzzle, solver, rng) -> bool:
     return _safe_verify(puz, env, y, "0", ans0) and _safe_verify(puz, env, y, "1", ans1)
 
 
-def _estimate(trials: int, seed: int, one_trial) -> WinEstimate:
-    if trials < 1:
-        raise InvalidTrials(f"trials must be >= 1, got {trials}")
-    wins = 0
-    for i in range(trials):
-        wins += bool(one_trial(Rng(child_seed(seed, i))))
-    lo, hi = wilson_interval(wins, trials)
-    return WinEstimate(wins, trials, wins / trials, lo, hi)
+def estimate_win_rate(puz: BasePuzzle, strategy, trials: int, seed: int) -> Estimate:
+    counts = tally(lambda s: play_nonlocal(puz, strategy, Rng(s)).win, trials, seed)
+    return Estimate.of(counts, True)
 
 
-def estimate_win_rate(puz: BasePuzzle, strategy, trials: int, seed: int) -> WinEstimate:
-    return _estimate(trials, seed, lambda r: play_nonlocal(puz, strategy, r).win)
-
-
-def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int) -> WinEstimate:
-    return _estimate(trials, seed, lambda r: play_2of2(puz, solver, r))
+def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int) -> Estimate:
+    return Estimate.of(tally(lambda s: play_2of2(puz, solver, Rng(s)), trials, seed), True)
 
 
 class HonestToB:

@@ -12,7 +12,10 @@ cannot.
 The module also provides a hash-challenge variant where the challenge is
 derived from a public random function applied to two verifier nonces,
 and a timing-free interactive protocol reusing the same message flow as
-a test of quantum capability.
+a test of quantum capability.  Both run the same provers: HonestProver
+and ClassicalProver answer through reply_y/reply_ans whether or not a
+clock is attached, so dropping the timing layer from a position prover
+leaves exactly a proof-of-quantumness prover.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import ConfigInvalid, InvalidTrials, LengthMismatch, TagMismatch
+from .errors import ConfigInvalid, LengthMismatch, TagMismatch
 from .puzzle import (
     Answer,
     Equation,
@@ -47,7 +51,7 @@ from .spacetime import (
     Trace,
     as_coord,
 )
-from .stats import wilson_interval
+from .stats import Estimate, tally
 
 V0_POSITION = Fraction(0)
 V1_POSITION = Fraction(3)
@@ -244,13 +248,25 @@ class _Verifier(PartyBehavior):
 class HonestProver:
     """Honest prover: obligates on key receipt, answers on challenge.
 
-    position overrides the configured placement; values outside [1, 2)
-    are allowed here so that runs can demonstrate how mispositioned
-    devices miss deadlines.
+    The claw states and the actor stream travel in the memo from reply_y
+    to reply_ans, so one instance serves any number of runs.  position
+    overrides the configured placement; values outside [1, 2) are
+    allowed here so that runs can demonstrate how mispositioned devices
+    miss deadlines.
     """
 
     def __init__(self, position: Coordinate | None = None):
         self.position = None if position is None else as_coord(position)
+
+    def reply_y(self, env: TrialEnv, actor_seed: int):
+        rng = Rng(actor_seed)
+        ys, states = env.obligate(rng)
+        return encode_obligations(ys), (ys, states, rng)
+
+    def reply_ans(self, env: TrialEnv, memo, challenge: str) -> bytes:
+        ys, states, rng = memo
+        return encode_answers(
+            env.puzzle.solve(env.handle, ys, states, challenge, rng))
 
 
 class ClassicalProver:
@@ -258,13 +274,22 @@ class ClassicalProver:
 
     Every reply is a function of the public messages and a stored random
     tape: obligations commit to preimages of the 0-branch, challenge
-    bits asking for an equation are answered with a tape guess.
+    bits asking for an equation are answered with a tape guess.  The
+    tape is tape_seed, or the run's actor seed when tape_seed is None.
     """
 
     def __init__(self, tape_seed: int | None = None,
                  position: Coordinate | None = None):
         self.tape_seed = tape_seed
         self.position = None if position is None else as_coord(position)
+
+    def reply_y(self, env: TrialEnv, actor_seed: int):
+        tape = actor_seed if self.tape_seed is None else self.tape_seed
+        ys, _ = classical_reply_y(env.handle, tape)
+        return encode_obligations(ys), tape
+
+    def reply_ans(self, env: TrialEnv, tape: int, challenge: str) -> bytes:
+        return encode_answers(classical_reply_ans(env.handle, challenge, tape))
 
 
 def classical_reply_y(handle: MultiHandle, tape_seed: int):
@@ -298,28 +323,24 @@ def classical_reply_ans(handle: MultiHandle, challenge: str,
 
 
 class _ProverBehavior(PartyBehavior):
-    """Shared arrival plumbing for positioned provers.
+    """Places a prover on the line.
 
     Arrival order of key and challenge depends on the position, so both
-    are buffered and each output is emitted as soon as its inputs exist.
+    are buffered and each reply is emitted as soon as its inputs exist.
     """
 
-    def __init__(self, env: TrialEnv, rng: Rng, oracle: RandomOracle | None):
+    def __init__(self, prover, env: TrialEnv, actor_seed: int,
+                 oracle: RandomOracle | None):
+        self.prover = prover
         self.env = env
-        self.rng = rng
+        self.actor_seed = actor_seed
         self.oracle = oracle
         self._challenge: str | None = None
         self._nonce0: str | None = None
         self._nonce1: str | None = None
         self._obligated = False
         self._answered = False
-
-    # subclasses
-    def _make_y(self) -> bytes:
-        raise NotImplementedError
-
-    def _make_ans(self, challenge: str) -> bytes:
-        raise NotImplementedError
+        self._memo = None
 
     def on_receive(self, time, message):
         kind, parts = decode_message(message.payload)
@@ -329,7 +350,8 @@ class _ProverBehavior(PartyBehavior):
             if len(parts) > 1:
                 self._nonce0, _ = unpack_bits(parts[1])
             self._obligated = True
-            out.append(Emission(encode_message(KIND_OBLIGATION, self._make_y())))
+            y_bytes, self._memo = self.prover.reply_y(self.env, self.actor_seed)
+            out.append(Emission(encode_message(KIND_OBLIGATION, y_bytes)))
         elif kind == KIND_CHALLENGE:
             self._challenge, _ = unpack_bits(parts[0])
         elif kind == KIND_NONCE:
@@ -339,36 +361,10 @@ class _ProverBehavior(PartyBehavior):
             self._challenge = self.oracle.query(xor_bits(self._nonce0, self._nonce1))
         if self._obligated and self._challenge is not None and not self._answered:
             self._answered = True
-            out.append(Emission(encode_message(KIND_ANSWER,
-                                               self._make_ans(self._challenge))))
+            ans_bytes = self.prover.reply_ans(self.env, self._memo,
+                                              self._challenge)
+            out.append(Emission(encode_message(KIND_ANSWER, ans_bytes)))
         return out
-
-
-class _HonestProverBehavior(_ProverBehavior):
-    def _make_y(self) -> bytes:
-        ys, states = self.env.obligate(self.rng)
-        self._states = states
-        self._ys = ys
-        return encode_obligations(ys)
-
-    def _make_ans(self, challenge: str) -> bytes:
-        answers = self.env.puzzle.solve(
-            self.env.handle, self._ys, self._states, challenge, self.rng)
-        return encode_answers(answers)
-
-
-class _ClassicalProverBehavior(_ProverBehavior):
-    def __init__(self, env, rng, oracle, tape_seed: int):
-        super().__init__(env, rng, oracle)
-        self.tape_seed = tape_seed
-
-    def _make_y(self) -> bytes:
-        ys, _ = classical_reply_y(self.env.handle, self.tape_seed)
-        return encode_obligations(ys)
-
-    def _make_ans(self, challenge: str) -> bytes:
-        answers = classical_reply_ans(self.env.handle, challenge, self.tape_seed)
-        return encode_answers(answers)
 
 
 class _LeftAdversaryBehavior(PartyBehavior):
@@ -529,17 +525,7 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         position = prover.position
         if position is None:
             position = config.prover_position
-        actor_rng = Rng(actor_seed)
-        if isinstance(prover, ClassicalProver):
-            tape_seed = prover.tape_seed
-            if tape_seed is None:
-                tape_seed = actor_seed
-            behavior = _ClassicalProverBehavior(env, actor_rng, oracle, tape_seed)
-        elif isinstance(prover, HonestProver):
-            behavior = _HonestProverBehavior(env, actor_rng, oracle)
-        else:
-            raise ConfigInvalid(f"unsupported prover {prover!r}")
-        sim.add_party(position, behavior)
+        sim.add_party(position, _ProverBehavior(prover, env, actor_seed, oracle))
     else:
         trial = adversaries.new_trial(env, actor_seed)
         left = _LeftAdversaryBehavior(trial, v0_pid)
@@ -566,13 +552,6 @@ def run_prpv(config: ProtocolConfig, seed: int, *, prover=None,
                       hashed=False)
 
 
-def run_prpv_parallel(config: ProtocolConfig, seed: int, *, prover=None,
-                      adversaries=None, record_trace: bool = False) -> PRPVOutcome:
-    """Alias of run_prpv; parallel repetition is configured via config.k."""
-    return run_prpv(config, seed, prover=prover, adversaries=adversaries,
-                    record_trace=record_trace)
-
-
 def run_roprpv(config: ProtocolConfig, seed: int, *, prover=None,
                adversaries=None, record_trace: bool = False) -> PRPVOutcome:
     """One run of the hash-challenge variant.
@@ -595,40 +574,6 @@ class PoQResult:
     transcript: tuple[tuple[str, bytes], ...]
 
 
-class QuantumPoQProver:
-    """Honest strategy for the interactive protocol: holds the claw
-    states between rounds and measures them per the challenge."""
-
-    def reply_y(self, env: TrialEnv, rng: Rng) -> bytes:
-        self._env = env
-        self._ys, self._states = env.obligate(rng)
-        return encode_obligations(self._ys)
-
-    def reply_ans(self, challenge: str, rng: Rng) -> bytes:
-        answers = self._env.puzzle.solve(
-            self._env.handle, self._ys, self._states, challenge, rng)
-        return encode_answers(answers)
-
-
-class ClassicalPoQProver:
-    """Tape-deterministic strategy: no state survives between rounds
-    beyond the tape seed, modelling a classical device."""
-
-    def __init__(self, tape_seed: int | None = None):
-        self.tape_seed = tape_seed
-
-    def reply_y(self, env: TrialEnv, rng: Rng) -> bytes:
-        self._handle = env.handle
-        if self.tape_seed is None:
-            self.tape_seed = rng.next_u64()
-        ys, _ = classical_reply_y(self._handle, self.tape_seed)
-        return encode_obligations(ys)
-
-    def reply_ans(self, challenge: str, rng: Rng) -> bytes:
-        answers = classical_reply_ans(self._handle, challenge, self.tape_seed)
-        return encode_answers(answers)
-
-
 class ProofOfQuantumness:
     """Timing-free four-message protocol: key, obligations, challenge,
     answers.  Acceptance uses the same verification as the timed runs,
@@ -638,18 +583,18 @@ class ProofOfQuantumness:
         self.config = config
         self.puzzle = parallel_puzzle(config.n, config.k)
 
-    def run(self, prover_factory: Callable[[], object], seed: int) -> PoQResult:
+    def run(self, prover, seed: int) -> PoQResult:
+        """One run of the four messages against prover (HonestProver or
+        ClassicalProver), seeded like a timed run."""
         verifier_rng = Rng(child_seed(seed, 0))
         challenge_rng = Rng(child_seed(seed, 1))
-        prover_rng = Rng(child_seed(seed, 2))
         handle, trapdoor = self.puzzle.keygen(verifier_rng)
         env = TrialEnv(self.puzzle, handle, trapdoor)
-        prover = prover_factory()
 
         pk_bytes = handle.key_id.encode()
-        y_bytes = prover.reply_y(env, prover_rng)
+        y_bytes, memo = prover.reply_y(env, child_seed(seed, 2))
         challenge = self.puzzle.sample_challenge(challenge_rng)
-        ans_bytes = prover.reply_ans(challenge, prover_rng)
+        ans_bytes = prover.reply_ans(env, memo, challenge)
         transcript = (
             ("pk", pk_bytes),
             ("y", y_bytes),
@@ -675,31 +620,14 @@ def poq_transform(config: ProtocolConfig) -> ProofOfQuantumness:
 # Bulk estimation
 
 
-@dataclass(frozen=True)
-class RunTally:
-    successes: int
-    trials: int
-    rate: float
-    ci_low: float
-    ci_high: float
-    reasons: dict[FailureReason, int]
+def _verdict_reason(runner, config, prover, adversaries, seed: int):
+    return runner(config, seed, prover=prover,
+                  adversaries=adversaries).verdict.reason
 
 
 def estimate_acceptance(config: ProtocolConfig, trials: int, seed: int, *,
-                        runner=run_prpv, prover=None, adversaries=None) -> RunTally:
+                        runner=run_prpv, prover=None, adversaries=None) -> Estimate:
     """Acceptance frequency over independent seeded runs with a Wilson
     95 percent interval and a failure-reason histogram."""
-    if trials < 1:
-        raise InvalidTrials(f"trials must be >= 1, got {trials}")
-    successes = 0
-    reasons: dict[FailureReason, int] = {}
-    for i in range(trials):
-        outcome = runner(config, child_seed(seed, i), prover=prover,
-                         adversaries=adversaries)
-        if outcome.verdict.accept:
-            successes += 1
-        else:
-            r = outcome.verdict.reason
-            reasons[r] = reasons.get(r, 0) + 1
-    low, high = wilson_interval(successes, trials)
-    return RunTally(successes, trials, successes / trials, low, high, reasons)
+    one_trial = partial(_verdict_reason, runner, config, prover, adversaries)
+    return Estimate.of(tally(one_trial, trials, seed), FailureReason.NONE)

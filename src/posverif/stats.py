@@ -1,4 +1,9 @@
-"""Wilson score intervals and closed-form acceptance rates.
+"""Seeded trial tallies, Wilson score intervals and closed-form
+acceptance rates.
+
+Every Monte Carlo estimate in the package runs through `tally`: trial i
+of a batch sees child_seed(seed, i), so counts depend only on the seed
+and the trial count, never on how trials are split across processes.
 
 The closed forms below are what experiment output reports in its theory
 column. None of them is a tuned constant: each is derived in the test
@@ -12,6 +17,15 @@ has d = 0, which carries weight 2^-n. Averaging the challenge bit gives
 """
 
 import math
+import os
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable, Hashable
+
+from .errors import InvalidTrials
+from .rng import child_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -32,6 +46,56 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
+
+
+def _tally_chunk(one_trial, seed: int, start: int, stop: int) -> Counter:
+    return Counter(one_trial(child_seed(seed, i)) for i in range(start, stop))
+
+
+def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
+          workers: int = 1) -> Counter:
+    """Count the outcomes of one_trial(child_seed(seed, i)) for i < trials.
+
+    Trials split into at most `workers` contiguous chunks, and the process
+    pool never outgrows the chunk count or the machine's cores.  With
+    more than one process, one_trial must pickle: a module-level function,
+    or a functools.partial of one over picklable arguments.
+    """
+    if trials < 1:
+        raise InvalidTrials(f"trials must be >= 1, got {trials}")
+    step = -(-trials // workers)
+    starts = range(0, trials, step)
+    size = min(workers, os.cpu_count() or 1, len(starts))
+    if size <= 1:
+        return _tally_chunk(one_trial, seed, 0, trials)
+    stops = [min(lo + step, trials) for lo in starts]
+    counts = Counter()
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        for part in pool.map(_tally_chunk, repeat(one_trial), repeat(seed),
+                             starts, stops):
+            counts.update(part)
+    return counts
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """Success rate of a tallied batch with its Wilson 95 percent interval;
+    reasons counts every other outcome."""
+
+    successes: int
+    trials: int
+    rate: float
+    ci_low: float
+    ci_high: float
+    reasons: dict
+
+    @classmethod
+    def of(cls, counts: Counter, success: Hashable) -> "Estimate":
+        trials = sum(counts.values())
+        successes = counts[success]
+        low, high = wilson_interval(successes, trials)
+        reasons = {o: c for o, c in counts.items() if o != success}
+        return cls(successes, trials, successes / trials, low, high, reasons)
 
 
 def binomial_se(p_hat: float, trials: int) -> float:

@@ -7,12 +7,14 @@ import sys
 
 import pytest
 
+from posverif import stats
 from posverif.cli import (
     CSV_HEADER,
     DEFAULT_SEED,
     SWEEP_POSITIONS,
     main,
 )
+from posverif.stats import tally
 
 
 def run_cli(capsys, *argv):
@@ -61,12 +63,57 @@ class TestCompleteness:
         assert code == 0
         assert rows[0]["k"] == "2"
 
-    def test_workers_do_not_change_counts(self, capsys):
-        _, serial, _ = run_cli(capsys, "completeness", "--pos", "3/2",
-                               "--trials", "50")
-        _, pooled, _ = run_cli(capsys, "completeness", "--pos", "3/2",
-                               "--trials", "50", "--workers", "3")
+
+class TestWorkers:
+    @pytest.mark.parametrize("argv", [
+        ("completeness", "--pos", "3/2", "--trials", "50"),
+        ("nonlocal", "--name", "honest_to_B", "--trials", "60"),
+        ("poq", "--k", "2", "--trials", "60"),
+    ], ids=["completeness", "nonlocal", "poq"])
+    def test_workers_do_not_change_counts(self, capsys, monkeypatch, argv):
+        _, serial, _ = run_cli(capsys, *argv)
+        sizes = []
+        real_pool = stats.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
+        _, pooled, _ = run_cli(capsys, *argv, "--workers", "2")
+        assert sizes and set(sizes) == {2}
         assert serial == pooled
+
+    def test_pool_capped_by_cores_and_chunks(self, monkeypatch):
+        # a recording stand-in for the pool: the cap is checked without
+        # starting a single process
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(stats, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+        one_trial = lambda seed: seed % 3
+        serial = tally(one_trial, 100, 7)
+        assert tally(one_trial, 100, 7, workers=1000) == serial
+        assert tally(one_trial, 100, 7, workers=3) == serial
+        assert tally(one_trial, 3, 7, workers=1000) == tally(one_trial, 3, 7)
+        assert sizes == [4, 3, 3]
+        monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
+        assert tally(one_trial, 100, 7, workers=8) == serial
+        assert sizes == [4, 3, 3]
 
 
 class TestAttack:

@@ -33,11 +33,9 @@ from posverif.nonlocal_game import (
     reduce_to_2of2,
 )
 from posverif.protocol import (
-    ClassicalPoQProver,
     ClassicalProver,
     HonestProver,
     ProtocolConfig,
-    QuantumPoQProver,
     poq_transform,
     run_prpv,
     run_roprpv,
@@ -68,11 +66,11 @@ def _timed(hashed: bool, actor: str, k: int) -> bytes:
     return b"".join(out)
 
 
-def _poq(prover_factory, k: int) -> bytes:
+def _poq(prover, k: int) -> bytes:
     poq = poq_transform(ProtocolConfig(k=k))
     out = []
     for seed in SEEDS:
-        result = poq.run(prover_factory, seed)
+        result = poq.run(prover, seed)
         parts = [label.encode() + b"=" + body for label, body in result.transcript]
         out.append(encode_parts(str(int(result.accept)).encode(), *parts))
     return b"".join(out)
@@ -114,13 +112,13 @@ def _entries():
             entries[f"timed/plain/{name}/k{k}"] = (
                 lambda a=name, k=k: _timed(False, a, k))
     provers = {
-        "honest": QuantumPoQProver,
-        "classical_default_tape": ClassicalPoQProver,
-        "classical_tape5": lambda: ClassicalPoQProver(tape_seed=5),
+        "honest": HonestProver(),
+        "classical_default_tape": ClassicalProver(),
+        "classical_tape5": ClassicalProver(tape_seed=5),
     }
-    for label, factory in provers.items():
+    for label, prover in provers.items():
         for k in KS:
-            entries[f"poq/{label}/k{k}"] = lambda f=factory, k=k: _poq(f, k)
+            entries[f"poq/{label}/k{k}"] = lambda p=prover, k=k: _poq(p, k)
     for name in sorted(STRATEGIES):
         entries[f"game/{name}"] = lambda s=name: _game(s)
     entries["cli/completeness"] = lambda: _cli(

@@ -11,15 +11,12 @@ from posverif.errors import ConfigInvalid, InvalidTrials, LengthMismatch
 from posverif.protocol import (
     ANS0_DEADLINE,
     ANS1_DEADLINE,
-    ClassicalPoQProver,
     ClassicalProver,
     FailureReason,
     HonestProver,
     PoQResult,
     ProtocolConfig,
-    QuantumPoQProver,
     RandomOracle,
-    RunTally,
     Verdict,
     Y0_DEADLINE,
     Y1_DEADLINE,
@@ -30,7 +27,6 @@ from posverif.protocol import (
     estimate_acceptance,
     poq_transform,
     run_prpv,
-    run_prpv_parallel,
     run_roprpv,
 )
 from posverif.puzzle import decode_obligations, encode_obligations
@@ -260,7 +256,7 @@ class TestAcceptanceRates:
         cfg = ProtocolConfig(n=8, k=4)
         tally = estimate_acceptance(cfg, trials=1200, seed=102,
                                     prover=HonestProver(),
-                                    runner=run_prpv_parallel)
+                                    runner=run_prpv)
         theory = honest_completeness(8, 4)
         assert tally.ci_low <= theory <= tally.ci_high
 
@@ -348,26 +344,26 @@ class TestRandomOracle:
 class TestProofOfQuantumness:
     def test_transcript_order(self):
         poq = poq_transform(ProtocolConfig(n=8, k=2))
-        result = poq.run(QuantumPoQProver, seed=8)
+        result = poq.run(HonestProver(), seed=8)
         assert [label for label, _ in result.transcript] == ["pk", "y", "b", "ans"]
         assert isinstance(result, PoQResult)
 
     def test_deterministic_per_seed(self):
         poq = poq_transform(ProtocolConfig(n=6, k=3))
-        a = poq.run(QuantumPoQProver, seed=12)
-        b = poq.run(QuantumPoQProver, seed=12)
+        a = poq.run(HonestProver(), seed=12)
+        b = poq.run(HonestProver(), seed=12)
         assert a == b
 
     def test_quantum_rate(self):
         poq = poq_transform(ProtocolConfig(n=8, k=1))
-        wins = sum(poq.run(QuantumPoQProver, child_seed(200, i)).accept
+        wins = sum(poq.run(HonestProver(), child_seed(200, i)).accept
                    for i in range(2000))
         low, high = wilson_interval(wins, 2000)
         assert low <= honest_completeness(8, 1) <= high
 
     def test_classical_rate(self):
         poq = poq_transform(ProtocolConfig(n=8, k=1))
-        wins = sum(poq.run(ClassicalPoQProver, child_seed(201, i)).accept
+        wins = sum(poq.run(ClassicalProver(), child_seed(201, i)).accept
                    for i in range(2500))
         low, high = wilson_interval(wins, 2500)
         theory = classical_prover_rate(8, 1)
@@ -377,8 +373,8 @@ class TestProofOfQuantumness:
 
     def test_classical_poq_prover_explicit_tape(self):
         poq = poq_transform(ProtocolConfig(n=8, k=2))
-        a = poq.run(lambda: ClassicalPoQProver(tape_seed=5), seed=40)
-        b = poq.run(lambda: ClassicalPoQProver(tape_seed=5), seed=40)
+        a = poq.run(ClassicalProver(tape_seed=5), seed=40)
+        b = poq.run(ClassicalProver(tape_seed=5), seed=40)
         assert a == b
 
 
