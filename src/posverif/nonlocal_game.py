@@ -120,7 +120,8 @@ def estimate_win_rate(puz: BasePuzzle, strategy, trials: int, seed: int) -> Esti
 
 
 def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int) -> Estimate:
-    return Estimate.of(tally(lambda s: play_2of2(puz, solver, Rng(s)), trials, seed), True)
+    counts = tally(lambda s: play_2of2(puz, solver, Rng(s)), trials, seed)
+    return Estimate.of(counts, True)
 
 
 class HonestToB:

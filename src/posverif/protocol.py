@@ -24,7 +24,6 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
@@ -620,14 +619,11 @@ def poq_transform(config: ProtocolConfig) -> ProofOfQuantumness:
 # Bulk estimation
 
 
-def _verdict_reason(runner, config, prover, adversaries, seed: int):
-    return runner(config, seed, prover=prover,
-                  adversaries=adversaries).verdict.reason
-
-
 def estimate_acceptance(config: ProtocolConfig, trials: int, seed: int, *,
                         runner=run_prpv, prover=None, adversaries=None) -> Estimate:
     """Acceptance frequency over independent seeded runs with a Wilson
     95 percent interval and a failure-reason histogram."""
-    one_trial = partial(_verdict_reason, runner, config, prover, adversaries)
-    return Estimate.of(tally(one_trial, trials, seed), FailureReason.NONE)
+    counts = tally(lambda s: runner(config, s, prover=prover,
+                                    adversaries=adversaries).verdict.reason,
+                   trials, seed)
+    return Estimate.of(counts, FailureReason.NONE)

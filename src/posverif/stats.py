@@ -56,21 +56,20 @@ def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
           workers: int = 1) -> Counter:
     """Count the outcomes of one_trial(child_seed(seed, i)) for i < trials.
 
-    Trials split into at most `workers` contiguous chunks, and the process
-    pool never outgrows the chunk count or the machine's cores.  With
-    more than one process, one_trial must pickle: a module-level function,
-    or a functools.partial of one over picklable arguments.
+    Trials split into one contiguous chunk per process, and there are at
+    most min(workers, cores) processes.  With more than one process,
+    one_trial must pickle: a module-level function, or a
+    functools.partial of one over picklable arguments.
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
-    step = -(-trials // workers)
+    step = -(-trials // min(workers, os.cpu_count() or 1))
     starts = range(0, trials, step)
-    size = min(workers, os.cpu_count() or 1, len(starts))
-    if size <= 1:
+    if len(starts) == 1:
         return _tally_chunk(one_trial, seed, 0, trials)
     stops = [min(lo + step, trials) for lo in starts]
     counts = Counter()
-    with ProcessPoolExecutor(max_workers=size) as pool:
+    with ProcessPoolExecutor(max_workers=len(starts)) as pool:
         for part in pool.map(_tally_chunk, repeat(one_trial), repeat(seed),
                              starts, stops):
             counts.update(part)

@@ -88,7 +88,7 @@ class TestWorkers:
     def test_pool_capped_by_cores_and_chunks(self, monkeypatch):
         # a recording stand-in for the pool: the cap is checked without
         # starting a single process
-        sizes = []
+        sizes, chunks = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -101,7 +101,9 @@ class TestWorkers:
                 return False
 
             def map(self, fn, *iterables):
-                return map(fn, *iterables)
+                parts = list(map(fn, *iterables))
+                chunks.append(len(parts))
+                return parts
 
         monkeypatch.setattr(stats, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
@@ -110,10 +112,10 @@ class TestWorkers:
         assert tally(one_trial, 100, 7, workers=1000) == serial
         assert tally(one_trial, 100, 7, workers=3) == serial
         assert tally(one_trial, 3, 7, workers=1000) == tally(one_trial, 3, 7)
-        assert sizes == [4, 3, 3]
+        assert sizes == chunks == [4, 3, 3]
         monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
         assert tally(one_trial, 100, 7, workers=8) == serial
-        assert sizes == [4, 3, 3]
+        assert sizes == chunks == [4, 3, 3]
 
 
 class TestAttack:
@@ -287,6 +289,14 @@ class TestOptionPrecedence:
         code, _, _ = run_cli(capsys, "poq", "--trials", "10",
                              "--workers", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("completeness",), ("attack", "--name", "guess"), ("poq",),
+    ], ids=["completeness", "attack", "poq"])
+    def test_zero_trials_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--trials", "0")
+        assert code == 2
+        assert "trials must be >= 1" in err
 
 
 class TestModuleEntryPoint:
