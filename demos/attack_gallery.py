@@ -7,8 +7,9 @@ to V1, joined by a private channel. Their best tricks and where each one
 tops out, against the honest prover's completeness:
 
   guess            commit to a guessed challenge, win 2^-k of the time
-  forward compile  replace quantum forwarding with a classical table;
-                   provably changes nothing for tape-based pairs
+  forward compile  right actor only forwards the challenge; left actor
+                   replays the one entry of its 2^k reply table that the
+                   challenge selects; changes nothing for tape-based pairs
   teleport         spend k*(n+1) EPR pairs to act like the honest prover
   classical_forward replay a lone classical prover's tape from both ends
 """

@@ -13,7 +13,7 @@ forward the challenge verbatim, RL pairs consume pre-shared EPR pairs.
 
 from __future__ import annotations
 
-from .bits import decode_parts, encode_parts, int_to_bits, pack_bits, unpack_bits, xor_bits
+from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import (
     BudgetExceeded,
     ConfigInvalid,
@@ -151,10 +151,14 @@ class _ClassicalForwardTrial:
 class ForwardingPair:
     """Compile an unentangled attack into challenge-forwarding shape.
 
-    The left device precomputes, for every possible challenge c, the
-    message the original right device would send after seeing c; the
-    right device then only forwards the challenge verbatim.  Replays are
-    exact because trials are deterministic in (env, actor seed), so per
+    The right device only forwards the challenge verbatim; the left
+    device answers with the message the original right device would send
+    after seeing it.  A real left device would precompute that message
+    for all 2^k challenges to answer in time; FORWARD_COMPILER_MAX_K
+    still bounds the table it would hold.  Simulated handlers take no
+    time, so the left device replays one replica on the forwarded
+    challenge instead.  Trials are deterministic in (env, actor seed,
+    key body), so the replay equals the selected table entry and per
     seed the compiled pair reproduces the original verdict bit for bit.
     """
 
@@ -179,26 +183,18 @@ class ForwardingPair:
                 f"challenge width {width} exceeds the compiler cap "
                 f"{FORWARD_COMPILER_MAX_K}"
             )
-        return _ForwardingTrial(self.inner, env, actor_seed, width)
+        return _ForwardingTrial(self.inner, env, actor_seed)
 
 
 class _ForwardingTrial:
-    def __init__(self, inner_pair, env: TrialEnv, actor_seed: int, width: int):
+    def __init__(self, inner_pair, env: TrialEnv, actor_seed: int):
         self._make_replica = lambda: inner_pair.new_trial(env, actor_seed)
         self.original = inner_pair.new_trial(env, actor_seed)
-        self.width = width
-        self._table: dict[str, bytes] | None = None
+        self._pk_body: bytes | None = None
 
     def u1(self, pk_body: bytes):
-        y_bytes, m_bytes = self.original.u1(pk_body)
-        table = {}
-        for value in range(1 << self.width):
-            challenge = int_to_bits(value, self.width)
-            replica = self._make_replica()
-            replica.u1(pk_body)
-            table[challenge] = replica.u2(encode_parts(pack_bits(challenge)))
-        self._table = table
-        return y_bytes, m_bytes
+        self._pk_body = pk_body
+        return self.original.u1(pk_body)
 
     def u2(self, challenge_body: bytes) -> bytes:
         # keep the right device's own state faithful, then forward
@@ -209,8 +205,11 @@ class _ForwardingTrial:
         return self.original.u3(m_body)
 
     def u4(self, n_body: bytes) -> bytes:
+        # the left device learns the challenge only from the forwarded body
         challenge = _challenge_of(n_body)
-        return self.original.u4(self._table[challenge])
+        replica = self._make_replica()
+        replica.u1(self._pk_body)
+        return self.original.u4(replica.u2(encode_parts(pack_bits(challenge))))
 
 
 def forwarding_compiler(pair) -> ForwardingPair:

@@ -337,25 +337,25 @@ class _Options:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--n", type=int, default=None,
-                        help="puzzle width (default 8)")
-    shared.add_argument("--k", type=int, default=None,
-                        help="parallel instances (default 1)")
-    shared.add_argument("--lambda", dest="lam", type=int, default=None,
-                        help="nonce width for the hash-challenge variant")
-    shared.add_argument("--trials", type=int, default=None,
-                        help=f"runs per row (default {DEFAULT_TRIALS})")
-    shared.add_argument("--seed", type=int, default=None,
-                        help=f"master seed (default ${ENV_SEED} or {DEFAULT_SEED})")
-    shared.add_argument("--config", default=None,
-                        help="key=value file supplying defaults for any flag")
-    shared.add_argument("--out", default=None,
-                        help="write output to this file instead of stdout")
-    shared.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="row output format (default csv)")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="worker processes for trial loops (default 1)")
+    base, width, nonce, rows = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    base.add_argument("--n", type=int, default=None,
+                      help="puzzle width (default 8)")
+    base.add_argument("--seed", type=int, default=None,
+                      help=f"master seed (default ${ENV_SEED} or {DEFAULT_SEED})")
+    base.add_argument("--config", default=None,
+                      help="key=value file supplying defaults for any flag")
+    base.add_argument("--out", default=None,
+                      help="write output to this file instead of stdout")
+    width.add_argument("--k", type=int, default=None,
+                       help="parallel instances (default 1)")
+    nonce.add_argument("--lambda", dest="lam", type=int, default=None,
+                       help="nonce width for the hash-challenge variant")
+    rows.add_argument("--trials", type=int, default=None,
+                      help=f"runs per row (default {DEFAULT_TRIALS})")
+    rows.add_argument("--format", choices=("csv", "json"), default=None,
+                      help="row output format (default csv)")
+    rows.add_argument("--workers", type=int, default=None,
+                      help="worker processes for trial loops (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="posverif",
@@ -364,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     completeness = sub.add_parser(
-        "completeness", parents=[shared],
+        "completeness", parents=[base, width, nonce, rows],
         help="honest acceptance across prover positions")
     completeness.add_argument("--pos", default=None,
                               help="single prover position (rational), "
@@ -372,20 +372,20 @@ def _build_parser() -> argparse.ArgumentParser:
     completeness.add_argument("--hashed", action="store_true", default=None,
                               help="use the hash-challenge variant")
 
-    attack = sub.add_parser("attack", parents=[shared],
+    attack = sub.add_parser("attack", parents=[base, width, nonce, rows],
                             help="two-device attack acceptance")
     attack.add_argument("--name", default=None,
                         help=f"attack name, one of {', '.join(ATTACK_NAMES)}")
 
-    game = sub.add_parser("nonlocal", parents=[shared],
+    game = sub.add_parser("nonlocal", parents=[base, rows],
                           help="two-referee game and 2-of-2 reduction")
     game.add_argument("--name", default=None,
                       help=f"strategy name, one of {', '.join(sorted(STRATEGIES))}")
 
-    sub.add_parser("poq", parents=[shared],
+    sub.add_parser("poq", parents=[base, width, rows],
                    help="timing-free protocol: quantum vs classical provers")
 
-    trace = sub.add_parser("trace", parents=[shared],
+    trace = sub.add_parser("trace", parents=[base, width, nonce],
                            help="event log of a single seeded run")
     trace.add_argument("--pos", default=None,
                        help="prover position (rational, default 3/2)")

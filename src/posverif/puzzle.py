@@ -229,8 +229,9 @@ class BasePuzzle:
             raise TagMismatch(f"challenge 1 needs an Equation answer, got {type(answer).__name__}")
         if is_zero(answer.d):
             return False
-        shift = xor_bits(env.inv("0", y), env.inv("1", y))
-        return dot_bits(answer.d, shift) == int(answer.c, 2)
+        if len(y) != env.n:
+            raise LengthMismatch(f"image width {len(y)} != n={env.n}")
+        return dot_bits(answer.d, env.key.s) == int(answer.c, 2)
 
     def verify_public_0(self, handle: PublicHandle, y: str, answer: Answer) -> bool:
         """Challenge-0 verification using only the public evaluator."""

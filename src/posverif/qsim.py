@@ -296,7 +296,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Joint state with a's registers before b's."""
     regs = a.regs + b.regs
     _check_regs(regs)
-    return StateVector(regs, np.kron(a.amps, b.amps), check=False)
+    return StateVector(regs, np.outer(a.amps, b.amps).reshape(-1), check=False)
 
 
 def split_register(state: StateVector, register: str, parts) -> StateVector:

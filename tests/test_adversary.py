@@ -72,20 +72,38 @@ class TestGuessingAttack:
 class TestForwardingCompiler:
     @pytest.mark.parametrize("make_pair", [GuessingPair, ClassicalForwardPair],
                              ids=["guess", "classical_forward"])
-    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_replay_equality(self, make_pair, k):
         cfg = ProtocolConfig(n=6, k=k)
         pair = make_pair()
         compiled = forwarding_compiler(pair)
         assert compiled.klass == "RF"
         assert compiled.name == f"forward_compiled_{pair.name}"
-        for s in range(30):
+        for s in range(30 if k < 8 else 5):
             seed = child_seed(400 + k, s)
             plain = run_prpv(cfg, seed, adversaries=pair)
             forwarded = run_prpv(cfg, seed, adversaries=compiled)
             assert plain.verdict == forwarded.verdict
             assert (plain.verdict.transcript_bytes()
                     == forwarded.verdict.transcript_bytes())
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_one_replay_per_run(self, k):
+        built = []
+
+        class CountingPair(GuessingPair):
+            def new_trial(self, env, actor_seed):
+                built.append(actor_seed)
+                return super().new_trial(env, actor_seed)
+
+        compiled = forwarding_compiler(CountingPair())
+        for s in range(3):
+            built.clear()
+            run_prpv(ProtocolConfig(n=6, k=k), child_seed(403, s),
+                     adversaries=compiled)
+            # the original trial and the one replica replayed in u4
+            assert len(built) == 2
+            assert built[0] == built[1]
 
     def test_rate_survives_compilation(self):
         cfg = ProtocolConfig(n=8, k=2)

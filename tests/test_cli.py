@@ -298,6 +298,18 @@ class TestOptionPrecedence:
         assert code == 2
         assert "trials must be >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("trace", "--seed", "5", "--trials", "7", "--workers", "9",
+         "--format", "csv"),
+        ("nonlocal", "--name", "always_fail", "--k", "5", "--lambda", "2"),
+        ("poq", "--lambda", "3"),
+    ], ids=["trace", "nonlocal", "poq"])
+    def test_unread_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

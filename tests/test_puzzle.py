@@ -62,6 +62,16 @@ class TestFamily:
         for b in ("0", "1"):
             assert handle.eval(b, td.inv(b, y)) == y
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_inversions_xor_to_shift(self, n):
+        """Challenge-1 verify reads key.s: both inversions of any y XOR to it."""
+        p = puzzle.BasePuzzle(n)
+        handle, td = p.keygen(Rng(200 + n))
+        r = Rng(300 + n)
+        for _ in range(50):
+            y = r.bits(n)
+            assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
+
     def test_keygen_rejects_zero_shift(self):
         """No key with s = 0 in 10^4 generations (the branches must differ)."""
         p = puzzle.BasePuzzle(2)
@@ -170,6 +180,11 @@ class TestSolveVerify:
                 c, d = str(ci), int_to_bits(di, n)
                 expect = di != 0 and dot_bits(d, s) == ci
                 assert p.verify(td, y, "1", puzzle.Equation(c, d)) == expect
+
+    def test_challenge1_rejects_wrong_image_width(self):
+        p, handle, td = make_puzzle(4)
+        with pytest.raises(LengthMismatch):
+            p.verify(td, "101", "1", puzzle.Equation("0", "0001"))
 
     def test_tag_mismatch(self):
         p, handle, td = make_puzzle()

@@ -285,6 +285,13 @@ class TestPlumbing:
         with pytest.raises(DuplicateRegister):
             qsim.tensor(a, qsim.new_state([("a", 1)]))
 
+    @pytest.mark.parametrize("wa,wb", [(1, 1), (1, 4), (3, 2), (5, 6), (9, 2)])
+    def test_tensor_bytes_equal_kron(self, wa, wb):
+        a = random_state([("a", wa)], 20 + wa)
+        b = random_state([("b", wb)], 40 + wb)
+        assert (qsim.tensor(a, b).amps.tobytes()
+                == np.kron(a.amps, b.amps).tobytes())
+
     def test_tensor_capacity(self):
         a = qsim.new_state([("a", 13)])
         with pytest.raises(CapacityExceeded):
