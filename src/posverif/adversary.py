@@ -151,15 +151,14 @@ class _ClassicalForwardTrial:
 class ForwardingPair:
     """Compile an unentangled attack into challenge-forwarding shape.
 
-    The right device only forwards the challenge verbatim; the left
-    device answers with the message the original right device would send
-    after seeing it.  A real left device would precompute that message
-    for all 2^k challenges to answer in time; FORWARD_COMPILER_MAX_K
-    still bounds the table it would hold.  Simulated handlers take no
-    time, so the left device replays one replica on the forwarded
-    challenge instead.  Trials are deterministic in (env, actor seed,
-    key body), so the replay equals the selected table entry and per
-    seed the compiled pair reproduces the original verdict bit for bit.
+    The right device only forwards the challenge; the left device answers
+    with the message the original right device would send after seeing
+    it.  A real left device would precompute that reply for all 2^k
+    challenges to answer in time (FORWARD_COMPILER_MAX_K bounds that
+    table); simulated handlers take no time, so one replica replays the
+    forwarded challenge instead.  Trials are deterministic in (env, actor
+    seed, key body), so the replay equals the selected table entry and
+    per seed the compiled pair reproduces the original verdict bit for bit.
     """
 
     klass = "RF"
@@ -190,10 +189,12 @@ class _ForwardingTrial:
     def __init__(self, inner_pair, env: TrialEnv, actor_seed: int):
         self._make_replica = lambda: inner_pair.new_trial(env, actor_seed)
         self.original = inner_pair.new_trial(env, actor_seed)
-        self._pk_body: bytes | None = None
+        self._replica = None
 
     def u1(self, pk_body: bytes):
-        self._pk_body = pk_body
+        # every table entry starts from the same replica state
+        self._replica = self._make_replica()
+        self._replica.u1(pk_body)
         return self.original.u1(pk_body)
 
     def u2(self, challenge_body: bytes) -> bytes:
@@ -207,9 +208,7 @@ class _ForwardingTrial:
     def u4(self, n_body: bytes) -> bytes:
         # the left device learns the challenge only from the forwarded body
         challenge = _challenge_of(n_body)
-        replica = self._make_replica()
-        replica.u1(self._pk_body)
-        return self.original.u4(replica.u2(encode_parts(pack_bits(challenge))))
+        return self.original.u4(self._replica.u2(encode_parts(pack_bits(challenge))))
 
 
 def forwarding_compiler(pair) -> ForwardingPair:

@@ -312,9 +312,10 @@ class _Options:
                       if getattr(args, "config", None) else {})
 
     def raw(self, key: str, file_key: str | None = None):
-        flag = self._args.get(key)
-        if flag is not None:
-            return flag
+        # a key with no flag in this subcommand is not read, not even from
+        # the config file, so one file can serve every subcommand
+        if key not in self._args or self._args[key] is not None:
+            return self._args.get(key)
         return self._file.get(file_key or key)
 
     def integer(self, key: str, default: int, file_key: str | None = None) -> int:

@@ -28,6 +28,7 @@ from posverif.protocol import (
     TrialEnv,
     estimate_acceptance,
     run_prpv,
+    run_roprpv,
 )
 from posverif.puzzle import parallel_puzzle
 from posverif.rng import Rng, child_seed
@@ -69,23 +70,35 @@ class TestGuessingAttack:
         assert a.verdict == b.verdict
 
 
+def _assert_replays(run, cfg, pair, seeds):
+    compiled = forwarding_compiler(pair)
+    for seed in seeds:
+        plain = run(cfg, seed, adversaries=pair)
+        forwarded = run(cfg, seed, adversaries=compiled)
+        assert plain.verdict == forwarded.verdict
+        assert (plain.verdict.transcript_bytes()
+                == forwarded.verdict.transcript_bytes())
+
+
 class TestForwardingCompiler:
     @pytest.mark.parametrize("make_pair", [GuessingPair, ClassicalForwardPair],
                              ids=["guess", "classical_forward"])
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_replay_equality(self, make_pair, k):
-        cfg = ProtocolConfig(n=6, k=k)
         pair = make_pair()
         compiled = forwarding_compiler(pair)
         assert compiled.klass == "RF"
         assert compiled.name == f"forward_compiled_{pair.name}"
-        for s in range(30 if k < 8 else 5):
-            seed = child_seed(400 + k, s)
-            plain = run_prpv(cfg, seed, adversaries=pair)
-            forwarded = run_prpv(cfg, seed, adversaries=compiled)
-            assert plain.verdict == forwarded.verdict
-            assert (plain.verdict.transcript_bytes()
-                    == forwarded.verdict.transcript_bytes())
+        seeds = [child_seed(400 + k, s) for s in range(30 if k < 8 else 5)]
+        _assert_replays(run_prpv, ProtocolConfig(n=6, k=k), pair, seeds)
+
+    @pytest.mark.parametrize("make_pair", [GuessingPair, ClassicalForwardPair],
+                             ids=["guess", "classical_forward"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_replay_equality_hashed(self, make_pair, k):
+        """Hashed challenges keep the per-seed equality too."""
+        seeds = [child_seed(900 + k, s) for s in range(20)]
+        _assert_replays(run_roprpv, ProtocolConfig(n=6, k=k), make_pair(), seeds)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_one_replay_per_run(self, k):

@@ -310,6 +310,19 @@ class TestOptionPrecedence:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, keys", [
+        (("trace", "--seed", "5"), "trials=x\nworkers=0\nformat=yaml\n"),
+        (("nonlocal", "--name", "always_fail", "--trials", "10"),
+         "k=x\nlambda=x\n"),
+        (("poq", "--trials", "10"), "lambda=x\n"),
+    ], ids=["trace", "nonlocal", "poq"])
+    def test_unread_config_keys_not_checked(self, tmp_path, capsys, argv, keys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(keys)
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, *argv)[1]
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -61,16 +61,8 @@ class TestFamily:
         y = r.bits(n)
         for b in ("0", "1"):
             assert handle.eval(b, td.inv(b, y)) == y
-
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
-    def test_inversions_xor_to_shift(self, n):
-        """Challenge-1 verify reads key.s: both inversions of any y XOR to it."""
-        p = puzzle.BasePuzzle(n)
-        handle, td = p.keygen(Rng(200 + n))
-        r = Rng(300 + n)
-        for _ in range(50):
-            y = r.bits(n)
-            assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
+        # challenge-1 verify reads key.s in place of these two inversions
+        assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
 
     def test_keygen_rejects_zero_shift(self):
         """No key with s = 0 in 10^4 generations (the branches must differ)."""
