@@ -14,14 +14,14 @@ timed protocol places on the line; only the clock is gone.
 from posverif.protocol import (
     ClassicalProver,
     HonestProver,
+    ProofOfQuantumness,
     ProtocolConfig,
-    poq_transform,
 )
 from posverif.rng import child_seed
 from posverif.stats import classical_prover_rate, honest_completeness, wilson_interval
 
 cfg = ProtocolConfig(n=8, k=1)
-poq = poq_transform(cfg)
+poq = ProofOfQuantumness(cfg)
 
 result = poq.run(HonestProver(), seed=31)
 print("one transcript, in order:")

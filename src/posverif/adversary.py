@@ -39,10 +39,6 @@ from .rng import Rng, child_seed
 FORWARD_COMPILER_MAX_K = 8
 
 
-def _slot_rngs(actor_seed: int) -> dict[int, Rng]:
-    return {slot: Rng(child_seed(actor_seed, slot)) for slot in range(1, 5)}
-
-
 def _challenge_of(body: bytes) -> str:
     bits, _ = unpack_bits(decode_parts(body)[0])
     return bits
@@ -70,11 +66,11 @@ class GuessingPair:
 class _GuessingTrial:
     def __init__(self, env: TrialEnv, actor_seed: int):
         self.env = env
-        self.rngs = _slot_rngs(actor_seed)
+        self.rng = Rng(child_seed(actor_seed, 1))
         self._committed: bytes | None = None
 
     def u1(self, pk_body: bytes):
-        rng = self.rngs[1]
+        rng = self.rng
         handle = self.env.resolve(decode_parts(pk_body)[0].decode())
         ys, states = self.env.obligate(rng)
         guess = rng.bits(self.env.puzzle.challenge_len)
@@ -116,13 +112,12 @@ class ClassicalForwardPair:
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ClassicalForwardTrial":
         tape0 = self.tape0 if self.tape0 is not None else actor_seed
         tape1 = self.tape1 if self.tape1 is not None else actor_seed
-        return _ClassicalForwardTrial(env, actor_seed, tape0, tape1)
+        return _ClassicalForwardTrial(env, tape0, tape1)
 
 
 class _ClassicalForwardTrial:
-    def __init__(self, env: TrialEnv, actor_seed: int, tape0: int, tape1: int):
+    def __init__(self, env: TrialEnv, tape0: int, tape1: int):
         self.env = env
-        self.rngs = _slot_rngs(actor_seed)
         self.tape0 = tape0
         self.tape1 = tape1
         self._challenge: str | None = None  # right-device memory
@@ -211,12 +206,6 @@ class _ForwardingTrial:
         return self.original.u4(self._replica.u2(encode_parts(pack_bits(challenge))))
 
 
-def forwarding_compiler(pair) -> ForwardingPair:
-    """Rewrite an unentangled classical-tape pair so the right device
-    forwards the challenge literally; per-seed behaviour is preserved."""
-    return ForwardingPair(pair)
-
-
 class TeleportPair:
     """Route the claw states to the challenge side with pre-shared EPR
     pairs.
@@ -226,7 +215,8 @@ class TeleportPair:
     measures the steered qubits in the challenged bases as soon as the
     challenge arrives; the Pauli corrections travel with the obligations
     and both sides apply them to the same raw outcomes, reproducing the
-    honest answer distribution at both verifiers.
+    honest answer distribution at both verifiers.  The default budget is
+    the k*(n+1) pairs the attack consumes.
     """
 
     name = "teleport"
@@ -299,7 +289,8 @@ def _corrected_answers(challenge: str, raws, k0s, k1s):
 class _TeleportTrial:
     def __init__(self, env: TrialEnv, actor_seed: int, budget: int):
         self.env = env
-        self.rngs = _slot_rngs(actor_seed)
+        self.left_rng = Rng(child_seed(actor_seed, 1))   # u1
+        self.right_rng = Rng(child_seed(actor_seed, 2))  # u2
         self.budget = budget
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
@@ -310,7 +301,7 @@ class _TeleportTrial:
         self._raws: list[str] | None = None
 
     def u1(self, pk_body: bytes):
-        rng = self.rngs[1]
+        rng = self.left_rng
         self.env.resolve(decode_parts(pk_body)[0].decode())
         ys, states = self.env.obligate(rng)
         for state in states:
@@ -333,7 +324,7 @@ class _TeleportTrial:
         return y_bytes, m
 
     def u2(self, challenge_body: bytes) -> bytes:
-        rng = self.rngs[2]
+        rng = self.right_rng
         challenge = _challenge_of(challenge_body)
         raws = []
         for b, remote in zip(challenge, self._remote):
@@ -364,12 +355,6 @@ class _TeleportTrial:
         return encode_answers(answers)
 
 
-def teleport_attack(n: int, k: int, budget: int | None = None) -> TeleportPair:
-    """Entangled pair that wins with the honest completeness rate; the
-    default budget is the k*(n+1) EPR pairs it actually consumes."""
-    return TeleportPair(n, k, budget)
-
-
 ATTACK_NAMES = ("guess", "forward_compiled_guess", "teleport",
                 "classical_forward")
 
@@ -379,9 +364,9 @@ def make_attack(name: str, config: ProtocolConfig):
     if name == "guess":
         return GuessingPair()
     if name == "forward_compiled_guess":
-        return forwarding_compiler(GuessingPair())
+        return ForwardingPair(GuessingPair())
     if name == "teleport":
-        return teleport_attack(config.n, config.k)
+        return TeleportPair(config.n, config.k)
     if name == "classical_forward":
         return ClassicalForwardPair()
     raise UnknownAttack(f"unknown attack {name!r}; known: {ATTACK_NAMES}")

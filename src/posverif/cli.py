@@ -35,8 +35,8 @@ from .protocol import (
     ClassicalProver,
     FailureReason,
     HonestProver,
+    ProofOfQuantumness,
     ProtocolConfig,
-    poq_transform,
     run_prpv,
     run_roprpv,
 )
@@ -224,7 +224,7 @@ def nonlocal_rows(name: str, n: int, trials: int, seed: int,
 
 
 def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
-    poq = poq_transform(ProtocolConfig(n=n, k=k))
+    poq = ProofOfQuantumness(ProtocolConfig(n=n, k=k))
     quantum = tally(partial(_poq_trial, poq, HonestProver()), trials,
                     child_seed(seed, 0), workers)
     classical = tally(partial(_poq_trial, poq, ClassicalProver()), trials,
@@ -417,8 +417,6 @@ def main(argv=None) -> int:
         trials = opts.integer("trials", DEFAULT_TRIALS)
         seed = opts.seed()
         workers = opts.integer("workers", 1)
-        if workers < 1:
-            raise ConfigInvalid(f"workers must be >= 1, got {workers}")
         out_path = opts.text("out")
         fmt = opts.text("format", "csv")
         if fmt not in ("csv", "json"):

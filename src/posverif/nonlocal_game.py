@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
-from .errors import TagMismatch, UnknownStrategy
+from .errors import LengthMismatch, TagMismatch, UnknownStrategy
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
 from .qsim import ScopedState, SharedState
 from .rng import Rng
@@ -64,8 +64,8 @@ def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
 def _safe_verify(puz: BasePuzzle, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
     try:
         return puz.verify(env, y, challenge, answer)
-    except TagMismatch:
-        return False  # a wrongly-shaped answer just loses
+    except (TagMismatch, LengthMismatch):
+        return False  # an answer of the wrong kind or width just loses
 
 
 def _views(prep: StagePrep):

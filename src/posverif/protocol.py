@@ -217,11 +217,10 @@ class TrialEnv:
 
 
 class _Verifier(PartyBehavior):
-    """Records obligation and answer arrivals; optionally announces at an
-    alarm time."""
+    """Announces at its alarm time; records obligation and answer
+    arrivals."""
 
-    def __init__(self, alarm_time: Fraction | None = None,
-                 announce: Callable[[], bytes] | None = None):
+    def __init__(self, alarm_time: Fraction, announce: Callable[[], bytes]):
         self._alarm_time = alarm_time
         self._announce = announce
         self.sent: bytes | None = None
@@ -229,7 +228,7 @@ class _Verifier(PartyBehavior):
         self.ans_msgs: list[tuple[Fraction, bytes]] = []
 
     def alarms(self):
-        return () if self._alarm_time is None else (self._alarm_time,)
+        return (self._alarm_time,)
 
     def on_alarm(self, time):
         self.sent = self._announce()
@@ -373,18 +372,15 @@ class _LeftAdversaryBehavior(PartyBehavior):
         self.trial = trial
         self.v0_pid = v0_pid
         self.a1_pid: int | None = None
-        self.pid: int | None = None
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
-        members = frozenset({self.pid, self.a1_pid})
         if kind == KIND_KEY:
             y_bytes, m_bytes = self.trial.u1(message.payload[1:])
             return (
                 Emission(encode_message(KIND_OBLIGATION, y_bytes),
                          target=self.v0_pid),
-                Emission(KIND_LEFT + m_bytes, target=self.a1_pid,
-                         members=members),
+                Emission(KIND_LEFT + m_bytes, target=self.a1_pid),
             )
         if kind == KIND_RIGHT:
             ans_bytes = self.trial.u4(message.payload[1:])
@@ -400,15 +396,12 @@ class _RightAdversaryBehavior(PartyBehavior):
         self.trial = trial
         self.v1_pid = v1_pid
         self.a0_pid: int | None = None
-        self.pid: int | None = None
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
         if kind in (KIND_CHALLENGE, KIND_NONCE):
             n_bytes = self.trial.u2(message.payload[1:])
-            members = frozenset({self.pid, self.a0_pid})
-            return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid,
-                             members=members),)
+            return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid),)
         if kind == KIND_LEFT:
             y_bytes, ans_bytes = self.trial.u3(message.payload[1:])
             return (
@@ -432,11 +425,15 @@ def _has_conflict(arrivals: list[tuple[Fraction, bytes]]) -> bool:
     return any(payload != arrivals[0][1] for _, payload in arrivals[1:])
 
 
-def _decode_body(payload: bytes | None) -> bytes | None:
-    if payload is None:
-        return None
-    _, parts = decode_message(payload)
-    return parts[0]
+def _verifies(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor, y_bytes: bytes,
+              challenge: str, ans_bytes: bytes) -> bool:
+    """The verifiers' decision on encoded obligations and answers; bytes
+    that fail to decode or answers of the wrong kind or width lose."""
+    try:
+        return puzzle.verify(trapdoor, decode_obligations(y_bytes), challenge,
+                             decode_answers(ans_bytes))
+    except (ValueError, IndexError, struct.error, LengthMismatch, TagMismatch):
+        return False
 
 
 def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,
@@ -462,16 +459,9 @@ def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,
           or _has_conflict(v1.y_msgs) or _has_conflict(v0.ans_msgs)
           or _has_conflict(v1.ans_msgs)):
         reason = FailureReason.MISMATCH
-    else:
-        try:
-            ys = decode_obligations(_decode_body(y0))
-            answers = decode_answers(_decode_body(ans0))
-            ok = puzzle.verify(trapdoor, ys, challenge, answers)
-        except (ValueError, IndexError, struct.error, LengthMismatch,
-                TagMismatch):
-            ok = False
-        if not ok:
-            reason = FailureReason.VER_FAIL
+    elif not _verifies(puzzle, trapdoor, decode_message(y0)[1][0], challenge,
+                       decode_message(ans0)[1][0]):
+        reason = FailureReason.VER_FAIL
     return Verdict(
         accept=reason is FailureReason.NONE,
         reason=reason,
@@ -529,10 +519,8 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         trial = adversaries.new_trial(env, actor_seed)
         left = _LeftAdversaryBehavior(trial, v0_pid)
         right = _RightAdversaryBehavior(trial, v1_pid)
-        left.pid = sim.add_party(V0_POSITION, left)
-        right.pid = sim.add_party(V1_POSITION, right)
-        left.a1_pid = right.pid
-        right.a0_pid = left.pid
+        right.a0_pid = sim.add_party(V0_POSITION, left)
+        left.a1_pid = sim.add_party(V1_POSITION, right)
 
     trace = sim.run(RUN_UNTIL)
     verdict = _assemble_verdict(puzzle, trapdoor, v0, v1, challenge)
@@ -600,19 +588,8 @@ class ProofOfQuantumness:
             ("b", pack_bits(challenge)),
             ("ans", ans_bytes),
         )
-        try:
-            ys = decode_obligations(y_bytes)
-            answers = decode_answers(ans_bytes)
-            accept = self.puzzle.verify(trapdoor, ys, challenge, answers)
-        except (ValueError, IndexError, struct.error, LengthMismatch,
-                TagMismatch):
-            accept = False
+        accept = _verifies(self.puzzle, trapdoor, y_bytes, challenge, ans_bytes)
         return PoQResult(accept=accept, transcript=transcript)
-
-
-def poq_transform(config: ProtocolConfig) -> ProofOfQuantumness:
-    """Strip the timing layer from the protocol, keeping message order."""
-    return ProofOfQuantumness(config)
 
 
 # ---------------------------------------------------------------------------

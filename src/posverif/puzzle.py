@@ -133,6 +133,9 @@ class Trapdoor:
         return xor_bits(pre, self.key.s) if b == "1" else pre
 
     def eval(self, b: str, x: str) -> str:
+        _check_bit(b, "branch")
+        if len(x) != self.key.n:
+            raise LengthMismatch(f"preimage width {len(x)} != n={self.key.n}")
         return _make_eval(self.key)(b, x)
 
 
@@ -227,10 +230,12 @@ class BasePuzzle:
             return env.eval(answer.bit, answer.v) == y
         if not isinstance(answer, Equation):
             raise TagMismatch(f"challenge 1 needs an Equation answer, got {type(answer).__name__}")
-        if is_zero(answer.d):
-            return False
         if len(y) != env.n:
             raise LengthMismatch(f"image width {len(y)} != n={env.n}")
+        if len(answer.d) != env.n:
+            raise LengthMismatch(f"equation width {len(answer.d)} != n={env.n}")
+        if is_zero(answer.d):
+            return False
         return dot_bits(answer.d, env.key.s) == int(answer.c, 2)
 
     def verify_public_0(self, handle: PublicHandle, y: str, answer: Answer) -> bool:

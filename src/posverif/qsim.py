@@ -44,10 +44,6 @@ class StateVector:
             if abs(norm - 1.0) > 1e-9:
                 raise ValueError(f"state norm {norm} is not 1")
 
-    @property
-    def num_qubits(self) -> int:
-        return self.q
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.regs)
 
@@ -118,7 +114,7 @@ def prepare_claw_state(x0: str, x1: str) -> StateVector:
 def _spans(state: StateVector, register: str) -> tuple[int, int, int]:
     off = state.offset(register)
     w = state.width(register)
-    return off, w, state.num_qubits - off - w
+    return off, w, state.q - off - w
 
 
 def _h_qubit(amps: np.ndarray, q: int, pos: int) -> np.ndarray:
@@ -170,11 +166,19 @@ def _cnot(amps: np.ndarray, q: int, control: int, target: int) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def _marginal(state: StateVector, register: str) -> np.ndarray:
+def _born(state: StateVector, register: str):
+    """The amplitudes as a (before, register, after) cube, the register's
+    Born probabilities and its width."""
     off, w, post = _spans(state, register)
-    pre = state.num_qubits - w - post
-    cube = state.amps.reshape(1 << pre, 1 << w, 1 << post)
-    return np.einsum("iok,iok->o", cube, cube.conj()).real
+    cube = state.amps.reshape(1 << off, 1 << w, 1 << post)
+    return cube, np.einsum("iok,iok->o", cube, cube.conj()).real, w
+
+
+def _project(state: StateVector, register: str, cube: np.ndarray,
+             outcome_index: int, prob: float) -> StateVector:
+    residual = (cube[:, outcome_index, :] / np.sqrt(prob)).reshape(-1)
+    regs = tuple(r for r in state.regs if r[0] != register)
+    return StateVector(regs, residual, check=False)
 
 
 def measurement_distribution(state: StateVector, register: str) -> dict[str, float]:
@@ -183,20 +187,10 @@ def measurement_distribution(state: StateVector, register: str) -> dict[str, flo
     Outcomes with probability <= 1e-12 are omitted, so the keys are the
     support of the distribution.
     """
-    probs = _marginal(state, register)
-    w = state.width(register)
+    _, probs, w = _born(state, register)
     return {
         int_to_bits(o, w): float(p) for o, p in enumerate(probs) if p > TOL
     }
-
-
-def _project(state: StateVector, register: str, outcome_index: int, prob: float) -> StateVector:
-    off, w, post = _spans(state, register)
-    pre = state.num_qubits - w - post
-    cube = state.amps.reshape(1 << pre, 1 << w, 1 << post)
-    residual = (cube[:, outcome_index, :] / np.sqrt(prob)).reshape(-1)
-    regs = tuple(r for r in state.regs if r[0] != register)
-    return StateVector(regs, residual, check=False)
 
 
 def measure(state: StateVector, register: str, rng) -> tuple[MeasurementRecord, StateVector]:
@@ -206,20 +200,15 @@ def measure(state: StateVector, register: str, rng) -> tuple[MeasurementRecord, 
     order, so a seed fully determines the outcome. The measured register
     is dropped from the residual state.
     """
-    off, w, post = _spans(state, register)
-    pre = state.q - w - post
-    cube = state.amps.reshape(1 << pre, 1 << w, 1 << post)
-    probs = np.einsum("iok,iok->o", cube, cube.conj()).real
+    cube, probs, w = _born(state, register)
     cdf = np.cumsum(probs)
     u = rng.random()
     o = int(np.searchsorted(cdf, u, side="right"))
     if o >= len(probs) or probs[o] <= 0.0:
         o = int(np.max(np.nonzero(probs > 0.0)[0]))
     p = float(probs[o])
-    residual = (cube[:, o, :] / np.sqrt(p)).reshape(-1)
-    regs = tuple(r for r in state.regs if r[0] != register)
     record = MeasurementRecord(register, int_to_bits(o, w), p)
-    return record, StateVector(regs, residual, check=False)
+    return record, _project(state, register, cube, o, p)
 
 
 def collapse(state: StateVector, register: str, outcome: str) -> tuple[float, StateVector]:
@@ -228,15 +217,14 @@ def collapse(state: StateVector, register: str, outcome: str) -> tuple[float, St
     Returns the Born probability and the renormalized residual state.
     Raises ValueError if the outcome has (numerically) zero weight.
     """
-    w = state.width(register)
+    cube, probs, w = _born(state, register)
     if len(outcome) != w:
         raise LengthMismatch(f"outcome width {len(outcome)} != register width {w}")
-    probs = _marginal(state, register)
     o = int(outcome, 2)
     p = float(probs[o])
     if p <= TOL:
         raise ValueError(f"outcome {outcome} has zero probability")
-    return p, _project(state, register, o, p)
+    return p, _project(state, register, cube, o, p)
 
 
 def make_epr_pairs(count: int) -> StateVector:
@@ -266,7 +254,7 @@ def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector
         raise LengthMismatch(
             f"register widths differ: {source}={w}, {epr_local}={state.width(epr_local)}"
         )
-    q = state.num_qubits
+    q = state.q
     src_off = state.offset(source)
     loc_off = state.offset(epr_local)
     amps = state.amps

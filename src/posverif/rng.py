@@ -12,9 +12,10 @@ Seed split convention used by the experiment layer:
     actor stream  = child_seed(trial_seed, 2)   # prover or adversary pair
     oracle stream = child_seed(trial_seed, 3)   # per-trial random oracle
 
-Adversary pairs further split their actor stream per handler slot
-(child_seed(actor_seed, slot) for slots u0..u4) so a compiler that replays
-one handler sees exactly the stream the original handler saw.
+Adversary trials that draw randomness split the actor stream by handler:
+u1 draws from child_seed(actor_seed, 1) and u2 from child_seed(actor_seed,
+2), so a compiler that replays one handler sees exactly the stream the
+original handler saw.
 """
 
 _MASK64 = (1 << 64) - 1
@@ -73,12 +74,3 @@ class Rng:
             u = self.next_u64()
             if u < limit:
                 return u % n
-
-    def spawn(self, index: int) -> "Rng":
-        """Fresh generator on the index-th child seed of the current state.
-
-        Uses the state value, not the original seed, so repeated spawn(0)
-        calls after drawing give distinct streams only if draws happened in
-        between; experiment code always spawns from a named seed instead.
-        """
-        return Rng(child_seed(self._state, index))

@@ -52,7 +52,6 @@ class SpacetimeMessage:
     payload: bytes
     sender: int
     emit_time: Fraction
-    emit_pos: Fraction
     target: int | None
     members: frozenset | None
 
@@ -141,12 +140,6 @@ class Simulation:
             self._push(t, "alarm", pid)
         return pid
 
-    def position(self, pid: int) -> Fraction:
-        return self._positions[pid]
-
-    def num_parties(self) -> int:
-        return len(self._positions)
-
     def _push(self, time: Fraction, kind: str, data):
         heapq.heappush(self._events, (time, self._seq, kind, data))
         self._seq += 1
@@ -162,7 +155,6 @@ class Simulation:
             payload=emission.payload,
             sender=sender,
             emit_time=time,
-            emit_pos=self._positions[sender],
             target=emission.target,
             members=emission.members,
         )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Hashable
 
-from .errors import InvalidTrials
+from .errors import ConfigInvalid, InvalidTrials
 from .rng import child_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -63,6 +63,8 @@ def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
     """
     if trials < 1:
         raise InvalidTrials(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
     step = -(-trials // min(workers, os.cpu_count() or 1))
     starts = range(0, trials, step)
     if len(starts) == 1:
@@ -97,15 +99,11 @@ class Estimate:
         return cls(successes, trials, successes / trials, low, high, reasons)
 
 
-def binomial_se(p_hat: float, trials: int) -> float:
-    return math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
-
-
 def reduction_slack(p_hat: float, p_trials: int, tau_hat: float, tau_trials: int) -> float:
     """Combined standard error of p_hat - (2 tau_hat - 1)."""
-    return math.sqrt(
-        binomial_se(p_hat, p_trials) ** 2 + (2 * binomial_se(tau_hat, tau_trials)) ** 2
-    )
+    p_se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / p_trials)
+    tau_se = math.sqrt(max(tau_hat * (1 - tau_hat), 0.0) / tau_trials)
+    return math.sqrt(p_se ** 2 + (2 * tau_se) ** 2)
 
 
 def honest_completeness(n: int, k: int = 1) -> float:

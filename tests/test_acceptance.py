@@ -28,9 +28,9 @@ from fractions import Fraction
 from posverif import qsim
 from posverif.adversary import (
     ClassicalForwardPair,
+    ForwardingPair,
     GuessingPair,
-    forwarding_compiler,
-    teleport_attack,
+    TeleportPair,
 )
 from posverif.bits import dot_bits, encode_parts, int_to_bits, pack_bits, unpack_bits, xor_bits
 from posverif.cli import main
@@ -193,7 +193,7 @@ def test_c05_guessing_soundness_and_compiler_equivalence():
             seed = _seed(5, 100 * k + i)
             plain = run_prpv(cfg, seed, adversaries=GuessingPair()).verdict
             compiled = run_prpv(cfg, seed,
-                                adversaries=forwarding_compiler(GuessingPair())).verdict
+                                adversaries=ForwardingPair(GuessingPair())).verdict
             assert plain == compiled
             assert plain.transcript_bytes() == compiled.transcript_bytes()
 
@@ -202,7 +202,7 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     """Teleporting matches honest completeness on exactly k*(n+1) EPR pairs."""
     cfg = ProtocolConfig(n=8, k=1)
     tally = estimate_acceptance(cfg, trials=2_000, seed=_seed(6),
-                                adversaries=teleport_attack(8, 1))
+                                adversaries=TeleportPair(8, 1))
     theory = teleport_rate(8, 1)
     assert theory == honest_completeness(8, 1)
     assert _covers(tally, theory), (
@@ -214,7 +214,7 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     puz = parallel_puzzle(8, 1)
     handle, trapdoor = puz.keygen(Rng(_seed(6, 1)))
     env = TrialEnv(puz, handle, trapdoor)
-    pair = teleport_attack(8, 1)
+    pair = TeleportPair(8, 1)
     assert pair.entanglement_budget == 9
     trial = pair.new_trial(env, actor_seed=_seed(6, 2))
     y_bytes, m = trial.u1(encode_parts(handle.key_id.encode()))

@@ -9,9 +9,7 @@ from posverif.adversary import (
     ForwardingPair,
     GuessingPair,
     TeleportPair,
-    forwarding_compiler,
     make_attack,
-    teleport_attack,
 )
 from posverif.bits import encode_parts, pack_bits
 from posverif.errors import (
@@ -71,7 +69,7 @@ class TestGuessingAttack:
 
 
 def _assert_replays(run, cfg, pair, seeds):
-    compiled = forwarding_compiler(pair)
+    compiled = ForwardingPair(pair)
     for seed in seeds:
         plain = run(cfg, seed, adversaries=pair)
         forwarded = run(cfg, seed, adversaries=compiled)
@@ -86,7 +84,7 @@ class TestForwardingCompiler:
     @pytest.mark.parametrize("k", [1, 2, 4, 8])
     def test_replay_equality(self, make_pair, k):
         pair = make_pair()
-        compiled = forwarding_compiler(pair)
+        compiled = ForwardingPair(pair)
         assert compiled.klass == "RF"
         assert compiled.name == f"forward_compiled_{pair.name}"
         seeds = [child_seed(400 + k, s) for s in range(30 if k < 8 else 5)]
@@ -109,7 +107,7 @@ class TestForwardingCompiler:
                 built.append(actor_seed)
                 return super().new_trial(env, actor_seed)
 
-        compiled = forwarding_compiler(CountingPair())
+        compiled = ForwardingPair(CountingPair())
         for s in range(3):
             built.clear()
             run_prpv(ProtocolConfig(n=6, k=k), child_seed(403, s),
@@ -121,30 +119,30 @@ class TestForwardingCompiler:
     def test_rate_survives_compilation(self):
         cfg = ProtocolConfig(n=8, k=2)
         tally = estimate_acceptance(cfg, trials=1200, seed=401,
-                                    adversaries=forwarding_compiler(GuessingPair()))
+                                    adversaries=ForwardingPair(GuessingPair()))
         theory = guessing_rate(8, 2)
         assert tally.ci_low <= theory <= tally.ci_high
 
     def test_rejects_entangled_pair(self):
         with pytest.raises(NotClassicalTape):
-            forwarding_compiler(teleport_attack(8, 1))
+            ForwardingPair(TeleportPair(8, 1))
 
     def test_rejects_double_compilation(self):
         with pytest.raises(NotClassicalTape):
-            forwarding_compiler(forwarding_compiler(GuessingPair()))
+            ForwardingPair(ForwardingPair(GuessingPair()))
 
     def test_wide_challenge_rejected_before_running(self):
         cfg = ProtocolConfig(n=4, k=9)
         with pytest.raises(KTooLarge):
             run_prpv(cfg, seed=402,
-                     adversaries=forwarding_compiler(GuessingPair()))
+                     adversaries=ForwardingPair(GuessingPair()))
 
 
 class TestTeleportAttack:
     def test_rate_matches_honest_completeness(self):
         cfg = ProtocolConfig(n=8, k=1)
         tally = estimate_acceptance(cfg, trials=1000, seed=500,
-                                    adversaries=teleport_attack(8, 1))
+                                    adversaries=TeleportPair(8, 1))
         theory = teleport_rate(8, 1)
         assert theory == honest_completeness(8, 1)
         assert tally.ci_low <= theory <= tally.ci_high
@@ -152,14 +150,14 @@ class TestTeleportAttack:
     def test_parallel_rate(self):
         cfg = ProtocolConfig(n=6, k=2)
         tally = estimate_acceptance(cfg, trials=600, seed=501,
-                                    adversaries=teleport_attack(6, 2))
+                                    adversaries=TeleportPair(6, 2))
         assert tally.ci_low <= teleport_rate(6, 2) <= tally.ci_high
 
     def test_budget_is_exactly_consumed(self):
         puz = parallel_puzzle(8, 1)
         handle, trapdoor = puz.keygen(Rng(3))
         env = TrialEnv(puz, handle, trapdoor)
-        pair = teleport_attack(8, 1)
+        pair = TeleportPair(8, 1)
         assert pair.entanglement_budget == 9
         trial = pair.new_trial(env, actor_seed=77)
         y_bytes, m = trial.u1(encode_parts(handle.key_id.encode()))
@@ -175,7 +173,7 @@ class TestTeleportAttack:
         handle, trapdoor = puz.keygen(Rng(4))
         env = TrialEnv(puz, handle, trapdoor)
         for challenge in ("0", "1"):
-            trial = teleport_attack(6, 1).new_trial(env, actor_seed=78)
+            trial = TeleportPair(6, 1).new_trial(env, actor_seed=78)
             _, m = trial.u1(encode_parts(handle.key_id.encode()))
             n_msg = trial.u2(encode_parts(pack_bits(challenge)))
             _, ans1 = trial.u3(m)
@@ -183,18 +181,18 @@ class TestTeleportAttack:
 
     def test_underfunded_budget_rejected_at_construction(self):
         with pytest.raises(BudgetExceeded):
-            teleport_attack(8, 1, budget=8)
+            TeleportPair(8, 1, budget=8)
         with pytest.raises(BudgetExceeded):
-            teleport_attack(8, 2, budget=17)
+            TeleportPair(8, 2, budget=17)
 
     def test_surplus_budget_allowed(self):
-        pair = teleport_attack(8, 1, budget=100)
+        pair = TeleportPair(8, 1, budget=100)
         assert pair.entanglement_budget == 100
 
     def test_mismatched_run_parameters_rejected(self):
         cfg = ProtocolConfig(n=8, k=2)
         with pytest.raises(ConfigInvalid):
-            run_prpv(cfg, seed=502, adversaries=teleport_attack(8, 1))
+            run_prpv(cfg, seed=502, adversaries=TeleportPair(8, 1))
 
 
 class TestClassicalForward:

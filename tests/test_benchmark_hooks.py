@@ -1,0 +1,29 @@
+"""The benchmark under perfbench/ traces layers by wrapping library
+callables by name, so deleting or renaming one of them breaks
+`perfbench/run.py --trace 1` with a KeyError.  This test enters and
+exits that instrumentation, without any runs, to catch such a change."""
+
+import importlib.util
+from pathlib import Path
+
+import posverif
+import posverif.cli  # imports every layer the instrumentation wraps
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrumentation_wraps_and_restores():
+    spans = _load_spans()
+    original = posverif.protocol.run_prpv
+    with spans.Instrumentation(posverif, spans.Recorder()):
+        assert posverif.protocol.run_prpv is not original
+        assert posverif.cli.run_prpv is not original
+    assert posverif.protocol.run_prpv is original
+    assert posverif.cli.run_prpv is original

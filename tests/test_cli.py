@@ -14,6 +14,7 @@ from posverif.cli import (
     SWEEP_POSITIONS,
     main,
 )
+from posverif.errors import ConfigInvalid
 from posverif.stats import tally
 
 
@@ -115,6 +116,10 @@ class TestWorkers:
         assert sizes == chunks == [4, 3, 3]
         monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
         assert tally(one_trial, 100, 7, workers=8) == serial
+        assert sizes == chunks == [4, 3, 3]
+        for workers in (0, -1):
+            with pytest.raises(ConfigInvalid, match="workers must be >= 1"):
+                tally(one_trial, 10, 0, workers=workers)
         assert sizes == chunks == [4, 3, 3]
 
 

@@ -35,8 +35,8 @@ from posverif.nonlocal_game import (
 from posverif.protocol import (
     ClassicalProver,
     HonestProver,
+    ProofOfQuantumness,
     ProtocolConfig,
-    poq_transform,
     run_prpv,
     run_roprpv,
 )
@@ -67,7 +67,7 @@ def _timed(hashed: bool, actor: str, k: int) -> bytes:
 
 
 def _poq(prover, k: int) -> bytes:
-    poq = poq_transform(ProtocolConfig(k=k))
+    poq = ProofOfQuantumness(ProtocolConfig(k=k))
     out = []
     for seed in SEEDS:
         result = poq.run(prover, seed)

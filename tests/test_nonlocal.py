@@ -169,14 +169,23 @@ class TestReduction:
         expect = stats.uniform_equation_rate(n)
         assert est.ci_low <= expect <= est.ci_high
 
-    def test_d_zero_solver_always_loses(self):
+    @staticmethod
+    def _honest_then(equation):
+        """2-of-2 solver: honest challenge-0 answer, fixed equation."""
         def solver(handle, env, rng):
             p = puzzle.BasePuzzle(handle.n)
             y, state = p.obligate(handle, env, rng)
-            ans0 = p.solve(handle, y, state, "0", rng)
-            return y, ans0, puzzle.Equation("0", "0" * handle.n)
+            return y, p.solve(handle, y, state, "0", rng), equation
 
+        return solver
+
+    def test_d_zero_solver_always_loses(self):
+        solver = self._honest_then(puzzle.Equation("0", "0000"))
         assert not any(play_2of2(puzzle.BasePuzzle(4), solver, Rng(s)) for s in range(100))
+
+    def test_wrong_width_solver_loses(self):
+        solver = self._honest_then(puzzle.Equation("1", "101"))
+        assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s)) for s in range(20))
 
 
 class BPeeksAtC:

@@ -15,6 +15,7 @@ from posverif.protocol import (
     FailureReason,
     HonestProver,
     PoQResult,
+    ProofOfQuantumness,
     ProtocolConfig,
     RandomOracle,
     Verdict,
@@ -25,7 +26,6 @@ from posverif.protocol import (
     decode_message,
     encode_message,
     estimate_acceptance,
-    poq_transform,
     run_prpv,
     run_roprpv,
 )
@@ -343,26 +343,26 @@ class TestRandomOracle:
 
 class TestProofOfQuantumness:
     def test_transcript_order(self):
-        poq = poq_transform(ProtocolConfig(n=8, k=2))
+        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=2))
         result = poq.run(HonestProver(), seed=8)
         assert [label for label, _ in result.transcript] == ["pk", "y", "b", "ans"]
         assert isinstance(result, PoQResult)
 
     def test_deterministic_per_seed(self):
-        poq = poq_transform(ProtocolConfig(n=6, k=3))
+        poq = ProofOfQuantumness(ProtocolConfig(n=6, k=3))
         a = poq.run(HonestProver(), seed=12)
         b = poq.run(HonestProver(), seed=12)
         assert a == b
 
     def test_quantum_rate(self):
-        poq = poq_transform(ProtocolConfig(n=8, k=1))
+        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=1))
         wins = sum(poq.run(HonestProver(), child_seed(200, i)).accept
                    for i in range(2000))
         low, high = wilson_interval(wins, 2000)
         assert low <= honest_completeness(8, 1) <= high
 
     def test_classical_rate(self):
-        poq = poq_transform(ProtocolConfig(n=8, k=1))
+        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=1))
         wins = sum(poq.run(ClassicalProver(), child_seed(201, i)).accept
                    for i in range(2500))
         low, high = wilson_interval(wins, 2500)
@@ -372,7 +372,7 @@ class TestProofOfQuantumness:
         assert high < honest_completeness(8, 1)
 
     def test_classical_poq_prover_explicit_tape(self):
-        poq = poq_transform(ProtocolConfig(n=8, k=2))
+        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=2))
         a = poq.run(ClassicalProver(tape_seed=5), seed=40)
         b = poq.run(ClassicalProver(tape_seed=5), seed=40)
         assert a == b

@@ -177,6 +177,10 @@ class TestSolveVerify:
         p, handle, td = make_puzzle(4)
         with pytest.raises(LengthMismatch):
             p.verify(td, "101", "1", puzzle.Equation("0", "0001"))
+        y, _ = p.obligate(handle, td, Rng(4))
+        for d in ("101", "000"):
+            with pytest.raises(LengthMismatch):
+                p.verify(td, y, "1", puzzle.Equation("0", d))
 
     def test_tag_mismatch(self):
         p, handle, td = make_puzzle()
@@ -196,7 +200,8 @@ class TestSolveVerify:
             p.solve(handle, y, bad, "0", Rng(0))
 
     def test_public_verify_agrees_with_trapdoor(self):
-        """verify_public_0 equals verify on 10^4 random challenge-0 answers."""
+        """verify_public_0 equals verify on 10^4 random challenge-0 answers;
+        a preimage of width n-1 or n+1 raises on both sides."""
         n = 4
         p, handle, td = make_puzzle(n, seed=31)
         r = Rng(99)
@@ -204,6 +209,14 @@ class TestSolveVerify:
             y = r.bits(n)
             ans = puzzle.Preimage(r.bits(1), r.bits(n))
             assert p.verify_public_0(handle, y, ans) == p.verify(td, y, "0", ans)
+        y, _ = p.obligate(handle, td, Rng(5))
+        x0 = td.inv("0", y)
+        for v in (x0[1:], "0" + x0):
+            ans = puzzle.Preimage("0", v)
+            with pytest.raises(LengthMismatch):
+                p.verify_public_0(handle, y, ans)
+            with pytest.raises(LengthMismatch):
+                p.verify(td, y, "0", ans)
 
     def test_branch_acceptance_enumerated(self):
         """Derivation of the completeness closed forms.

@@ -49,7 +49,7 @@ def random_state(regs, seed: int) -> qsim.StateVector:
 class TestConstruction:
     def test_new_state_is_all_zeros(self):
         s = qsim.new_state([("a", 2), ("b", 1)])
-        assert s.num_qubits == 3
+        assert s.q == 3
         assert s.amps[0] == 1.0 and np.count_nonzero(s.amps) == 1
 
     def test_register_layout(self):
@@ -186,7 +186,7 @@ class TestMeasurement:
         s = qsim.prepare_claw_state("0", "1")
         rec1, s1 = qsim.measure(s, "bit", Rng(3))
         rec2, s2 = qsim.measure(s1, "preimage", Rng(4))
-        assert s2.num_qubits == 0 and len(s2.amps) == 1
+        assert s2.q == 0 and len(s2.amps) == 1
         assert rec2.outcome == rec1.outcome  # claw with x_b = b
 
     def test_measure_deterministic_per_seed(self):
@@ -239,7 +239,7 @@ class TestEprAndTeleport:
         of H psi.
         """
         for label, psi in self._test_states():
-            q = psi.num_qubits
+            q = psi.q
             base_std = qsim.measurement_distribution(psi, "psi")
             base_had = qsim.measurement_distribution(qsim.apply_hadamard(psi, "psi"), "psi")
             joint = qsim.tensor(psi, qsim.make_epr_pairs(q))
@@ -272,7 +272,7 @@ class TestEprAndTeleport:
         psi = random_state([("psi", 1)], 3)
         joint = qsim.tensor(psi, qsim.make_epr_pairs(1))
         k0, k1, rest = qsim.teleport(joint, "psi", "R", Rng(11))
-        assert rest.num_qubits == 1 and len(k0) == 1 and len(k1) == 1
+        assert rest.q == 1 and len(k0) == 1 and len(k1) == 1
 
 
 class TestPlumbing:
