@@ -64,8 +64,8 @@ def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
 def _safe_verify(puz: BasePuzzle, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
     try:
         return puz.verify(env, y, challenge, answer)
-    except (TagMismatch, LengthMismatch):
-        return False  # an answer of the wrong kind or width just loses
+    except (ValueError, TagMismatch, LengthMismatch):
+        return False  # an answer of the wrong kind, width or bits just loses
 
 
 def _views(prep: StagePrep):
@@ -175,14 +175,10 @@ class MeasureAndGuess:
         tape = {"preimage": Preimage(bit, v), "equation": guess}
         return make_prep(y, tape=tape)
 
-    def _replay(self, tape, challenge):
+    def answer_b(self, view, tape, challenge, rng):
         return tape["preimage"] if challenge == "0" else tape["equation"]
 
-    def answer_b(self, view, tape, challenge, rng):
-        return self._replay(tape, challenge)
-
-    def answer_c(self, view, tape, challenge, rng):
-        return self._replay(tape, challenge)
+    answer_c = answer_b
 
 
 class BruteForce:
@@ -207,7 +203,7 @@ class BruteForce:
         )
         return make_prep(y, tape={"x0": x0, "shift": xor_bits(x0, x1)})
 
-    def _answer(self, tape, challenge, rng):
+    def answer_b(self, view, tape, challenge, rng):
         if challenge == "0":
             return Preimage("0", tape["x0"])
         d = rng.bits(self.n)
@@ -215,11 +211,7 @@ class BruteForce:
             d = rng.bits(self.n)
         return Equation(str(dot_bits(d, tape["shift"])), d)
 
-    def answer_b(self, view, tape, challenge, rng):
-        return self._answer(tape, challenge, rng)
-
-    def answer_c(self, view, tape, challenge, rng):
-        return self._answer(tape, challenge, rng)
+    answer_c = answer_b
 
 
 class AlwaysFail:
@@ -235,16 +227,12 @@ class AlwaysFail:
         y, _ = self._puz.obligate(handle, env, rng)
         return make_prep(y)
 
-    def _answer(self, challenge):
+    def answer_b(self, view, tape, challenge, rng):
         if challenge == "0":
             return Equation("0", "0" * self.n)  # wrong tag for challenge 0
         return Preimage("0", "0" * self.n)  # wrong tag for challenge 1
 
-    def answer_b(self, view, tape, challenge, rng):
-        return self._answer(challenge)
-
-    def answer_c(self, view, tape, challenge, rng):
-        return self._answer(challenge)
+    answer_c = answer_b
 
 
 STRATEGIES = {

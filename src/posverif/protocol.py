@@ -24,7 +24,6 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import ConfigInvalid, LengthMismatch, TagMismatch
@@ -157,25 +156,21 @@ class PRPVOutcome:
 class RandomOracle:
     """Public random function from lam-bit strings to k-bit strings.
 
-    Outputs are computed lazily: each distinct input gets its own stream
-    seeded from the oracle seed and the input, so values at distinct
-    inputs are independent and query order never matters.
+    Each input gets its own stream seeded from the oracle seed and the
+    input, so values at distinct inputs are independent and query order
+    never matters.
     """
 
     def __init__(self, seed: int, in_width: int, out_width: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
         self.in_width = in_width
         self.out_width = out_width
-        self._cache: dict[str, str] = {}
 
     def query(self, x: str) -> str:
         if len(x) != self.in_width or set(x) - {"0", "1"}:
             raise LengthMismatch(
                 f"oracle input must be {self.in_width} bits, got {x!r}"
             )
-        hit = self._cache.get(x)
-        if hit is not None:
-            return hit
         acc = self.seed
         value = int(x, 2)
         while True:
@@ -183,9 +178,7 @@ class RandomOracle:
             value >>= 64
             if not value:
                 break
-        out = Rng(acc).bits(self.out_width)
-        self._cache[x] = out
-        return out
+        return Rng(acc).bits(self.out_width)
 
 
 class TrialEnv:
@@ -217,12 +210,12 @@ class TrialEnv:
 
 
 class _Verifier(PartyBehavior):
-    """Announces at its alarm time; records obligation and answer
+    """Broadcasts payload at its alarm time; records obligation and answer
     arrivals."""
 
-    def __init__(self, alarm_time: Fraction, announce: Callable[[], bytes]):
+    def __init__(self, alarm_time: Fraction, payload: bytes):
         self._alarm_time = alarm_time
-        self._announce = announce
+        self._payload = payload
         self.sent: bytes | None = None
         self.y_msgs: list[tuple[Fraction, bytes]] = []
         self.ans_msgs: list[tuple[Fraction, bytes]] = []
@@ -231,7 +224,7 @@ class _Verifier(PartyBehavior):
         return (self._alarm_time,)
 
     def on_alarm(self, time):
-        self.sent = self._announce()
+        self.sent = self._payload
         return (Emission(self.sent),)
 
     def on_receive(self, time, message):
@@ -290,10 +283,15 @@ class ClassicalProver:
         return encode_answers(classical_reply_ans(env.handle, challenge, tape))
 
 
+def _tape_preimages(handle: MultiHandle, tape_seed: int) -> tuple[str, ...]:
+    """The classical prover's 0-branch preimages x_i, one per instance."""
+    tape = Rng(child_seed(tape_seed, 0))
+    return tuple(tape.bits(part.n) for part in handle.parts)
+
+
 def classical_reply_y(handle: MultiHandle, tape_seed: int):
     """Obligations of the classical prover: y_i = f_0(x_i) for tape x_i."""
-    tape = Rng(child_seed(tape_seed, 0))
-    xs = tuple(tape.bits(part.n) for part in handle.parts)
+    xs = _tape_preimages(handle, tape_seed)
     ys = tuple(part.eval("0", x) for part, x in zip(handle.parts, xs))
     return ys, xs
 
@@ -306,7 +304,7 @@ def classical_reply_ans(handle: MultiHandle, challenge: str,
     a uniform tape guess.  Guesses are drawn for every instance so tape
     consumption does not depend on the challenge.
     """
-    _, xs = classical_reply_y(handle, tape_seed)
+    xs = _tape_preimages(handle, tape_seed)
     guess_tape = Rng(child_seed(tape_seed, 1))
     guesses = [(guess_tape.bits(1), guess_tape.bits(part.n))
                for part in handle.parts]
@@ -486,27 +484,21 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
     handle, trapdoor = puzzle.keygen(v0_rng)
     env = TrialEnv(puzzle, handle, trapdoor)
 
-    nonce0 = v0_rng.bits(config.lam) if hashed else None
-    nonce1 = v1_rng.bits(config.lam) if hashed else None
-
-    def announce_key() -> bytes:
-        parts = [handle.key_id.encode()]
-        if hashed:
-            parts.append(pack_bits(nonce0))
-        return encode_message(KIND_KEY, *parts)
-
-    challenge: str | None = None
+    key_id = handle.key_id.encode()
     if hashed:
+        nonce0 = v0_rng.bits(config.lam)
+        nonce1 = v1_rng.bits(config.lam)
         challenge = oracle.query(xor_bits(nonce0, nonce1))
-        announce_challenge = lambda: encode_message(KIND_NONCE, pack_bits(nonce1))
+        key_msg = encode_message(KIND_KEY, key_id, pack_bits(nonce0))
+        challenge_msg = encode_message(KIND_NONCE, pack_bits(nonce1))
     else:
         challenge = puzzle.sample_challenge(v1_rng)
-        fixed = challenge
-        announce_challenge = lambda: encode_message(KIND_CHALLENGE, pack_bits(fixed))
+        key_msg = encode_message(KIND_KEY, key_id)
+        challenge_msg = encode_message(KIND_CHALLENGE, pack_bits(challenge))
 
     sim = Simulation(record_trace=record_trace)
-    v0 = _Verifier(alarm_time=Fraction(0), announce=announce_key)
-    v1 = _Verifier(alarm_time=Fraction(1), announce=announce_challenge)
+    v0 = _Verifier(alarm_time=Fraction(0), payload=key_msg)
+    v1 = _Verifier(alarm_time=Fraction(1), payload=challenge_msg)
     v0_pid = sim.add_party(V0_POSITION, v0)
     v1_pid = sim.add_party(V1_POSITION, v1)
 

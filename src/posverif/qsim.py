@@ -127,33 +127,12 @@ def _h_qubit(amps: np.ndarray, q: int, pos: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-_H_CACHE: dict[int, np.ndarray] = {}
-_H_MATMUL_MAX = 8  # cached H tensor powers stay around 1 MB
-
-
-def _h_matrix(w: int) -> np.ndarray:
-    m = _H_CACHE.get(w)
-    if m is None:
-        m = np.array([[1.0]], dtype=np.complex128)
-        h1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) * _INV_SQRT2
-        for _ in range(w):
-            m = np.kron(m, h1)
-        _H_CACHE[w] = m
-    return m
-
-
 def apply_hadamard(state: StateVector, register: str) -> StateVector:
     """Hadamard on every qubit of the register."""
-    off, w, post = _spans(state, register)
-    q = state.q
-    if post == 0 and 1 < w <= _H_MATMUL_MAX:
-        # trailing register: one matmul with the cached symmetric H tensor
-        block = state.amps.reshape(1 << (q - w), 1 << w)
-        amps = (block @ _h_matrix(w)).reshape(-1)
-        return StateVector(state.regs, amps, check=False)
+    off, w, _ = _spans(state, register)
     amps = state.amps
     for j in range(w):
-        amps = _h_qubit(amps, q, off + j)
+        amps = _h_qubit(amps, state.q, off + j)
     return StateVector(state.regs, amps, check=False)
 
 

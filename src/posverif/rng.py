@@ -7,9 +7,9 @@ fully determines experiment output. Independent streams are derived with
 Seed split convention used by the experiment layer:
 
     trial_seed = child_seed(master_seed, trial_index)
-    v0 stream     = child_seed(trial_seed, 0)   # verifier V0 (keygen, x0)
-    v1 stream     = child_seed(trial_seed, 1)   # verifier V1 (challenge, x1)
-    actor stream  = child_seed(trial_seed, 2)   # prover or adversary pair
+    v0 stream     = child_seed(trial_seed, 0)   # verifier V0 (keygen, nonce0)
+    v1 stream     = child_seed(trial_seed, 1)   # verifier V1 (challenge or nonce1)
+    actor stream  = child_seed(trial_seed, 2)   # prover or adversary pair (x0)
     oracle stream = child_seed(trial_seed, 3)   # per-trial random oracle
 
 Adversary trials that draw randomness split the actor stream by handler:

@@ -38,13 +38,10 @@ class Emission:
     """What a handler hands back to the simulator for sending.
 
     target=None means broadcast; a PartyId delivers to that party alone.
-    members=None means the public channel (every party sees a broadcast);
-    a frozenset restricts visibility to those parties.
     """
 
     payload: bytes
     target: int | None = None
-    members: frozenset | None = None
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,6 @@ class SpacetimeMessage:
     payload: bytes
     sender: int
     emit_time: Fraction
-    target: int | None
-    members: frozenset | None
 
 
 @dataclass(frozen=True)
@@ -151,20 +146,11 @@ class Simulation:
             )
 
     def _emit(self, sender: int, time: Fraction, emission: Emission):
-        msg = SpacetimeMessage(
-            payload=emission.payload,
-            sender=sender,
-            emit_time=time,
-            target=emission.target,
-            members=emission.members,
-        )
+        msg = SpacetimeMessage(payload=emission.payload, sender=sender,
+                               emit_time=time)
         self._note(time, "emit", sender, msg.payload)
         if emission.target is not None:
-            recipients = [emission.target]
-            if emission.members is not None and emission.target not in emission.members:
-                recipients = []
-        elif emission.members is not None:
-            recipients = sorted(emission.members)
+            recipients = (emission.target,)
         else:
             recipients = range(len(self._positions))
         origin = self._positions[sender]

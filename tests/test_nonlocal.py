@@ -184,7 +184,23 @@ class TestReduction:
         assert not any(play_2of2(puzzle.BasePuzzle(4), solver, Rng(s)) for s in range(100))
 
     def test_wrong_width_solver_loses(self):
-        solver = self._honest_then(puzzle.Equation("1", "101"))
+        """Equations of the wrong width or with a bit outside {0,1} lose
+        the round instead of ending it in an exception."""
+        for equation in (puzzle.Equation("1", "101"),
+                         puzzle.Equation("2", "111111"),
+                         puzzle.Equation("1", "11x111")):
+            solver = self._honest_then(equation)
+            assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s))
+                           for s in range(20)), equation
+
+    def test_bad_branch_bit_solver_loses(self):
+        """A true preimage under a branch bit of "2" loses the round."""
+        def solver(handle, env, rng):
+            p = puzzle.BasePuzzle(handle.n)
+            y, state = p.obligate(handle, env, rng)
+            honest = p.solve(handle, y, state, "0", rng)
+            return y, puzzle.Preimage("2", honest.v), puzzle.Equation("0", "1" * handle.n)
+
         assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s)) for s in range(20))
 
 

@@ -89,12 +89,18 @@ class TestConstruction:
 
 class TestHadamard:
     def test_matches_matrix_oracle(self):
-        """Per-qubit engine pass equals the explicit kron-product matrix."""
-        for seed in range(4):
-            s = random_state([("a", 1), ("m", 2), ("z", 1)], seed)
-            got = qsim.apply_hadamard(s, "m")
-            full = np.kron(np.kron(np.eye(2), h_matrix(2)), np.eye(2))
-            np.testing.assert_allclose(got.amps, full @ s.amps, atol=1e-12)
+        """Per-qubit engine pass equals the explicit kron-product matrix.
+
+        Layouts: a middle register, and trailing registers of width 2, 8
+        (the claw preimage at n=8) and 9 (the teleport remainder at n=8).
+        """
+        for pre, w, post in ((1, 2, 1), (1, 2, 0), (1, 8, 0), (1, 9, 0)):
+            regs = [("a", pre), ("m", w)] + ([("z", post)] if post else [])
+            full = np.kron(np.kron(np.eye(1 << pre), h_matrix(w)), np.eye(1 << post))
+            for seed in range(4):
+                s = random_state(regs, seed)
+                got = qsim.apply_hadamard(s, "m")
+                np.testing.assert_allclose(got.amps, full @ s.amps, atol=1e-12)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=40, derandomize=True)

@@ -1,4 +1,4 @@
-"""Timing-simulator tests: exact arithmetic, ordering, channel visibility."""
+"""Timing-simulator tests: exact arithmetic, ordering."""
 
 from fractions import Fraction
 
@@ -26,17 +26,16 @@ class Recorder(PartyBehavior):
 
 
 class SendOnce(PartyBehavior):
-    def __init__(self, when, payload, target=None, members=None):
+    def __init__(self, when, payload, target=None):
         self.when = as_coord(when)
         self.payload = payload
         self.target = target
-        self.members = members
 
     def alarms(self):
         return (self.when,)
 
     def on_alarm(self, time):
-        return (Emission(self.payload, self.target, self.members),)
+        return (Emission(self.payload, self.target),)
 
 
 class Echo(PartyBehavior):
@@ -82,16 +81,6 @@ class TestDelivery:
         sim.run(10)
         assert bystander.got == []
         assert target.got == [(Fraction(3), b"d", 0)]
-
-    def test_private_channel_membership(self):
-        sim = Simulation()
-        sim.add_party(0, SendOnce(0, b"secret", members=frozenset({0, 2})))
-        outsider, member = Recorder(), Recorder()
-        sim.add_party(1, outsider)
-        sim.add_party(4, member)
-        sim.run(10)
-        assert outsider.got == []
-        assert member.got == [(Fraction(4), b"secret", 0)]
 
     def test_exact_rational_positions(self):
         sim = Simulation()
@@ -177,7 +166,7 @@ class TestLifecycle:
 def build_and_run():
     sim = Simulation()
     sim.add_party(0, SendOnce(0, b"one"))
-    sim.add_party(3, SendOnce(1, b"two", members=frozenset({1, 2})))
+    sim.add_party(3, SendOnce(1, b"two", target=2))
     sim.add_party(Fraction(3, 2), Echo())
     return sim.run(12)
 
