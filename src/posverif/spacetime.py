@@ -5,6 +5,11 @@ are exact, never float. Messages propagate at speed 1: a message emitted at
 time t from position x reaches a party at position p at exactly t + |p - x|.
 Handlers run instantaneously (zero local computation time).
 
+run() keeps times as integer ticks of 1/scale, scale being the LCM of the
+denominators of every position, alarm and `until`. Each event time is an
+alarm plus position differences, a whole number of ticks, so integer order
+and sums are exact. Handlers, messages and the trace get exact Fractions.
+
 Determinism: events are processed in (time, sequence) order, where sequence
 numbers increase in creation order and broadcast deliveries are created in
 party-registration order. Two runs with the same behaviors produce
@@ -14,6 +19,7 @@ byte-identical traces.
 import hashlib
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +30,8 @@ Coordinate = Fraction
 
 def as_coord(value) -> Fraction:
     """Exact coordinate from an int, Fraction, or 'num/den' string."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing float coordinate {value!r}; pass Fraction or 'num/den'")
     return Fraction(value)
@@ -64,9 +72,6 @@ class Trace:
     def __init__(self, events: list[TraceEvent]):
         self.events = events
 
-    def received(self, party: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == "recv" and e.party == party]
-
     def to_json_lines(self) -> str:
         lines = [
             json.dumps(
@@ -81,15 +86,6 @@ class Trace:
             for e in self.events
         ]
         return "\n".join(lines) + "\n"
-
-
-def assert_deadline(trace: Trace, party: int, predicate) -> bool:
-    """True iff some message received by the party satisfies the predicate.
-
-    The predicate gets (payload, time) with time an exact Fraction, so
-    strict and nonstrict window checks are exact rational comparisons.
-    """
-    return any(predicate(e.payload, e.time) for e in trace.received(party))
 
 
 class PartyBehavior:
@@ -114,9 +110,11 @@ def payload_digest(payload: bytes) -> str:
 
 class Simulation:
     def __init__(self, record_trace: bool = True):
-        self._positions: list[Fraction] = []
+        # Fractions until run() turns them into ticks; an event is
+        # (time, seq, pid, message), with message None for an alarm
+        self._positions: list = []
         self._behaviors: list[PartyBehavior] = []
-        self._events: list = []  # heap of (time, seq, kind, data)
+        self._events: list = []
         self._seq = 0
         self._started = False
         self._record = record_trace
@@ -132,12 +130,9 @@ class Simulation:
             t = as_coord(t)
             if t < 0:
                 raise ValueError(f"alarm at negative time {t}")
-            self._push(t, "alarm", pid)
+            self._events.append((t, self._seq, pid, None))
+            self._seq += 1
         return pid
-
-    def _push(self, time: Fraction, kind: str, data):
-        heapq.heappush(self._events, (time, self._seq, kind, data))
-        self._seq += 1
 
     def _note(self, time: Fraction, kind: str, party: int, payload: bytes):
         if self._record:
@@ -145,7 +140,7 @@ class Simulation:
                 TraceEvent(time, kind, party, payload_digest(payload), payload)
             )
 
-    def _emit(self, sender: int, time: Fraction, emission: Emission):
+    def _emit(self, sender: int, tick: int, time: Fraction, emission: Emission):
         msg = SpacetimeMessage(payload=emission.payload, sender=sender,
                                emit_time=time)
         self._note(time, "emit", sender, msg.payload)
@@ -155,8 +150,9 @@ class Simulation:
             recipients = range(len(self._positions))
         origin = self._positions[sender]
         for pid in recipients:
-            arrival = time + abs(self._positions[pid] - origin)
-            self._push(arrival, "recv", (pid, msg))
+            arrival = tick + abs(self._positions[pid] - origin)
+            heapq.heappush(self._events, (arrival, self._seq, pid, msg))
+            self._seq += 1
 
     def run(self, until) -> Trace:
         """Process all events with time <= until in (time, seq) order."""
@@ -166,16 +162,30 @@ class Simulation:
         if self._started:
             raise SimulationStarted("run() may only be called once")
         self._started = True
-        while self._events and self._events[0][0] <= until:
-            time, _, kind, data = heapq.heappop(self._events)
-            if kind == "alarm":
-                pid = data
+        scale = math.lcm(until.denominator,
+                         *(x.denominator for x in self._positions),
+                         *(e[0].denominator for e in self._events))
+
+        def ticks(x: Fraction) -> int:
+            return x.numerator * (scale // x.denominator)
+
+        self._positions = [ticks(x) for x in self._positions]
+        self._events = events = [(ticks(t), seq, pid, None)
+                                 for t, seq, pid, _ in self._events]
+        heapq.heapify(events)
+        limit = ticks(until)
+        times: dict[int, Fraction] = {}
+        while events and events[0][0] <= limit:
+            tick, _, pid, msg = heapq.heappop(events)
+            time = times.get(tick)
+            if time is None:
+                time = times[tick] = Fraction(tick, scale)
+            if msg is None:
                 self._note(time, "alarm", pid, b"")
                 out = self._behaviors[pid].on_alarm(time)
             else:
-                pid, msg = data
                 self._note(time, "recv", pid, msg.payload)
                 out = self._behaviors[pid].on_receive(time, msg)
             for emission in out:
-                self._emit(pid, time, emission)
+                self._emit(pid, tick, time, emission)
         return Trace(self._trace)

@@ -10,10 +10,13 @@ from posverif.spacetime import (
     PartyBehavior,
     Simulation,
     Trace,
-    assert_deadline,
     as_coord,
     coord_str,
 )
+
+
+def received(trace, party):
+    return [e for e in trace.events if e.kind == "recv" and e.party == party]
 
 
 class Recorder(PartyBehavior):
@@ -142,6 +145,96 @@ class TestOrdering:
         assert emits[0].time <= min(r.time for r in recvs)
 
 
+class Chatter(PartyBehavior):
+    """Broadcasts its payload at each alarm time, handed to the simulator
+    unconverted, and broadcasts one reply to every other party's original
+    payload; logs (time, message) received."""
+
+    def __init__(self, payload, *alarm_times):
+        self.payload = payload
+        self.alarm_times = alarm_times
+        self.got = []
+
+    def alarms(self):
+        return self.alarm_times
+
+    def on_alarm(self, time):
+        return (Emission(self.payload),)
+
+    def on_receive(self, time, message):
+        self.got.append((time, message))
+        if message.payload.startswith(b"re:") or message.payload == self.payload:
+            return ()
+        return (Emission(b"re:" + self.payload + message.payload),)
+
+
+class TestTicks:
+    """run() schedules on integer ticks of 1/lcm(denominators); handlers,
+    messages and the trace must still see exact Fractions in exact order."""
+
+    POSITIONS = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 11),
+                 Fraction(199, 100))
+    ALARMS = ((Fraction(2, 7),), (Fraction(5, 11), Fraction(1, 3)),
+              (Fraction(199, 100),), (Fraction(1, 3),))
+
+    def test_coprime_denominators_exact(self):
+        sim = Simulation()
+        parties = [Chatter(bytes([65 + i]), *alarms)
+                   for i, alarms in enumerate(self.ALARMS)]
+        for pos, party in zip(self.POSITIONS, parties):
+            sim.add_party(pos, party)
+        trace = sim.run(20)
+
+        for pid, party in enumerate(parties):
+            assert party.got
+            for time, msg in party.got:
+                assert type(time) is Fraction
+                assert type(msg.emit_time) is Fraction
+                assert time == msg.emit_time + abs(
+                    self.POSITIONS[pid] - self.POSITIONS[msg.sender])
+
+        # Reference order: alarms take seqs in registration order, then
+        # every emit (in trace order) queues one recv per party in pid
+        # order; the simulator must process (Fraction time, seq) ascending.
+        expected = []
+        for pid, alarms in enumerate(self.ALARMS):
+            for t in alarms:
+                expected.append((t, len(expected), "alarm", pid))
+        seq = len(expected)
+        for e in trace.events:
+            if e.kind == "emit":
+                for pid, pos in enumerate(self.POSITIONS):
+                    arrival = e.time + abs(pos - self.POSITIONS[e.party])
+                    expected.append((arrival, seq, "recv", pid))
+                    seq += 1
+        expected.sort()
+        processed = [(e.time, e.kind, e.party)
+                     for e in trace.events if e.kind != "emit"]
+        assert processed == [(t, kind, pid) for t, _, kind, pid in expected]
+        assert all(type(e.time) is Fraction for e in trace.events)
+
+    @pytest.mark.parametrize("until", [Fraction(5, 6),
+                                       Fraction(5, 6) + Fraction(1, 2000)])
+    def test_until_denominator_outside_positions_and_alarms(self, until):
+        # arrivals 1/2 + 1/3 = until and 1/1000 later; the denominators of
+        # until (6 or 6000) divide none of 2, 3 and 1000
+        sim = Simulation()
+        sim.add_party(0, SendOnce(Fraction(1, 2), b"on-time", target=2))
+        sim.add_party(0, SendOnce(Fraction(501, 1000), b"late", target=2))
+        rec = Recorder()
+        sim.add_party(Fraction(1, 3), rec)
+        sim.run(until)
+        assert rec.got == [(Fraction(5, 6), b"on-time", 0)]
+
+    @pytest.mark.parametrize("bad, error", [(Fraction(-1, 3), ValueError),
+                                            (-1, ValueError),
+                                            (0.5, TypeError)])
+    def test_bad_alarm_raises_at_add_party(self, bad, error):
+        sim = Simulation()
+        with pytest.raises(error):
+            sim.add_party(0, Chatter(b"x", Fraction(1, 3), bad))
+
+
 class TestLifecycle:
     def test_add_party_after_run(self):
         sim = Simulation()
@@ -190,7 +283,7 @@ class TestTrace:
 
     def test_received_filter(self):
         trace = build_and_run()
-        assert all(e.kind == "recv" for e in trace.received(2))
+        assert all(e.kind == "recv" for e in received(trace, 2))
 
     def test_assert_deadline_exact(self):
         """Strict windows distinguish t=4 from t=4+1/1000 exactly."""
@@ -201,11 +294,10 @@ class TestTrace:
         trace = sim.run(10)
         is_at_4 = lambda p, t: t == Fraction(4)
         before_4 = lambda p, t: t < Fraction(4)
-        assert assert_deadline(trace, 1, is_at_4)
-        assert not assert_deadline(trace, 1, before_4)
-        assert not assert_deadline(
-            trace, 1, lambda p, t: p == b"late" and t <= Fraction(4)
-        )
+        got = [(e.payload, e.time) for e in received(trace, 1)]
+        assert any(is_at_4(p, t) for p, t in got)
+        assert not any(before_4(p, t) for p, t in got)
+        assert not any(p == b"late" and t <= Fraction(4) for p, t in got)
 
     def test_coord_str(self):
         assert coord_str(Fraction(4)) == "4/1"
