@@ -31,10 +31,6 @@ def int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else ""
 
 
-def bits_to_int(s: str) -> int:
-    return int(s, 2) if s else 0
-
-
 def is_zero(s: str) -> bool:
     return "1" not in s
 

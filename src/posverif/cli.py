@@ -26,22 +26,22 @@ from .adversary import ATTACK_NAMES, make_attack
 from .errors import ConfigInvalid, PosverifError
 from .nonlocal_game import (
     STRATEGIES,
+    estimate_2of2_rate,
+    estimate_win_rate,
     make_strategy,
-    play_2of2,
-    play_nonlocal,
     reduce_to_2of2,
 )
 from .protocol import (
     ClassicalProver,
-    FailureReason,
     HonestProver,
     ProofOfQuantumness,
     ProtocolConfig,
+    estimate_acceptance,
     run_prpv,
     run_roprpv,
 )
 from .puzzle import BasePuzzle
-from .rng import Rng, child_seed
+from .rng import child_seed
 from .stats import (
     classical_prover_rate,
     guessing_rate,
@@ -120,34 +120,6 @@ def format_json(rows: list[Row]) -> str:
     return json.dumps({"rows": payload}, sort_keys=True, indent=2) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Trials: module-level functions over plain arguments, so that tally can
-# send them to worker processes
-
-
-def _timed_run(config: ProtocolConfig, hashed: bool, attack_name: str | None,
-               seed: int, record_trace: bool = False):
-    """One timed run of the honest prover, or of the named attack pair."""
-    runner = run_roprpv if hashed else run_prpv
-    if attack_name is None:
-        return runner(config, seed, prover=HonestProver(),
-                      record_trace=record_trace)
-    return runner(config, seed, adversaries=make_attack(attack_name, config),
-                  record_trace=record_trace)
-
-
-def _timed_trial(config, hashed, attack_name, seed) -> FailureReason:
-    return _timed_run(config, hashed, attack_name, seed).verdict.reason
-
-
-def _game_trial(puz, strategy, seed) -> bool:
-    return play_nonlocal(puz, strategy, Rng(seed)).win
-
-
-def _reduced_trial(puz, strategy, seed) -> bool:
-    return play_2of2(puz, reduce_to_2of2(strategy), Rng(seed))
-
-
 def _poq_trial(poq, prover, seed) -> tuple[bool, bool]:
     """(accepted, transcript in protocol order)."""
     result = poq.run(prover, seed)
@@ -162,31 +134,32 @@ def _poq_trial(poq, prover, seed) -> tuple[bool, bool]:
 def completeness_rows(n: int, k: int, lam: int, trials: int, seed: int,
                       positions, workers: int, hashed: bool) -> list[Row]:
     theory = honest_completeness(n, k)
+    runner = run_roprpv if hashed else run_prpv
     rows = []
     for index, position in enumerate(positions):
         config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-        counts = tally(partial(_timed_trial, config, hashed, None), trials,
-                       child_seed(seed, index), workers)
-        successes = counts[FailureReason.NONE]
+        est = estimate_acceptance(config, trials, child_seed(seed, index),
+                                  runner=runner, prover=HonestProver(),
+                                  workers=workers)
         label = f"completeness@{position}"
-        rows.append(coverage_row(label, n, k, successes, trials, theory))
+        rows.append(coverage_row(label, n, k, est.successes, trials, theory))
     return rows
 
 
-def attack_rows(name: str, n: int, k: int, lam: int, trials: int, seed: int,
+def attack_rows(name: str, n: int, k: int, trials: int, seed: int,
                 workers: int) -> list[Row]:
-    config = ProtocolConfig(n=n, k=k, lam=lam)
-    make_attack(name, config)  # fail fast on unknown names and bad budgets
+    config = ProtocolConfig(n=n, k=k)
+    pair = make_attack(name, config)
     theory = {
         "guess": guessing_rate(n, k),
         "forward_compiled_guess": guessing_rate(n, k),
         "teleport": teleport_rate(n, k),
         "classical_forward": classical_prover_rate(n, k),
     }[name]
-    counts = tally(partial(_timed_trial, config, False, name), trials, seed,
-                   workers)
-    return [coverage_row(f"attack_{name}", n, k, counts[FailureReason.NONE],
-                         trials, theory)]
+    est = estimate_acceptance(config, trials, seed, adversaries=pair,
+                              workers=workers)
+    return [coverage_row(f"attack_{name}", n, k, est.successes, trials,
+                         theory)]
 
 
 _GAME_THEORY = {
@@ -208,13 +181,13 @@ def nonlocal_rows(name: str, n: int, trials: int, seed: int,
                   workers: int) -> list[Row]:
     strategy = make_strategy(name, n)
     puz = BasePuzzle(n)
-    wins = tally(partial(_game_trial, puz, strategy), trials,
-                 child_seed(seed, 0), workers)
-    tau = coverage_row(f"game_{name}", n, 1, wins[True], trials,
+    est = estimate_win_rate(puz, strategy, trials, child_seed(seed, 0),
+                            workers)
+    tau = coverage_row(f"game_{name}", n, 1, est.successes, trials,
                        _GAME_THEORY[name](n))
-    wins = tally(partial(_reduced_trial, puz, strategy), trials,
-                 child_seed(seed, 1), workers)
-    reduced = coverage_row(f"reduced_{name}", n, 1, wins[True], trials,
+    est = estimate_2of2_rate(puz, reduce_to_2of2(strategy), trials,
+                             child_seed(seed, 1), workers)
+    reduced = coverage_row(f"reduced_{name}", n, 1, est.successes, trials,
                            _REDUCED_THEORY[name](n))
     sigma = reduction_slack(reduced.rate, trials, tau.rate, trials)
     bound = 2 * tau.rate - 1 - 5 * sigma
@@ -243,8 +216,16 @@ def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
 
 def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
                 attack_name: str | None, hashed: bool) -> str:
+    """Event log of one timed run of the honest prover or the named attack."""
     config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-    outcome = _timed_run(config, hashed, attack_name, seed, record_trace=True)
+    runner = run_roprpv if hashed else run_prpv
+    if attack_name is None:
+        outcome = runner(config, seed, prover=HonestProver(),
+                         record_trace=True)
+    else:
+        outcome = runner(config, seed,
+                         adversaries=make_attack(attack_name, config),
+                         record_trace=True)
     return outcome.trace.to_json_lines()
 
 
@@ -373,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     completeness.add_argument("--hashed", action="store_true", default=None,
                               help="use the hash-challenge variant")
 
-    attack = sub.add_parser("attack", parents=[base, width, nonce, rows],
+    attack = sub.add_parser("attack", parents=[base, width, rows],
                             help="two-device attack acceptance")
     attack.add_argument("--name", default=None,
                         help=f"attack name, one of {', '.join(ATTACK_NAMES)}")
@@ -432,7 +413,7 @@ def main(argv=None) -> int:
             name = opts.text("name")
             if name is None:
                 raise ConfigInvalid("attack requires --name")
-            rows = attack_rows(name, n, k, lam, trials, seed, workers)
+            rows = attack_rows(name, n, k, trials, seed, workers)
         elif args.command == "nonlocal":
             name = opts.text("name")
             if name is None:

@@ -14,6 +14,7 @@ prepared in stage A. Answering both challenges of one obligation at once
 """
 
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
@@ -87,22 +88,25 @@ def play_nonlocal(puz: BasePuzzle, strategy, rng) -> GameResult:
     return GameResult(accept_b and accept_c, accept_b, accept_c, challenge, prep.obligation)
 
 
+def _solve_2of2(strategy, handle: PublicHandle, env: Trapdoor,
+                rng) -> tuple[str, Answer, Answer]:
+    prep = strategy.stage_a(handle, env, rng)
+    view_b, view_c = _views(prep)
+    ans0 = strategy.answer_b(view_b, prep.tape, "0", rng)
+    ans1 = strategy.answer_c(view_c, prep.tape, "1", rng)
+    return prep.obligation, ans0, ans1
+
+
 def reduce_to_2of2(strategy):
     """Wrap a game strategy as a single 2-of-2 solver.
 
     The solver runs stage A once and asks B for the challenge-0 answer and
     C for the challenge-1 answer of the same obligation. If the strategy
     wins the game with probability tau, this solver succeeds with
-    probability at least 2*tau - 1.
+    probability at least 2*tau - 1.  It is a partial, so it pickles
+    together with its name.
     """
-
-    def solver(handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, Answer, Answer]:
-        prep = strategy.stage_a(handle, env, rng)
-        view_b, view_c = _views(prep)
-        ans0 = strategy.answer_b(view_b, prep.tape, "0", rng)
-        ans1 = strategy.answer_c(view_c, prep.tape, "1", rng)
-        return prep.obligation, ans0, ans1
-
+    solver = partial(_solve_2of2, strategy)
     solver.name = f"reduced_{strategy.name}"
     return solver
 
@@ -114,13 +118,23 @@ def play_2of2(puz: BasePuzzle, solver, rng) -> bool:
     return _safe_verify(puz, env, y, "0", ans0) and _safe_verify(puz, env, y, "1", ans1)
 
 
-def estimate_win_rate(puz: BasePuzzle, strategy, trials: int, seed: int) -> Estimate:
-    counts = tally(lambda s: play_nonlocal(puz, strategy, Rng(s)).win, trials, seed)
+def _game_trial(puz: BasePuzzle, strategy, seed: int) -> bool:
+    return play_nonlocal(puz, strategy, Rng(seed)).win
+
+
+def _2of2_trial(puz: BasePuzzle, solver, seed: int) -> bool:
+    return play_2of2(puz, solver, Rng(seed))
+
+
+def estimate_win_rate(puz: BasePuzzle, strategy, trials: int, seed: int,
+                      workers: int = 1) -> Estimate:
+    counts = tally(partial(_game_trial, puz, strategy), trials, seed, workers)
     return Estimate.of(counts, True)
 
 
-def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int) -> Estimate:
-    counts = tally(lambda s: play_2of2(puz, solver, Rng(s)), trials, seed)
+def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int,
+                       workers: int = 1) -> Estimate:
+    counts = tally(partial(_2of2_trial, puz, solver), trials, seed, workers)
     return Estimate.of(counts, True)
 
 

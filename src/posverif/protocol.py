@@ -24,6 +24,7 @@ import enum
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import ConfigInvalid, LengthMismatch, TagMismatch
@@ -588,11 +589,17 @@ class ProofOfQuantumness:
 # Bulk estimation
 
 
+def _acceptance_trial(config, runner, prover, adversaries, seed) -> FailureReason:
+    return runner(config, seed, prover=prover,
+                  adversaries=adversaries).verdict.reason
+
+
 def estimate_acceptance(config: ProtocolConfig, trials: int, seed: int, *,
-                        runner=run_prpv, prover=None, adversaries=None) -> Estimate:
+                        runner=run_prpv, prover=None, adversaries=None,
+                        workers: int = 1) -> Estimate:
     """Acceptance frequency over independent seeded runs with a Wilson
-    95 percent interval and a failure-reason histogram."""
-    counts = tally(lambda s: runner(config, s, prover=prover,
-                                    adversaries=adversaries).verdict.reason,
-                   trials, seed)
+    95 percent interval and a failure-reason histogram.  With workers > 1
+    the prover or attack pair is pickled to each worker process."""
+    counts = tally(partial(_acceptance_trial, config, runner, prover,
+                           adversaries), trials, seed, workers)
     return Estimate.of(counts, FailureReason.NONE)

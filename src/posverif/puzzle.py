@@ -6,7 +6,7 @@ Claws are exactly the pairs (x, x xor s), so the trapdoor can invert both
 branches while the public side can only evaluate forward.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
-exposes eval/chk through closures and no read of s, but an exhaustive
+exposes eval through a closure and no read of s, but an exhaustive
 search over eval queries recovers s in 2^n steps (and a test demonstrates
 that deliberately). n is capped at 12 to keep that honest.
 
@@ -103,11 +103,6 @@ class PublicHandle:
             raise LengthMismatch(f"preimage width {len(x)} != n={self.n}")
         return self._eval(b, x)
 
-    def chk(self, b: str, x: str, y: str) -> bool:
-        if len(y) != self.n:
-            raise LengthMismatch(f"image width {len(y)} != n={self.n}")
-        return self.eval(b, x) == y
-
     def __repr__(self):
         return f"PublicHandle(n={self.n}, key_id={self.key_id})"
 
@@ -151,21 +146,6 @@ def _make_eval(key: PuzzleKey):
 
 def public_key_bytes(n: int, seed: int) -> bytes:
     return struct.pack("<IQ", n, seed)
-
-
-def decode_public_key(data: bytes) -> tuple[int, int]:
-    n, seed = struct.unpack_from("<IQ", data, 0)
-    return n, seed
-
-
-def trapdoor_bytes(key: PuzzleKey) -> bytes:
-    return public_key_bytes(key.n, key.seed) + pack_bits(key.s)
-
-
-def decode_trapdoor(data: bytes) -> PuzzleKey:
-    n, seed = decode_public_key(data)
-    s, _ = unpack_bits(data, 12)
-    return PuzzleKey(n, seed, s)
 
 
 class BasePuzzle:
@@ -237,12 +217,6 @@ class BasePuzzle:
         if is_zero(answer.d):
             return False
         return dot_bits(answer.d, env.key.s) == int(answer.c, 2)
-
-    def verify_public_0(self, handle: PublicHandle, y: str, answer: Answer) -> bool:
-        """Challenge-0 verification using only the public evaluator."""
-        if not isinstance(answer, Preimage):
-            raise TagMismatch(f"challenge 0 needs a Preimage answer, got {type(answer).__name__}")
-        return handle.chk(answer.bit, answer.v, y)
 
 
 def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:

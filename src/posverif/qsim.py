@@ -336,9 +336,6 @@ class ScopedState:
             raise RegisterViolation(f"register {register!r} is outside this party's grant")
         self._cell.state.width(register)  # raises UnknownRegister if gone
 
-    def registers(self) -> tuple[str, ...]:
-        return tuple(n for n in self._cell.state.names() if n in self._allowed)
-
     def apply_hadamard(self, register: str):
         self._check(register)
         self._cell.state = apply_hadamard(self._cell.state, register)

@@ -64,13 +64,3 @@ class Rng:
             out.append(format(self.next_u64() >> (64 - take), f"0{take}b"))
             remaining -= take
         return "".join(out)
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection to avoid modulo bias."""
-        if n <= 0:
-            raise ValueError(f"randrange bound must be positive, got {n}")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n

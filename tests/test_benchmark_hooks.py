@@ -22,14 +22,20 @@ def _load_spans():
 def test_instrumentation_wraps_and_restores():
     spans = _load_spans()
     original = posverif.protocol.run_prpv
-    sim = posverif.spacetime.Simulation
-    methods = {name: vars(sim)[name] for name in ("run", "add_party")}
+    puzzle = posverif.puzzle
+    # the puzzle.verify span rests on the two verify methods alone
+    methods = {(cls, name): vars(cls)[name] for cls, name in (
+        (posverif.spacetime.Simulation, "run"),
+        (posverif.spacetime.Simulation, "add_party"),
+        (puzzle.BasePuzzle, "verify"),
+        (puzzle.RepeatedPuzzle, "verify"),
+    )}
     with spans.Instrumentation(posverif, spans.Recorder()):
         assert posverif.protocol.run_prpv is not original
         assert posverif.cli.run_prpv is not original
-        for name, method in methods.items():
-            assert vars(sim)[name] is not method
+        for (cls, name), method in methods.items():
+            assert vars(cls)[name] is not method
     assert posverif.protocol.run_prpv is original
     assert posverif.cli.run_prpv is original
-    for name, method in methods.items():
-        assert vars(sim)[name] is method
+    for (cls, name), method in methods.items():
+        assert vars(cls)[name] is method

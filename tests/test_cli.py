@@ -68,22 +68,16 @@ class TestCompleteness:
 class TestWorkers:
     @pytest.mark.parametrize("argv", [
         ("completeness", "--pos", "3/2", "--trials", "50"),
+        ("attack", "--name", "forward_compiled_guess", "--k", "2",
+         "--trials", "60"),
         ("nonlocal", "--name", "honest_to_B", "--trials", "60"),
         ("poq", "--k", "2", "--trials", "60"),
-    ], ids=["completeness", "nonlocal", "poq"])
-    def test_workers_do_not_change_counts(self, capsys, monkeypatch, argv):
+    ], ids=["completeness", "attack", "nonlocal", "poq"])
+    def test_workers_do_not_change_counts(self, capsys, pool_sizes, argv):
         _, serial, _ = run_cli(capsys, *argv)
-        sizes = []
-        real_pool = stats.ProcessPoolExecutor
-
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
+        assert pool_sizes == []
         _, pooled, _ = run_cli(capsys, *argv, "--workers", "2")
-        assert sizes and set(sizes) == {2}
+        assert pool_sizes and set(pool_sizes) == {2}
         assert serial == pooled
 
     def test_pool_capped_by_cores_and_chunks(self, monkeypatch):
@@ -306,9 +300,10 @@ class TestOptionPrecedence:
     @pytest.mark.parametrize("argv", [
         ("trace", "--seed", "5", "--trials", "7", "--workers", "9",
          "--format", "csv"),
+        ("attack", "--name", "guess", "--trials", "10", "--lambda", "64"),
         ("nonlocal", "--name", "always_fail", "--k", "5", "--lambda", "2"),
         ("poq", "--lambda", "3"),
-    ], ids=["trace", "nonlocal", "poq"])
+    ], ids=["trace", "attack", "nonlocal", "poq"])
     def test_unread_flag_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
@@ -317,10 +312,11 @@ class TestOptionPrecedence:
 
     @pytest.mark.parametrize("argv, keys", [
         (("trace", "--seed", "5"), "trials=x\nworkers=0\nformat=yaml\n"),
+        (("attack", "--name", "guess", "--trials", "10"), "lambda=x\n"),
         (("nonlocal", "--name", "always_fail", "--trials", "10"),
          "k=x\nlambda=x\n"),
         (("poq", "--trials", "10"), "lambda=x\n"),
-    ], ids=["trace", "nonlocal", "poq"])
+    ], ids=["trace", "attack", "nonlocal", "poq"])
     def test_unread_config_keys_not_checked(self, tmp_path, capsys, argv, keys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(keys)

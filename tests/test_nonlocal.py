@@ -6,6 +6,8 @@ measurement distributions, guesser-side weights from enumerating the whole
 answer space, and the stats closed forms must match to float precision.
 """
 
+import pickle
+
 import pytest
 
 from posverif import puzzle, qsim, stats
@@ -158,6 +160,29 @@ class TestReduction:
             red = estimate_2of2_rate(puz, reduce_to_2of2(strat), trials, 3002)
             slack = stats.reduction_slack(red.rate, trials, tau.rate, trials)
             assert red.rate >= 2 * tau.rate - 1 - 5 * slack, name
+
+    def test_reduced_solver_pickles(self):
+        """The 2-of-2 solver survives pickling with its name and plays the
+        same round per seed, so worker processes can run it."""
+        p = puzzle.BasePuzzle(6)
+        for name, factory in STRATEGIES.items():
+            solver = reduce_to_2of2(factory(6))
+            copy = pickle.loads(pickle.dumps(solver))
+            assert copy.name == solver.name == f"reduced_{name}"
+            assert ([play_2of2(p, copy, Rng(s)) for s in range(30)]
+                    == [play_2of2(p, solver, Rng(s)) for s in range(30)])
+
+    def test_workers_do_not_change_estimates(self, pool_sizes):
+        """Two worker processes give the serial game and 2-of-2 Estimates."""
+        p = puzzle.BasePuzzle(6)
+        strat = HonestToB(6)
+        serial = (estimate_win_rate(p, strat, 60, 3004),
+                  estimate_2of2_rate(p, reduce_to_2of2(strat), 60, 3005))
+        pooled = (estimate_win_rate(p, strat, 60, 3004, workers=2),
+                  estimate_2of2_rate(p, reduce_to_2of2(strat), 60, 3005,
+                                     workers=2))
+        assert pool_sizes == [2, 2]
+        assert pooled == serial
 
     def test_reduced_measure_and_guess_rate(self):
         """The reduced solver's rate hits (1-2^-n)/2: the challenge-0 replay

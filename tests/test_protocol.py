@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from posverif.adversary import make_attack
 from posverif.bits import pack_bits, unpack_bits, xor_bits
 from posverif.errors import ConfigInvalid, InvalidTrials, LengthMismatch
 from posverif.protocol import (
@@ -272,6 +273,17 @@ class TestAcceptanceRates:
         with pytest.raises(InvalidTrials):
             estimate_acceptance(ProtocolConfig(), trials=0, seed=1,
                                 prover=HonestProver())
+
+    @pytest.mark.parametrize("actor", ["honest", "teleport"])
+    def test_workers_do_not_change_estimate(self, pool_sizes, actor):
+        """Two worker processes give the serial Estimate, histogram included."""
+        cfg = ProtocolConfig(n=6, k=2)
+        who = ({"prover": HonestProver()} if actor == "honest"
+               else {"adversaries": make_attack("teleport", cfg)})
+        serial = estimate_acceptance(cfg, trials=40, seed=104, **who)
+        pooled = estimate_acceptance(cfg, trials=40, seed=104, workers=2, **who)
+        assert pool_sizes == [2]
+        assert pooled == serial
 
 
 class TestHashChallengeVariant:

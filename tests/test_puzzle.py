@@ -104,7 +104,7 @@ class TestObligate:
         for _ in range(50):
             y, state = p.obligate(handle, td, r)
             x0, x1 = td.inv("0", y), td.inv("1", y)
-            assert handle.chk("0", x0, y) and handle.chk("1", x1, y)
+            assert handle.eval("0", x0) == y and handle.eval("1", x1) == y
             expect = qsim.prepare_claw_state(x0, x1)
             np.testing.assert_allclose(state.amps, expect.amps, atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestSolveVerify:
                 v = int_to_bits(vi, n)
                 expect = (bit == "0" and v == x0) or (bit == "1" and v == x1)
                 assert p.verify(td, y, "0", puzzle.Preimage(bit, v)) == expect
-                assert p.verify_public_0(handle, y, puzzle.Preimage(bit, v)) == expect
+                assert (handle.eval(bit, v) == y) == expect
 
     def test_challenge1_equation_set(self):
         """Challenge 1 accepts exactly {(c,d): d != 0, c = d.s}, enumerated."""
@@ -189,8 +189,6 @@ class TestSolveVerify:
             p.verify(td, y, "0", puzzle.Equation("0", "0001"))
         with pytest.raises(TagMismatch):
             p.verify(td, y, "1", puzzle.Preimage("0", "0001"))
-        with pytest.raises(TagMismatch):
-            p.verify_public_0(handle, y, puzzle.Equation("0", "0001"))
 
     def test_wrong_state_shape(self):
         p, handle, td = make_puzzle(4)
@@ -200,21 +198,21 @@ class TestSolveVerify:
             p.solve(handle, y, bad, "0", Rng(0))
 
     def test_public_verify_agrees_with_trapdoor(self):
-        """verify_public_0 equals verify on 10^4 random challenge-0 answers;
-        a preimage of width n-1 or n+1 raises on both sides."""
+        """Public evaluation equals verify on 10^4 random challenge-0
+        answers; a preimage of width n-1 or n+1 raises on both sides."""
         n = 4
         p, handle, td = make_puzzle(n, seed=31)
         r = Rng(99)
         for _ in range(10_000):
             y = r.bits(n)
             ans = puzzle.Preimage(r.bits(1), r.bits(n))
-            assert p.verify_public_0(handle, y, ans) == p.verify(td, y, "0", ans)
+            assert (handle.eval(ans.bit, ans.v) == y) == p.verify(td, y, "0", ans)
         y, _ = p.obligate(handle, td, Rng(5))
         x0 = td.inv("0", y)
         for v in (x0[1:], "0" + x0):
             ans = puzzle.Preimage("0", v)
             with pytest.raises(LengthMismatch):
-                p.verify_public_0(handle, y, ans)
+                handle.eval(ans.bit, ans.v)
             with pytest.raises(LengthMismatch):
                 p.verify(td, y, "0", ans)
 
@@ -373,10 +371,6 @@ class TestSerialization:
 
     def test_key_roundtrip(self):
         p, handle, td = make_puzzle(6, seed=91)
-        data = puzzle.trapdoor_bytes(td.key)
-        assert puzzle.decode_trapdoor(data) == td.key
-        n, seed = puzzle.decode_public_key(puzzle.public_key_bytes(6, td.key.seed))
-        assert (n, seed) == (6, td.key.seed)
         assert handle.key_id == puzzle.public_key_bytes(6, td.key.seed).hex()
 
     def test_trailing_bytes_rejected(self):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posverif.bits import (
-    bits_to_int,
     dot_bits,
     int_to_bits,
     is_zero,
@@ -45,13 +44,6 @@ class TestRng:
         s = r.bits(130)
         assert len(s) == 130 and set(s) <= {"0", "1"}
 
-    def test_randrange_bounds(self):
-        r = Rng(3)
-        draws = [r.randrange(6) for _ in range(2000)]
-        assert set(draws) == {0, 1, 2, 3, 4, 5}
-        with pytest.raises(ValueError):
-            r.randrange(0)
-
     def test_bits_uniform(self):
         """Mean of 3-bit draws sits within 4 sigma of 3.5."""
         r = Rng(11)
@@ -86,7 +78,7 @@ class TestBits:
 
     def test_int_roundtrip(self):
         for v in range(16):
-            assert bits_to_int(int_to_bits(v, 4)) == v
+            assert int(int_to_bits(v, 4), 2) == v
         with pytest.raises(ValueError):
             int_to_bits(16, 4)
 
@@ -110,7 +102,7 @@ class TestBits:
     @settings(max_examples=100, derandomize=True)
     def test_xor_matches_int_xor(self, a, b):
         sa, sb = int_to_bits(a, 41), int_to_bits(b, 41)
-        assert bits_to_int(xor_bits(sa, sb)) == a ^ b
+        assert int(xor_bits(sa, sb), 2) == a ^ b
 
     def test_pack_is_length_prefixed(self):
         assert pack_bits("") == b"\x00\x00\x00\x00"
