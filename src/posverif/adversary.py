@@ -2,10 +2,11 @@
 
 An attack pair places one device next to each verifier.  Devices talk
 only through the simulated channel: the left device handles the key
-announcement (u1) and the right-to-left message (u4), the right device
-handles the challenge (u2) and the left-to-right message (u3).  Handler
-slots draw from independent seeded streams so a compiled replay of a
-handler sees exactly the bytes the original would have produced.
+announcement (u1, given the announced key's handle) and the right-to-left
+message (u4), the right device handles the challenge (u2, given its bits)
+and the left-to-right message (u3).  Handler slots draw from independent
+seeded streams so a compiled replay of a handler sees exactly the bytes
+the original would have produced.
 
 Resource classes: R0 pairs share no entanglement, RF pairs additionally
 forward the challenge verbatim, RL pairs consume pre-shared EPR pairs.
@@ -69,9 +70,8 @@ class _GuessingTrial:
         self.rng = Rng(child_seed(actor_seed, 1))
         self._committed: bytes | None = None
 
-    def u1(self, pk_body: bytes):
+    def u1(self, handle):
         rng = self.rng
-        handle = self.env.resolve(decode_parts(pk_body)[0].decode())
         ys, states = self.env.obligate(rng)
         guess = rng.bits(self.env.puzzle.challenge_len)
         answers = self.env.puzzle.solve(handle, ys, states, guess, rng)
@@ -80,7 +80,7 @@ class _GuessingTrial:
         self._committed = ans_bytes
         return y_bytes, encode_parts(y_bytes, ans_bytes)
 
-    def u2(self, challenge_body: bytes) -> bytes:
+    def u2(self, challenge: str) -> bytes:
         return b""
 
     def u3(self, m_body: bytes):
@@ -122,14 +122,13 @@ class _ClassicalForwardTrial:
         self.tape1 = tape1
         self._challenge: str | None = None  # right-device memory
 
-    def u1(self, pk_body: bytes):
-        handle = self.env.resolve(decode_parts(pk_body)[0].decode())
+    def u1(self, handle):
         ys, _ = classical_reply_y(handle, self.tape0)
         return encode_obligations(ys), handle.key_id.encode()
 
-    def u2(self, challenge_body: bytes) -> bytes:
-        self._challenge = _challenge_of(challenge_body)
-        return challenge_body
+    def u2(self, challenge: str) -> bytes:
+        self._challenge = challenge
+        return encode_parts(pack_bits(challenge))
 
     def u3(self, m_body: bytes):
         handle = self.env.resolve(m_body.decode())
@@ -186,16 +185,16 @@ class _ForwardingTrial:
         self.original = inner_pair.new_trial(env, actor_seed)
         self._replica = None
 
-    def u1(self, pk_body: bytes):
+    def u1(self, handle):
         # every table entry starts from the same replica state
         self._replica = self._make_replica()
-        self._replica.u1(pk_body)
-        return self.original.u1(pk_body)
+        self._replica.u1(handle)
+        return self.original.u1(handle)
 
-    def u2(self, challenge_body: bytes) -> bytes:
+    def u2(self, challenge: str) -> bytes:
         # keep the right device's own state faithful, then forward
-        self.original.u2(challenge_body)
-        return challenge_body
+        self.original.u2(challenge)
+        return encode_parts(pack_bits(challenge))
 
     def u3(self, m_body: bytes):
         return self.original.u3(m_body)
@@ -203,7 +202,7 @@ class _ForwardingTrial:
     def u4(self, n_body: bytes) -> bytes:
         # the left device learns the challenge only from the forwarded body
         challenge = _challenge_of(n_body)
-        return self.original.u4(self._replica.u2(encode_parts(pack_bits(challenge))))
+        return self.original.u4(self._replica.u2(challenge))
 
 
 class TeleportPair:
@@ -300,9 +299,8 @@ class _TeleportTrial:
         self._challenge: str | None = None
         self._raws: list[str] | None = None
 
-    def u1(self, pk_body: bytes):
+    def u1(self, handle):
         rng = self.left_rng
-        self.env.resolve(decode_parts(pk_body)[0].decode())
         ys, states = self.env.obligate(rng)
         for state in states:
             self.pairs_used += self.width
@@ -323,9 +321,8 @@ class _TeleportTrial:
         )
         return y_bytes, m
 
-    def u2(self, challenge_body: bytes) -> bytes:
+    def u2(self, challenge: str) -> bytes:
         rng = self.right_rng
-        challenge = _challenge_of(challenge_body)
         raws = []
         for b, remote in zip(challenge, self._remote):
             if b == "1":

@@ -254,16 +254,9 @@ def load_config_file(path: str) -> dict[str, str]:
                 if key not in CONFIG_KEYS:
                     raise ConfigInvalid(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-def _to_int(value, label: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(f"{label} must be an integer, got {value!r}") from None
 
 
 def _to_bool(value, label: str) -> bool:
@@ -284,60 +277,27 @@ def _to_position(value, label: str) -> Fraction:
         raise ConfigInvalid(f"{label} must be a rational, got {value!r}") from None
 
 
-class _Options:
-    """Flag > config file > environment (seed only) > default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._file = (load_config_file(args.config)
-                      if getattr(args, "config", None) else {})
-
-    def raw(self, key: str, file_key: str | None = None):
-        # a key with no flag in this subcommand is not read, not even from
-        # the config file, so one file can serve every subcommand
-        if key not in self._args or self._args[key] is not None:
-            return self._args.get(key)
-        return self._file.get(file_key or key)
-
-    def integer(self, key: str, default: int, file_key: str | None = None) -> int:
-        raw = self.raw(key, file_key)
-        return default if raw is None else _to_int(raw, key)
-
-    def seed(self) -> int:
-        raw = self.raw("seed")
-        if raw is None:
-            raw = os.environ.get(ENV_SEED)
-        return DEFAULT_SEED if raw is None else _to_int(raw, "seed")
-
-    def text(self, key: str, default: str | None = None):
-        raw = self.raw(key)
-        return default if raw is None else str(raw)
-
-    def boolean(self, key: str, default: bool = False) -> bool:
-        raw = self.raw(key)
-        return default if raw is None else _to_bool(raw, key)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """(parser, its subparsers action)."""
     base, width, nonce, rows = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    base.add_argument("--n", type=int, default=None,
-                      help="puzzle width (default 8)")
+    base.add_argument("--n", type=int, default=8,
+                      help="puzzle width (default %(default)s)")
     base.add_argument("--seed", type=int, default=None,
                       help=f"master seed (default ${ENV_SEED} or {DEFAULT_SEED})")
     base.add_argument("--config", default=None,
                       help="key=value file supplying defaults for any flag")
     base.add_argument("--out", default=None,
                       help="write output to this file instead of stdout")
-    width.add_argument("--k", type=int, default=None,
-                       help="parallel instances (default 1)")
-    nonce.add_argument("--lambda", dest="lam", type=int, default=None,
+    width.add_argument("--k", type=int, default=1,
+                       help="parallel instances (default %(default)s)")
+    nonce.add_argument("--lambda", dest="lam", type=int, default=16,
                        help="nonce width for the hash-challenge variant")
-    rows.add_argument("--trials", type=int, default=None,
-                      help=f"runs per row (default {DEFAULT_TRIALS})")
-    rows.add_argument("--format", choices=("csv", "json"), default=None,
-                      help="row output format (default csv)")
-    rows.add_argument("--workers", type=int, default=None,
-                      help="worker processes for trial loops (default 1)")
+    rows.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
+                      help="runs per row (default %(default)s)")
+    rows.add_argument("--format", choices=("csv", "json"), default="csv",
+                      help="row output format (default %(default)s)")
+    rows.add_argument("--workers", type=int, default=1,
+                      help="worker processes for trial loops (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="posverif",
@@ -351,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     completeness.add_argument("--pos", default=None,
                               help="single prover position (rational), "
                                    "default sweeps the segment")
-    completeness.add_argument("--hashed", action="store_true", default=None,
+    completeness.add_argument("--hashed", action="store_true",
                               help="use the hash-challenge variant")
 
     attack = sub.add_parser("attack", parents=[base, width, rows],
@@ -369,67 +329,74 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("trace", parents=[base, width, nonce],
                            help="event log of a single seeded run")
-    trace.add_argument("--pos", default=None,
-                       help="prover position (rational, default 3/2)")
+    trace.add_argument("--pos", default="3/2",
+                       help="prover position (rational, default %(default)s)")
     trace.add_argument("--name", default=None,
                        help="trace an attack pair instead of the honest prover")
-    trace.add_argument("--hashed", action="store_true", default=None,
+    trace.add_argument("--hashed", action="store_true",
                        help="use the hash-challenge variant")
 
-    return parser
+    return parser, sub
 
 
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {out_path}: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Flag > config file > $POSVERIF_SEED (seed only) > default: argparse
+    converts and checks the file's keys and the seed variable like flags."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        n = opts.integer("n", 8)
-        k = opts.integer("k", 1)
-        lam = opts.integer("lam", 16, file_key="lambda")
-        trials = opts.integer("trials", DEFAULT_TRIALS)
-        seed = opts.seed()
-        workers = opts.integer("workers", 1)
-        out_path = opts.text("out")
-        fmt = opts.text("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigInvalid(f"format must be csv or json, got {fmt!r}")
+        defaults = {}
+        if args.config:
+            # keys with no flag in this subcommand are not read
+            for key, value in load_config_file(args.config).items():
+                dest = "lam" if key == "lambda" else key
+                if dest in vars(args):
+                    defaults[dest] = value
+        if args.seed is None and "seed" not in defaults:
+            defaults["seed"] = os.environ.get(ENV_SEED, DEFAULT_SEED)
+        commands.choices[args.command].set_defaults(**defaults)
+        args = parser.parse_args(argv)
+
+        if args.command == "trace":
+            text = trace_lines(args.n, args.k, args.lam, args.seed,
+                               _to_position(args.pos, "pos"), args.name,
+                               _to_bool(args.hashed, "hashed"))
+            _emit(text, args.out)
+            return 0
+        if args.format not in ("csv", "json"):
+            raise ConfigInvalid(f"format must be csv or json, got {args.format!r}")
+        if args.command in ("attack", "nonlocal") and args.name is None:
+            raise ConfigInvalid(f"{args.command} requires --name")
 
         if args.command == "completeness":
-            pos = opts.raw("pos")
-            positions = (SWEEP_POSITIONS if pos is None
-                         else (_to_position(pos, "pos"),))
-            rows = completeness_rows(n, k, lam, trials, seed, positions,
-                                     workers, opts.boolean("hashed"))
+            positions = (SWEEP_POSITIONS if args.pos is None
+                         else (_to_position(args.pos, "pos"),))
+            rows = completeness_rows(args.n, args.k, args.lam, args.trials,
+                                     args.seed, positions, args.workers,
+                                     _to_bool(args.hashed, "hashed"))
         elif args.command == "attack":
-            name = opts.text("name")
-            if name is None:
-                raise ConfigInvalid("attack requires --name")
-            rows = attack_rows(name, n, k, trials, seed, workers)
+            rows = attack_rows(args.name, args.n, args.k, args.trials,
+                               args.seed, args.workers)
         elif args.command == "nonlocal":
-            name = opts.text("name")
-            if name is None:
-                raise ConfigInvalid("nonlocal requires --name")
-            rows = nonlocal_rows(name, n, trials, seed, workers)
-        elif args.command == "poq":
-            rows = poq_rows(n, k, trials, seed, workers)
+            rows = nonlocal_rows(args.name, args.n, args.trials, args.seed,
+                                 args.workers)
         else:
-            position = _to_position(opts.raw("pos") or "3/2", "pos")
-            text = trace_lines(n, k, lam, seed, position, opts.text("name"),
-                               opts.boolean("hashed"))
-            _emit(text, out_path)
-            return 0
+            rows = poq_rows(args.n, args.k, args.trials, args.seed,
+                            args.workers)
 
-        text = format_json(rows) if fmt == "json" else format_csv(rows)
-        _emit(text, out_path)
+        text = format_json(rows) if args.format == "json" else format_csv(rows)
+        _emit(text, args.out)
         return 0 if all(r.passed for r in rows) else 1
     except PosverifError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -367,15 +367,17 @@ class _ProverBehavior(PartyBehavior):
 class _LeftAdversaryBehavior(PartyBehavior):
     """Adapter placing adversary handlers u1/u4 at verifier 0's position."""
 
-    def __init__(self, trial, v0_pid: int):
+    def __init__(self, trial, env: TrialEnv, v0_pid: int):
         self.trial = trial
+        self.env = env
         self.v0_pid = v0_pid
         self.a1_pid: int | None = None
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
         if kind == KIND_KEY:
-            y_bytes, m_bytes = self.trial.u1(message.payload[1:])
+            key_id = decode_message(message.payload)[1][0].decode()
+            y_bytes, m_bytes = self.trial.u1(self.env.resolve(key_id))
             return (
                 Emission(encode_message(KIND_OBLIGATION, y_bytes),
                          target=self.v0_pid),
@@ -399,7 +401,9 @@ class _RightAdversaryBehavior(PartyBehavior):
     def on_receive(self, time, message):
         kind = message.payload[:1]
         if kind in (KIND_CHALLENGE, KIND_NONCE):
-            n_bytes = self.trial.u2(message.payload[1:])
+            # known defect: an X nonce reaches u2 as if it were the challenge
+            bits, _ = unpack_bits(decode_message(message.payload)[1][0])
+            n_bytes = self.trial.u2(bits)
             return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid),)
         if kind == KIND_LEFT:
             y_bytes, ans_bytes = self.trial.u3(message.payload[1:])
@@ -510,7 +514,7 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         sim.add_party(position, _ProverBehavior(prover, env, actor_seed, oracle))
     else:
         trial = adversaries.new_trial(env, actor_seed)
-        left = _LeftAdversaryBehavior(trial, v0_pid)
+        left = _LeftAdversaryBehavior(trial, env, v0_pid)
         right = _RightAdversaryBehavior(trial, v1_pid)
         right.a0_pid = sim.add_party(V0_POSITION, left)
         left.a1_pid = sim.add_party(V1_POSITION, right)

@@ -32,7 +32,7 @@ from posverif.adversary import (
     GuessingPair,
     TeleportPair,
 )
-from posverif.bits import dot_bits, encode_parts, int_to_bits, pack_bits, unpack_bits, xor_bits
+from posverif.bits import dot_bits, int_to_bits, unpack_bits, xor_bits
 from posverif.cli import main
 from posverif.nonlocal_game import (
     estimate_2of2_rate,
@@ -217,8 +217,8 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     pair = TeleportPair(8, 1)
     assert pair.entanglement_budget == 9
     trial = pair.new_trial(env, actor_seed=_seed(6, 2))
-    y_bytes, m = trial.u1(encode_parts(handle.key_id.encode()))
-    n_msg = trial.u2(encode_parts(pack_bits("1")))
+    y_bytes, m = trial.u1(handle)
+    n_msg = trial.u2("1")
     y1_bytes, ans1 = trial.u3(m)
     assert trial.pairs_used == 9
     assert y_bytes == y1_bytes and trial.u4(n_msg) == ans1

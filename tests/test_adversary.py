@@ -11,7 +11,6 @@ from posverif.adversary import (
     TeleportPair,
     make_attack,
 )
-from posverif.bits import encode_parts, pack_bits
 from posverif.errors import (
     BudgetExceeded,
     ConfigInvalid,
@@ -160,8 +159,8 @@ class TestTeleportAttack:
         pair = TeleportPair(8, 1)
         assert pair.entanglement_budget == 9
         trial = pair.new_trial(env, actor_seed=77)
-        y_bytes, m = trial.u1(encode_parts(handle.key_id.encode()))
-        n_msg = trial.u2(encode_parts(pack_bits("1")))
+        y_bytes, m = trial.u1(handle)
+        n_msg = trial.u2("1")
         y1_bytes, ans1 = trial.u3(m)
         ans0 = trial.u4(n_msg)
         assert trial.pairs_used == 9
@@ -174,8 +173,8 @@ class TestTeleportAttack:
         env = TrialEnv(puz, handle, trapdoor)
         for challenge in ("0", "1"):
             trial = TeleportPair(6, 1).new_trial(env, actor_seed=78)
-            _, m = trial.u1(encode_parts(handle.key_id.encode()))
-            n_msg = trial.u2(encode_parts(pack_bits(challenge)))
+            _, m = trial.u1(handle)
+            n_msg = trial.u2(challenge)
             _, ans1 = trial.u3(m)
             assert trial.u4(n_msg) == ans1
 

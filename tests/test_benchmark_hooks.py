@@ -22,13 +22,21 @@ def _load_spans():
 def test_instrumentation_wraps_and_restores():
     spans = _load_spans()
     original = posverif.protocol.run_prpv
-    puzzle = posverif.puzzle
-    # the puzzle.verify span rests on the two verify methods alone
+    puzzle, protocol, adversary = (posverif.puzzle, posverif.protocol,
+                                   posverif.adversary)
+    # the puzzle.verify span rests on the two verify methods alone; the
+    # adversary.* spans and the replica count on the trial handlers and
+    # the adapters that call them
+    trials = (adversary._GuessingTrial, adversary._ClassicalForwardTrial,
+              adversary._ForwardingTrial, adversary._TeleportTrial)
     methods = {(cls, name): vars(cls)[name] for cls, name in (
         (posverif.spacetime.Simulation, "run"),
         (posverif.spacetime.Simulation, "add_party"),
         (puzzle.BasePuzzle, "verify"),
         (puzzle.RepeatedPuzzle, "verify"),
+        (protocol._LeftAdversaryBehavior, "on_receive"),
+        (protocol._RightAdversaryBehavior, "on_receive"),
+        *((cls, u) for cls in trials for u in ("u1", "u2", "u3", "u4")),
     )}
     with spans.Instrumentation(posverif, spans.Recorder()):
         assert posverif.protocol.run_prpv is not original

@@ -2,6 +2,7 @@
 byte-identical reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -222,6 +223,13 @@ class TestOutputHandling:
         row = payload["rows"][0]
         assert list(row) == sorted(row)
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "rows.csv"
+        code, _, err = run_cli(capsys, "poq", "--trials", "5",
+                               "--out", str(target))
+        assert code == 2
+        assert "cannot write" in err
+
     def test_bad_format_from_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("format=yaml\n")
@@ -284,6 +292,13 @@ class TestOptionPrecedence:
                              "/nonexistent/run.cfg")
         assert code == 2
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, "poq", "--config", str(cfg))
+        assert code == 2
+        assert "cannot read config file" in err
+
     def test_bad_workers_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "poq", "--trials", "10",
                              "--workers", "0")
@@ -332,3 +347,38 @@ class TestModuleEntryPoint:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
+
+
+def run_module(*argv, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "posverif.cli", *argv],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, **env})
+
+
+class TestOneResolutionPath:
+    """A bad value from the config file or $POSVERIF_SEED is a usage
+    error, exactly like the same bad flag."""
+
+    def test_bad_config_integer_fails_like_bad_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=x\n")
+        from_file = run_module("poq", "--config", str(cfg))
+        from_flag = run_module("poq", "--trials", "x")
+        assert from_file.returncode == from_flag.returncode == 2
+        assert "trials" in from_file.stderr
+
+    def test_bad_env_seed_exits_2(self):
+        proc = run_module("poq", "--trials", "5", POSVERIF_SEED="abc")
+        assert proc.returncode == 2
+        assert "seed" in proc.stderr
+
+    def test_bad_env_seed_unread_when_seed_given(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\n")
+        by_flag = run_module("poq", "--trials", "5", "--seed", "5",
+                             POSVERIF_SEED="abc")
+        by_file = run_module("poq", "--trials", "5", "--config", str(cfg),
+                             POSVERIF_SEED="abc")
+        assert by_flag.returncode == by_file.returncode == 0
+        assert by_flag.stdout == by_file.stdout

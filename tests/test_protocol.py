@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from posverif.adversary import make_attack
-from posverif.bits import pack_bits, unpack_bits, xor_bits
+from posverif.bits import encode_parts, pack_bits, unpack_bits, xor_bits
 from posverif.errors import ConfigInvalid, InvalidTrials, LengthMismatch
 from posverif.protocol import (
     ANS0_DEADLINE,
@@ -70,13 +70,13 @@ class StubForwardPair:
             def __init__(self):
                 self.challenge = None
 
-            def u1(self, pk_body):
-                ys, _ = classical_reply_y(env.handle, tape0)
-                return encode_obligations(ys), env.handle.key_id.encode()
+            def u1(self, handle):
+                ys, _ = classical_reply_y(handle, tape0)
+                return encode_obligations(ys), handle.key_id.encode()
 
-            def u2(self, challenge_body):
-                self.challenge, _ = unpack_bits(challenge_body[4:])
-                return challenge_body
+            def u2(self, challenge):
+                self.challenge = challenge
+                return encode_parts(pack_bits(challenge))
 
             def u3(self, m_body):
                 handle = env.resolve(m_body.decode())
