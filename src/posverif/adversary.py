@@ -35,7 +35,7 @@ from .puzzle import (
     encode_obligations,
 )
 from . import qsim
-from .rng import Rng, child_seed
+from .rng import Rng, Uniforms, child_seed
 
 FORWARD_COMPILER_MAX_K = 8
 
@@ -245,32 +245,41 @@ class TeleportPair:
 
 
 def _teleport_register(state: qsim.StateVector, rng: Rng):
-    """Teleport every qubit of a state, one EPR pair at a time; peak
-    width stays at (state width + 2) qubits.
+    """Teleport every qubit of every row of a stacked state, each row
+    through its own EPR pairs, one qubit step for all rows at a time; peak
+    width stays at (state width + 2) qubits per row.
 
-    Returns (k0, k1, remote state): XOR k0 into standard-basis outcomes
-    and k1 into Hadamard-basis outcomes of the remote register, in the
+    The rng draws are taken up front in per-instance order (row by row,
+    then step by step, source before local), so each row's outcomes equal
+    those of teleporting that row alone. Returns (k0s, k1s, remote stack),
+    one k0 and k1 string per row: XOR k0 into standard-basis outcomes and
+    k1 into Hadamard-basis outcomes of the remote register, in the
     original qubit order.
     """
     width = state.q
+    rows = len(state.amps)
+    draws = [rng.random() for _ in range(2 * width * rows)]
     working = qsim.merge_registers(state, state.names(), "src")
-    k0 = []
-    k1 = []
+    k0_steps = []
+    k1_steps = []
     for j in range(width):
         rest = width - j - 1
         if rest:
             working = qsim.split_register(working, "src", (("q", 1), ("src", rest)))
         else:
             working = qsim.merge_registers(working, ("src",), "q")
-        working = qsim.tensor(working, qsim.make_epr_pairs(1))
-        bit0, bit1, working = qsim.teleport(working, "q", "S", rng)
-        k0.append(bit0)
-        k1.append(bit1)
+        pairs = qsim.stack([qsim.make_epr_pairs(1) for _ in range(rows)])
+        working = qsim.tensor(working, pairs)
+        step = Uniforms(draws[2 * j::2 * width] + draws[2 * j + 1::2 * width])
+        bits0, bits1, working = qsim.teleport(working, "q", "S", step)
+        k0_steps.append(bits0)
+        k1_steps.append(bits1)
         if j == 0:
             working = qsim.merge_registers(working, ("R",), "rem")
         else:
             working = qsim.merge_registers(working, ("rem", "R"), "rem")
-    return "".join(k0), "".join(k1), working
+    return (["".join(bits) for bits in zip(*k0_steps)],
+            ["".join(bits) for bits in zip(*k1_steps)], working)
 
 
 def _corrected_answers(challenge: str, raws, k0s, k1s):
@@ -293,26 +302,22 @@ class _TeleportTrial:
         self.budget = budget
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
-        self._remote: list[qsim.StateVector] = []  # right-device registers
+        self._remote: qsim.StateVector | None = None  # right-device rows
         self._k0s: list[str] = []
         self._k1s: list[str] = []
         self._challenge: str | None = None
         self._raws: list[str] | None = None
 
     def u1(self, handle):
-        rng = self.left_rng
-        ys, states = self.env.obligate(rng)
-        for state in states:
-            self.pairs_used += self.width
-            if self.pairs_used > self.budget:
-                raise BudgetExceeded(
-                    f"EPR budget {self.budget} exhausted after "
-                    f"{self.pairs_used - self.width} pairs"
-                )
-            k0, k1, remote = _teleport_register(state, rng)
-            self._remote.append(remote)
-            self._k0s.append(k0)
-            self._k1s.append(k1)
+        ys, state = self.env.obligate(self.left_rng)
+        needed = len(ys) * self.width
+        if self.pairs_used + needed > self.budget:
+            raise BudgetExceeded(
+                f"teleporting {len(ys)} instances needs {needed} EPR pairs; "
+                f"{self.budget - self.pairs_used} of the budget {self.budget} are left"
+            )
+        self.pairs_used += needed
+        self._k0s, self._k1s, self._remote = _teleport_register(state, self.left_rng)
         y_bytes = encode_obligations(ys)
         m = encode_parts(
             y_bytes,
@@ -322,13 +327,12 @@ class _TeleportTrial:
         return y_bytes, m
 
     def u2(self, challenge: str) -> bytes:
-        rng = self.right_rng
-        raws = []
-        for b, remote in zip(challenge, self._remote):
-            if b == "1":
-                remote = qsim.apply_hadamard(remote, "rem")
-            record, _ = qsim.measure(remote, "rem", rng)
-            raws.append(record.outcome)
+        ones = [i for i, b in enumerate(challenge) if b == "1"]
+        remote = self._remote
+        if ones:
+            remote = qsim.apply_hadamard(remote, "rem", ones)
+        records, _ = qsim.measure(remote, "rem", self.right_rng)
+        raws = [record.outcome for record in records]
         self._challenge = challenge
         self._raws = raws
         return encode_parts(pack_bits(challenge), pack_bits("".join(raws)))

@@ -29,7 +29,7 @@ from .bits import (
     xor_bits,
 )
 from .errors import InvalidN, LengthMismatch, TagMismatch, WrongStateShape
-from .rng import mix64
+from .rng import Uniforms, mix64
 
 N_MIN = 2
 N_MAX = 12
@@ -178,29 +178,26 @@ class BasePuzzle:
         (y, state) equals the measured oracle circuit; run_obligate_circuit
         is the cross-check.
         """
-        x0 = rng.bits(self.n)
-        y = handle.eval("0", x0)
-        x1 = env.inv("1", y)
+        y, x0, x1 = self._claw(handle, env, rng)
         return y, qsim.prepare_claw_state(x0, x1)
 
-    def _check_state(self, state: qsim.StateVector):
-        if state.regs != (("bit", 1), ("preimage", self.n)):
+    def _claw(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, str, str]:
+        x0 = rng.bits(self.n)
+        y = handle.eval("0", x0)
+        return y, x0, env.inv("1", y)
+
+    def _check_state(self, state: qsim.StateVector, rows: tuple[int, ...] = ()):
+        if state.regs != (("bit", 1), ("preimage", self.n)) or state.amps.shape[:-1] != rows:
+            shape = f"{rows[0]} rows of " if rows else ""
             raise WrongStateShape(
-                f"expected registers bit(1), preimage({self.n}), got {state.regs}"
+                f"expected {shape}registers bit(1), preimage({self.n}), got {state!r}"
             )
 
     def solve(self, handle: PublicHandle, y: str, state: qsim.StateVector, challenge: str, rng) -> Answer:
         """Honest quantum solver: measure straight or in the Hadamard basis."""
         _check_bit(challenge)
         self._check_state(state)
-        if challenge == "0":
-            rec_bit, rest = qsim.measure(state, "bit", rng)
-            rec_pre, _ = qsim.measure(rest, "preimage", rng)
-            return Preimage(rec_bit.outcome, rec_pre.outcome)
-        h = qsim.apply_hadamard(qsim.apply_hadamard(state, "bit"), "preimage")
-        rec_c, rest = qsim.measure(h, "bit", rng)
-        rec_d, _ = qsim.measure(rest, "preimage", rng)
-        return Equation(rec_c.outcome, rec_d.outcome)
+        return _solve_rows(qsim.stack([state]), challenge, rng)[0]
 
     def verify(self, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
         _check_bit(challenge)
@@ -217,6 +214,30 @@ class BasePuzzle:
         if is_zero(answer.d):
             return False
         return dot_bits(answer.d, env.key.s) == int(answer.c, 2)
+
+
+def _solve_rows(state: qsim.StateVector, bits: str, rng) -> tuple[Answer, ...]:
+    """Honest answers for a stack of claw states, one challenge bit per row.
+
+    Rows whose bit is 1 turn to the Hadamard basis. Both registers are
+    then measured over the whole stack, each row drawing from rng in
+    per-instance order: bit, then preimage, row by row. Several rows take
+    their draws up front; a single row's order is already that of rng.
+    """
+    bit_draws = preimage_draws = rng
+    if len(bits) > 1:
+        draws = [rng.random() for _ in range(2 * len(bits))]
+        bit_draws, preimage_draws = Uniforms(draws[0::2]), Uniforms(draws[1::2])
+    if "1" in bits:
+        ones = [i for i, b in enumerate(bits) if b == "1"]
+        state = qsim.apply_hadamard(state, "bit", ones)
+        state = qsim.apply_hadamard(state, "preimage", ones)
+    firsts, rest = qsim.measure(state, "bit", bit_draws)
+    seconds, _ = qsim.measure(rest, "preimage", preimage_draws)
+    return tuple([
+        (Equation if b == "1" else Preimage)(first.outcome, second.outcome)
+        for b, first, second in zip(bits, firsts, seconds)
+    ])
 
 
 def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
@@ -275,6 +296,11 @@ class RepeatedPuzzle:
     (challenge length 1); False gives each instance a fresh bit (challenge
     length k). Verification is the AND over instances. k=1 behaves exactly
     like the base puzzle either way.
+
+    The k claw states travel as one qsim stack, row i holding instance i;
+    obligate builds it and solve measures it in one pass per register.
+    Obligations, answers and rng draws equal those of k base puzzles run
+    one after another.
     """
 
     def __init__(self, n: int, k: int, shared_challenge: bool):
@@ -289,38 +315,40 @@ class RepeatedPuzzle:
     def sample_challenge(self, rng) -> str:
         return rng.bits(self.challenge_len)
 
-    def _instance_bit(self, challenge: str, i: int) -> str:
+    def _instance_bits(self, challenge: str) -> str:
+        """The challenge bit of each instance, in instance order."""
         if len(challenge) != self.challenge_len:
             raise LengthMismatch(
                 f"challenge width {len(challenge)} != {self.challenge_len}"
             )
-        return challenge[0] if self.shared_challenge else challenge[i]
+        return challenge * self.k if self.shared_challenge else challenge
 
     def keygen(self, rng) -> tuple[MultiHandle, MultiTrapdoor]:
         pairs = [self.base.keygen(rng) for _ in range(self.k)]
         return MultiHandle(tuple(h for h, _ in pairs)), MultiTrapdoor(tuple(t for _, t in pairs))
 
     def obligate(self, handle: MultiHandle, env: MultiTrapdoor, rng):
-        ys = []
-        states = []
-        for h, t in zip(handle.parts, env.parts):
-            y, state = self.base.obligate(h, t, rng)
-            ys.append(y)
-            states.append(state)
-        return tuple(ys), states
+        """Sample the k obligations, instance by instance as the base
+        puzzle would, and the stack of their claw states, one row each."""
+        ys, x0s, x1s = zip(*(self.base._claw(h, t, rng)
+                             for h, t in zip(handle.parts, env.parts)))
+        return ys, qsim.prepare_claw_state(x0s, x1s)
 
-    def solve(self, handle: MultiHandle, ys, states, challenge: str, rng) -> tuple[Answer, ...]:
-        return tuple(
-            self.base.solve(h, y, st, self._instance_bit(challenge, i), rng)
-            for i, (h, y, st) in enumerate(zip(handle.parts, ys, states))
-        )
+    def solve(self, handle: MultiHandle, ys, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
+        """Solve all k instances over their stacked claw states; answers
+        and rng draws equal k base-puzzle solves in instance order."""
+        bits = self._instance_bits(challenge)
+        for b in set(bits):
+            _check_bit(b)
+        self.base._check_state(state, (self.k,))
+        return _solve_rows(state, bits, rng)
 
     def verify(self, env: MultiTrapdoor, ys, challenge: str, answers) -> bool:
         if len(ys) != self.k or len(answers) != self.k:
             raise LengthMismatch(f"expected {self.k} obligations and answers")
         return all(
-            self.base.verify(t, y, self._instance_bit(challenge, i), a)
-            for i, (t, y, a) in enumerate(zip(env.parts, ys, answers))
+            self.base.verify(t, y, b, a)
+            for t, y, b, a in zip(env.parts, ys, self._instance_bits(challenge), answers)
         )
 
 

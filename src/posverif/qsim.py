@@ -10,9 +10,17 @@ most significant bit first; a basis index is that string read as binary.
 All operations return fresh StateVector values; nothing mutates in place
 except through SharedState/ScopedState, which exist to model two parties
 holding registers of one entangled state.
+
+Amplitudes of shape (2^q,) are one state; amplitudes of shape (rows, 2^q)
+are a stack of independent states over the same registers, one per row.
+The Hadamard, CNOT, Born-rule, measurement and tensor kernels act on every
+row of a stack in one numpy pass, and a single state is their batch-free
+case: the same code, with no row axis.
 """
 
-from dataclasses import dataclass
+import functools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +37,37 @@ Q_MAX = 24
 TOL = 1e-12
 _INV_SQRT2 = 2.0**-0.5
 
+# NumPy gives each ufunc operand that it cannot walk as one strided run an
+# iteration buffer of up to getbufsize() elements, allocated and freed on
+# every call: 128 KiB of complex128 at the default 8192. Teleporting a
+# stack (k=4 rows of 11 qubits at n=8) made the C heap return such blocks
+# to the OS and fault them back in call after call, about 400 minor page
+# faults per teleport run on glibc. So tensor, bell_circuit and teleport,
+# whose states carry the two EPR qubits, run with _BUFSIZE-element buffers
+# once their first state holds that many amplitudes. Other kernels keep
+# the default: smaller buffers slow their einsum and gain nothing at the
+# sizes the claw states reach.
+_BUFSIZE = 2048
+
+
+def _small_buffers(kernel):
+    """Run kernel with ufunc buffers of _BUFSIZE elements when its first
+    state holds at least that many amplitudes."""
+
+    @functools.wraps(kernel)
+    def run(state, *args, **kwargs):
+        if state.amps.size < _BUFSIZE or np.getbufsize() <= _BUFSIZE:
+            return kernel(state, *args, **kwargs)
+        with np.errstate():
+            np.setbufsize(_BUFSIZE)
+            return kernel(state, *args, **kwargs)
+
+    return run
+
 
 class StateVector:
-    """Pure state over an ordered tuple of named registers."""
+    """Pure state, or stack of pure states, over an ordered tuple of named
+    registers."""
 
     __slots__ = ("amps", "regs", "q")
 
@@ -40,34 +76,27 @@ class StateVector:
         self.amps = amps
         self.q = sum(w for _, w in self.regs)
         if check:
-            norm = float(np.vdot(amps, amps).real)
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"state norm {norm} is not 1")
+            norms = np.einsum("...i,...i->...", amps, amps.conj()).real
+            for row, norm in enumerate(np.atleast_1d(norms)):
+                if abs(norm - 1.0) > 1e-9:
+                    raise ValueError(f"state norm {norm} of row {row} is not 1")
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.regs)
 
     def width(self, register: str) -> int:
-        for name, w in self.regs:
-            if name == register:
-                return w
-        raise UnknownRegister(f"no register named {register!r}")
+        return _spans(self, register)[1]
 
     def offset(self, register: str) -> int:
-        off = 0
-        for name, w in self.regs:
-            if name == register:
-                return off
-            off += w
-        raise UnknownRegister(f"no register named {register!r}")
+        return _spans(self, register)[0]
 
     def __repr__(self):
         spec = ", ".join(f"{name}:{w}" for name, w in self.regs)
-        return f"StateVector({spec})"
+        rows = f"; {len(self.amps)} rows" if self.amps.ndim > 1 else ""
+        return f"StateVector({spec}{rows})"
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     register: str
     outcome: str
     probability: float
@@ -99,111 +128,172 @@ def new_state(registers) -> StateVector:
     return StateVector(regs, amps, check=False)
 
 
-def prepare_claw_state(x0: str, x1: str) -> StateVector:
-    """(|0,x0> + |1,x1>)/sqrt(2) over registers bit(1), preimage(n)."""
-    if len(x0) != len(x1):
-        raise LengthMismatch(f"preimage lengths {len(x0)} and {len(x1)} differ")
-    n = len(x0)
-    _check_regs((("bit", 1), ("preimage", n)))
-    amps = np.zeros(1 << (n + 1), dtype=np.complex128)
-    amps[int(x0, 2)] = _INV_SQRT2
-    amps[(1 << n) | int(x1, 2)] = _INV_SQRT2
-    return StateVector((("bit", 1), ("preimage", n)), amps, check=False)
+def prepare_claw_state(x0, x1) -> StateVector:
+    """(|0,x0> + |1,x1>)/sqrt(2) over registers bit(1), preimage(n).
+
+    Given two equal-length sequences of preimages instead of two strings,
+    returns the stack of claw states, one row per (x0, x1) pair.
+    """
+    stacked = not isinstance(x0, str)
+    x0s, x1s = (x0, x1) if stacked else ((x0,), (x1,))
+    if len(x0s) != len(x1s):
+        raise LengthMismatch(f"{len(x0s)} x0 preimages but {len(x1s)} x1 preimages")
+    n = len(x0s[0])
+    regs = (("bit", 1), ("preimage", n))
+    _check_regs(regs)
+    size = 2 << n
+    amps = np.zeros(len(x0s) * size, dtype=np.complex128)
+    for start, a, b in zip(range(0, amps.size, size), x0s, x1s):
+        if len(a) != n or len(b) != n:
+            raise LengthMismatch(f"preimage lengths {len(a)} and {len(b)} differ from {n}")
+        amps[start + int(a, 2)] = amps[start + (1 << n) + int(b, 2)] = _INV_SQRT2
+    return StateVector(regs, amps.reshape(len(x0s), size) if stacked else amps, check=False)
 
 
 def _spans(state: StateVector, register: str) -> tuple[int, int, int]:
-    off = state.offset(register)
-    w = state.width(register)
-    return off, w, state.q - off - w
+    """Qubits before the register, in it and after it."""
+    off = 0
+    for name, w in state.regs:
+        if name == register:
+            return off, w, state.q - off - w
+        off += w
+    raise UnknownRegister(f"no register named {register!r}")
 
 
-def _h_qubit(amps: np.ndarray, q: int, pos: int) -> np.ndarray:
-    cube = amps.reshape(1 << pos, 2, 1 << (q - pos - 1))
-    out = np.empty_like(cube)
-    a0 = cube[:, 0, :]
-    a1 = cube[:, 1, :]
-    np.multiply(a0 + a1, _INV_SQRT2, out=out[:, 0, :])
-    np.multiply(a0 - a1, _INV_SQRT2, out=out[:, 1, :])
-    return out.reshape(-1)
+def _h_qubit(amps: np.ndarray, q: int, pos: int, out: np.ndarray) -> np.ndarray:
+    """Hadamard on qubit pos of every row of amps, written into out."""
+    cube = amps.reshape(-1, 2, 1 << (q - pos - 1))
+    dst = out.reshape(cube.shape)
+    np.add(cube[:, 0], cube[:, 1], out=dst[:, 0])
+    np.subtract(cube[:, 0], cube[:, 1], out=dst[:, 1])
+    dst *= _INV_SQRT2
+    return out
 
 
-def apply_hadamard(state: StateVector, register: str) -> StateVector:
-    """Hadamard on every qubit of the register."""
+def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
+    """Hadamard on every qubit of the register.
+
+    On a stack, rows (a list of row indices) limits it to those rows;
+    None means every row.
+    """
     off, w, _ = _spans(state, register)
-    amps = state.amps
+    if rows is not None and state.amps.ndim == 1:
+        raise ValueError("rows select rows of a stack; this is a single state")
+    if rows is not None and len(rows) == len(state.amps):
+        rows = None
+    part = state.amps if rows is None else state.amps[rows]
+    spare = None  # a buffer of this call's own that the next qubit may reuse
     for j in range(w):
-        amps = _h_qubit(amps, state.q, off + j)
+        out = np.empty_like(part) if spare is None else spare
+        spare = part if j or rows is not None else None
+        part = _h_qubit(part, state.q, off + j, out)
+    if rows is None:
+        return StateVector(state.regs, part, check=False)
+    amps = state.amps.copy()
+    amps[rows] = part
     return StateVector(state.regs, amps, check=False)
 
 
 def _cnot(amps: np.ndarray, q: int, control: int, target: int) -> np.ndarray:
-    psi = amps.reshape([2] * q).copy()
-    idx = [slice(None)] * q
-    idx[control] = 1
-    sub_target_axis = target - (1 if control < target else 0)
-    psi[tuple(idx)] = np.flip(psi[tuple(idx)], axis=sub_target_axis)
-    return psi.reshape(-1)
+    lo, hi = min(control, target), max(control, target)
+    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << (q - hi - 1))
+    src = amps.reshape(shape)
+    out = amps.copy()
+    flipped = out.reshape(shape)
+    if control < target:
+        flipped[:, 1] = src[:, 1, :, ::-1]
+    else:
+        flipped[:, :, :, 1] = src[:, ::-1, :, 1]
+    return out
 
 
 def _born(state: StateVector, register: str):
-    """The amplitudes as a (before, register, after) cube, the register's
-    Born probabilities and its width."""
+    """The amplitudes as a (row, before, register, after) cube, the
+    register's Born probabilities per row and its width; a single state
+    is one row."""
     off, w, post = _spans(state, register)
-    cube = state.amps.reshape(1 << off, 1 << w, 1 << post)
-    return cube, np.einsum("iok,iok->o", cube, cube.conj()).real, w
+    cube = state.amps.reshape(-1, 1 << off, 1 << w, 1 << post)
+    return cube, np.einsum("biok,biok->bo", cube, cube.conj()).real, w
+
+
+def _per_row(state: StateVector, values: tuple):
+    """values, one per row, for a stack; the only value for a single state."""
+    return values if state.amps.ndim > 1 else values[0]
 
 
 def _project(state: StateVector, register: str, cube: np.ndarray,
-             outcome_index: int, prob: float) -> StateVector:
-    residual = (cube[:, outcome_index, :] / np.sqrt(prob)).reshape(-1)
+             outcomes: list[int], probs: list[float]) -> StateVector:
+    """Each row renormalized onto its outcome, of Born probability probs
+    in that row, with the register dropped."""
+    rows = len(outcomes)
+    o = outcomes[0]
+    if outcomes.count(o) == rows:
+        picked = cube[:, :, o, :]
+    else:
+        picked = cube[np.arange(rows), :, outcomes, :]
+    if rows == 1:
+        scale = 1.0 / math.sqrt(probs[0])
+    else:
+        scale = (1.0 / np.sqrt(probs)).reshape(rows, 1, 1)
+    residual = picked * scale
     regs = tuple(r for r in state.regs if r[0] != register)
-    return StateVector(regs, residual, check=False)
+    return StateVector(regs, residual.reshape(state.amps.shape[:-1] + (-1,)),
+                       check=False)
 
 
-def measurement_distribution(state: StateVector, register: str) -> dict[str, float]:
-    """Exact Born probabilities of standard-basis outcomes on the register.
+def measurement_distribution(state: StateVector, register: str):
+    """Exact Born probabilities of standard-basis outcomes on the register,
+    as a dict (one per row for a stack).
 
     Outcomes with probability <= 1e-12 are omitted, so the keys are the
     support of the distribution.
     """
     _, probs, w = _born(state, register)
-    return {
-        int_to_bits(o, w): float(p) for o, p in enumerate(probs) if p > TOL
-    }
+    return _per_row(state, tuple(
+        {int_to_bits(o, w): float(p) for o, p in enumerate(row) if p > TOL}
+        for row in probs))
 
 
-def measure(state: StateVector, register: str, rng) -> tuple[MeasurementRecord, StateVector]:
+def measure(state: StateVector, register: str, rng):
     """Standard-basis measurement of a whole register.
 
-    Draws one uniform real from rng and walks the outcome CDF in index
-    order, so a seed fully determines the outcome. The measured register
-    is dropped from the residual state.
+    Draws one uniform real from rng per row, in row order, and walks that
+    row's outcome CDF in index order, so a seed fully determines the
+    outcomes: the first outcome whose CDF exceeds the uniform, or the last
+    outcome of nonzero probability if the uniform lies at or past the end
+    of the CDF or the outcome found has probability zero. The measured
+    register is dropped from the residual state. Returns (record,
+    residual); on a stack, one record per row.
     """
     cube, probs, w = _born(state, register)
-    cdf = np.cumsum(probs)
-    u = rng.random()
-    o = int(np.searchsorted(cdf, u, side="right"))
-    if o >= len(probs) or probs[o] <= 0.0:
-        o = int(np.max(np.nonzero(probs > 0.0)[0]))
-    p = float(probs[o])
-    record = MeasurementRecord(register, int_to_bits(o, w), p)
-    return record, _project(state, register, cube, o, p)
+    outcomes, ps, records = [], [], []
+    for row, cdf in zip(probs, probs.cumsum(axis=1)):
+        o = int(cdf.searchsorted(rng.random(), "right"))
+        if o >= len(row) or row[o] <= 0.0:
+            o = int(np.nonzero(row > 0.0)[0][-1])
+        p = float(row[o])
+        outcomes.append(o)
+        ps.append(p)
+        records.append(MeasurementRecord(register, int_to_bits(o, w), p))
+    return (_per_row(state, tuple(records)),
+            _project(state, register, cube, outcomes, ps))
 
 
-def collapse(state: StateVector, register: str, outcome: str) -> tuple[float, StateVector]:
+def collapse(state: StateVector, register: str, outcome: str):
     """Deterministic projection onto one outcome; test-oracle plumbing.
 
-    Returns the Born probability and the renormalized residual state.
-    Raises ValueError if the outcome has (numerically) zero weight.
+    Returns the Born probability (one per row for a stack) and the
+    renormalized residual state. Raises ValueError if the outcome has
+    (numerically) zero weight in some row.
     """
     cube, probs, w = _born(state, register)
     if len(outcome) != w:
         raise LengthMismatch(f"outcome width {len(outcome)} != register width {w}")
     o = int(outcome, 2)
-    p = float(probs[o])
-    if p <= TOL:
+    if np.any(probs[:, o] <= TOL):
         raise ValueError(f"outcome {outcome} has zero probability")
-    return p, _project(state, register, cube, o, p)
+    ps = [float(row[o]) for row in probs]
+    return _per_row(state, tuple(ps)), _project(state, register, cube, [o] * len(ps), ps)
 
 
 def make_epr_pairs(count: int) -> StateVector:
@@ -219,6 +309,7 @@ def make_epr_pairs(count: int) -> StateVector:
     return StateVector((("R", count), ("S", count)), amps, check=False)
 
 
+@_small_buffers
 def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector:
     """Deterministic half of teleportation: pairwise CNOT then H on source.
 
@@ -243,7 +334,8 @@ def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector
     return apply_hadamard(working, source)
 
 
-def teleport(state: StateVector, source: str, epr_local: str, rng) -> tuple[str, str, StateVector]:
+@_small_buffers
+def teleport(state: StateVector, source: str, epr_local: str, rng):
     """Teleport the source register through local EPR halves.
 
     Bell-measures each (source qubit, epr_local qubit) pair: CNOT from
@@ -251,19 +343,39 @@ def teleport(state: StateVector, source: str, epr_local: str, rng) -> tuple[str,
     Returns (k0, k1, residual): k0 is the epr_local outcome (X corrections,
     XOR it into remote standard-basis results), k1 the source outcome
     (Z corrections, XOR it into remote Hadamard-basis results). The remote
-    halves now hold X^k0 Z^k1 applied to the former source state.
+    halves now hold X^k0 Z^k1 applied to the former source state. On a
+    stack, rng gives one uniform per row for source, then one per row for
+    epr_local, and k0 and k1 are tuples with one outcome per row.
     """
     working = bell_circuit(state, source, epr_local)
     rec_src, working = measure(working, source, rng)
     rec_loc, working = measure(working, epr_local, rng)
-    return rec_loc.outcome, rec_src.outcome, working
+    if state.amps.ndim == 1:
+        return rec_loc.outcome, rec_src.outcome, working
+    return (tuple(r.outcome for r in rec_loc), tuple(r.outcome for r in rec_src),
+            working)
 
 
+@_small_buffers
 def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Joint state with a's registers before b's."""
+    """Joint state with a's registers before b's.
+
+    Two stacks join row by row; a single state joins every row of a stack.
+    """
     regs = a.regs + b.regs
     _check_regs(regs)
-    return StateVector(regs, np.outer(a.amps, b.amps).reshape(-1), check=False)
+    joint = a.amps[..., :, None] * b.amps[..., None, :]
+    return StateVector(regs, joint.reshape(joint.shape[:-2] + (-1,)), check=False)
+
+
+def stack(states) -> StateVector:
+    """Stack single states over the same registers, one row each."""
+    states = tuple(states)
+    regs = states[0].regs
+    for s in states:
+        if s.regs != regs or s.amps.ndim != 1:
+            raise ValueError(f"cannot stack {s!r} under {states[0]!r}")
+    return StateVector(regs, np.stack([s.amps for s in states]), check=False)
 
 
 def split_register(state: StateVector, register: str, parts) -> StateVector:
@@ -304,7 +416,7 @@ def merge_registers(state: StateVector, names, new_name: str) -> StateVector:
 def permute_basis(state: StateVector, new_index_of_old: np.ndarray) -> StateVector:
     """Apply a basis permutation (a classical reversible map) to the state."""
     amps = np.zeros_like(state.amps)
-    amps[new_index_of_old] = state.amps
+    amps[..., new_index_of_old] = state.amps
     return StateVector(state.regs, amps, check=False)
 
 

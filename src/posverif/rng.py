@@ -64,3 +64,16 @@ class Rng:
             out.append(format(self.next_u64() >> (64 - take), f"0{take}b"))
             remaining -= take
         return "".join(out)
+
+
+class Uniforms:
+    """Pre-drawn uniforms served in order, one per random() call.
+
+    Lets one stacked measurement take its per-row draws in the order that
+    separate per-instance measurements would have made them.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
