@@ -16,22 +16,11 @@ tops out, against the honest prover's completeness:
 
 from posverif.adversary import make_attack
 from posverif.protocol import HonestProver, ProtocolConfig, estimate_acceptance, run_prpv
-from posverif.stats import (
-    classical_prover_rate,
-    guessing_rate,
-    honest_completeness,
-    teleport_rate,
-)
+from posverif.stats import honest_completeness
 
 n, k = 8, 2
 cfg = ProtocolConfig(n=n, k=k)
 trials = 1500
-theory = {
-    "guess": guessing_rate(n, k),
-    "forward_compiled_guess": guessing_rate(n, k),
-    "teleport": teleport_rate(n, k),
-    "classical_forward": classical_prover_rate(n, k),
-}
 
 honest = estimate_acceptance(cfg, trials, seed=900, prover=HonestProver())
 print(f"timed protocol at n = {n}, k = {k}, {trials} trials each")
@@ -39,10 +28,10 @@ print("strategy                rate     95% interval        theory")
 print(f"{'honest prover':<22}  {honest.rate:.4f}   "
       f"[{honest.ci_low:.4f}, {honest.ci_high:.4f}]    {honest_completeness(n, k):.4f}")
 for name in ("guess", "forward_compiled_guess", "teleport", "classical_forward"):
-    tally = estimate_acceptance(cfg, trials, seed=901,
-                                adversaries=make_attack(name, cfg))
+    pair = make_attack(name, cfg)
+    tally = estimate_acceptance(cfg, trials, seed=901, adversaries=pair)
     print(f"{name:<22}  {tally.rate:.4f}   "
-          f"[{tally.ci_low:.4f}, {tally.ci_high:.4f}]    {theory[name]:.4f}")
+          f"[{tally.ci_low:.4f}, {tally.ci_high:.4f}]    {pair.rate(n, k):.4f}")
 
 # compiling the guessing pair is invisible run by run, not just on average
 plain = run_prpv(cfg, seed=77, adversaries=make_attack("guess", cfg)).verdict

@@ -17,29 +17,20 @@ from posverif.nonlocal_game import (
     reduce_to_2of2,
 )
 from posverif.puzzle import BasePuzzle
-from posverif.stats import (
-    honest_to_b_rate,
-    measure_and_guess_rate,
-    reduction_slack,
-)
+from posverif.stats import reduction_slack
 
 n = 8
 trials = 4000
 puz = BasePuzzle(n)
-theory = {
-    "measure_and_guess": measure_and_guess_rate(n),
-    "honest_to_B": honest_to_b_rate(n),
-    "brute_force": 1.0,
-    "always_fail": 0.0,
-}
 
 print(f"game win rates at n = {n}, {trials} trials each")
 print("strategy            rate     95% interval        theory")
 for name in ("measure_and_guess", "honest_to_B", "brute_force", "always_fail"):
     runs = 1000 if name == "brute_force" else trials
-    est = estimate_win_rate(puz, make_strategy(name, n), runs, seed=500)
+    strategy = make_strategy(name, n)
+    est = estimate_win_rate(puz, strategy, runs, seed=500)
     print(f"{name:<18}  {est.rate:.4f}   [{est.ci_low:.4f}, {est.ci_high:.4f}]"
-          f"    {theory[name]:.4f}")
+          f"    {strategy.win_rate(n):.4f}")
 
 # the reduction: a strategy winning with rate tau yields a 2-of-2 solver
 name = "measure_and_guess"

@@ -10,6 +10,8 @@ the original would have produced.
 
 Resource classes: R0 pairs share no entanglement, RF pairs additionally
 forward the challenge verbatim, RL pairs consume pre-shared EPR pairs.
+Each pair's rate(n, k) is the closed-form acceptance rate it reaches, or
+None where no closed form is known.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .puzzle import (
 )
 from . import qsim
 from .rng import Rng, Uniforms, child_seed
+from .stats import classical_prover_rate, guessing_rate, teleport_rate
 
 FORWARD_COMPILER_MAX_K = 8
 
@@ -59,6 +62,7 @@ class GuessingPair:
     klass = "R0"
     classical_tape = True
     entanglement_budget = 0
+    rate = staticmethod(guessing_rate)
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_GuessingTrial":
         return _GuessingTrial(env, actor_seed)
@@ -97,7 +101,8 @@ class ClassicalForwardPair:
     Both sides deterministically recompute the classical prover's
     replies from the shared tape; the right device forwards the
     challenge so the left one can answer it too.  Distinct tapes on the
-    two sides make the verifiers see conflicting bytes.
+    two sides make the verifiers see conflicting bytes, and no closed
+    form describes that pair.
     """
 
     name = "classical_forward"
@@ -108,6 +113,9 @@ class ClassicalForwardPair:
     def __init__(self, tape0: int | None = None, tape1: int | None = None):
         self.tape0 = tape0
         self.tape1 = tape1
+
+    def rate(self, n: int, k: int) -> float | None:
+        return classical_prover_rate(n, k) if self.tape0 == self.tape1 else None
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ClassicalForwardTrial":
         tape0 = self.tape0 if self.tape0 is not None else actor_seed
@@ -169,6 +177,9 @@ class ForwardingPair:
         self.inner = inner
         self.name = f"forward_compiled_{inner.name}"
 
+    def rate(self, n: int, k: int) -> float | None:
+        return self.inner.rate(n, k)  # every verdict is the inner pair's
+
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ForwardingTrial":
         width = env.puzzle.challenge_len
         if width > FORWARD_COMPILER_MAX_K:
@@ -221,6 +232,7 @@ class TeleportPair:
     name = "teleport"
     klass = "RL"
     classical_tape = False
+    rate = staticmethod(teleport_rate)
 
     def __init__(self, n: int, k: int, budget: int | None = None):
         required = k * (n + 1)
@@ -356,18 +368,19 @@ class _TeleportTrial:
         return encode_answers(answers)
 
 
-ATTACK_NAMES = ("guess", "forward_compiled_guess", "teleport",
-                "classical_forward")
+ATTACKS = {
+    "guess": lambda config: GuessingPair(),
+    "forward_compiled_guess": lambda config: ForwardingPair(GuessingPair()),
+    "teleport": lambda config: TeleportPair(config.n, config.k),
+    "classical_forward": lambda config: ClassicalForwardPair(),
+}
+ATTACK_NAMES = tuple(ATTACKS)
 
 
 def make_attack(name: str, config: ProtocolConfig):
     """Attack registry for experiment drivers."""
-    if name == "guess":
-        return GuessingPair()
-    if name == "forward_compiled_guess":
-        return ForwardingPair(GuessingPair())
-    if name == "teleport":
-        return TeleportPair(config.n, config.k)
-    if name == "classical_forward":
-        return ClassicalForwardPair()
-    raise UnknownAttack(f"unknown attack {name!r}; known: {ATTACK_NAMES}")
+    try:
+        build = ATTACKS[name]
+    except KeyError:
+        raise UnknownAttack(f"unknown attack {name!r}; known: {ATTACK_NAMES}") from None
+    return build(config)

@@ -44,14 +44,9 @@ from .puzzle import BasePuzzle
 from .rng import child_seed
 from .stats import (
     classical_prover_rate,
-    guessing_rate,
     honest_completeness,
-    honest_to_b_rate,
-    measure_and_guess_rate,
     reduction_slack,
-    teleport_rate,
     tally,
-    uniform_equation_rate,
     wilson_interval,
 )
 
@@ -150,31 +145,10 @@ def attack_rows(name: str, n: int, k: int, trials: int, seed: int,
                 workers: int) -> list[Row]:
     config = ProtocolConfig(n=n, k=k)
     pair = make_attack(name, config)
-    theory = {
-        "guess": guessing_rate(n, k),
-        "forward_compiled_guess": guessing_rate(n, k),
-        "teleport": teleport_rate(n, k),
-        "classical_forward": classical_prover_rate(n, k),
-    }[name]
     est = estimate_acceptance(config, trials, seed, adversaries=pair,
                               workers=workers)
     return [coverage_row(f"attack_{name}", n, k, est.successes, trials,
-                         theory)]
-
-
-_GAME_THEORY = {
-    "honest_to_B": honest_to_b_rate,
-    "measure_and_guess": measure_and_guess_rate,
-    "brute_force": lambda n: 1.0,
-    "always_fail": lambda n: 0.0,
-}
-
-_REDUCED_THEORY = {
-    "honest_to_B": uniform_equation_rate,
-    "measure_and_guess": uniform_equation_rate,
-    "brute_force": lambda n: 1.0,
-    "always_fail": lambda n: 0.0,
-}
+                         pair.rate(n, k))]
 
 
 def nonlocal_rows(name: str, n: int, trials: int, seed: int,
@@ -184,11 +158,11 @@ def nonlocal_rows(name: str, n: int, trials: int, seed: int,
     est = estimate_win_rate(puz, strategy, trials, child_seed(seed, 0),
                             workers)
     tau = coverage_row(f"game_{name}", n, 1, est.successes, trials,
-                       _GAME_THEORY[name](n))
+                       strategy.win_rate(n))
     est = estimate_2of2_rate(puz, reduce_to_2of2(strategy), trials,
                              child_seed(seed, 1), workers)
     reduced = coverage_row(f"reduced_{name}", n, 1, est.successes, trials,
-                           _REDUCED_THEORY[name](n))
+                           strategy.reduced_rate(n))
     sigma = reduction_slack(reduced.rate, trials, tau.rate, trials)
     bound = 2 * tau.rate - 1 - 5 * sigma
     return [tau, reduced,

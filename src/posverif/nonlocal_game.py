@@ -11,6 +11,8 @@ shared quantum state restricted to its own registers (touching the other
 side raises RegisterViolation) plus a read-only shared classical tape
 prepared in stage A. Answering both challenges of one obligation at once
 (the 2-of-2 reduction) reuses the same stage-A preparation.
+
+Each strategy states its closed forms: win_rate(n) and reduced_rate(n).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,8 @@ from .errors import LengthMismatch, TagMismatch, UnknownStrategy
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
 from .qsim import ScopedState, SharedState
 from .rng import Rng
-from .stats import Estimate, tally
+from .stats import (Estimate, honest_to_b_rate, measure_and_guess_rate, tally,
+                    uniform_equation_rate)
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,8 @@ class HonestToB:
     """B holds the whole claw state and solves honestly; C guesses blind."""
 
     name = "honest_to_B"
+    win_rate = staticmethod(honest_to_b_rate)
+    reduced_rate = staticmethod(uniform_equation_rate)
 
     def __init__(self, n: int):
         self.n = n
@@ -152,15 +157,12 @@ class HonestToB:
         return make_prep(y, SharedState(state), b_registers=("bit", "preimage"))
 
     def answer_b(self, view, tape, challenge, rng):
-        if challenge == "0":
-            bit = view.measure("bit", rng)
-            v = view.measure("preimage", rng)
-            return Preimage(bit.outcome, v.outcome)
-        view.apply_hadamard("bit")
-        view.apply_hadamard("preimage")
-        c = view.measure("bit", rng)
-        d = view.measure("preimage", rng)
-        return Equation(c.outcome, d.outcome)
+        if challenge == "1":
+            view.apply_hadamard("bit")
+            view.apply_hadamard("preimage")
+        bit = view.measure("bit", rng).outcome
+        preimage = view.measure("preimage", rng).outcome
+        return Equation(bit, preimage) if challenge == "1" else Preimage(bit, preimage)
 
     def answer_c(self, view, tape, challenge, rng):
         return uniform_answer_guess(self.n, challenge, rng)
@@ -174,6 +176,8 @@ class MeasureAndGuess:
     """
 
     name = "measure_and_guess"
+    win_rate = staticmethod(measure_and_guess_rate)
+    reduced_rate = staticmethod(uniform_equation_rate)
 
     def __init__(self, n: int):
         self.n = n
@@ -203,6 +207,7 @@ class BruteForce:
     """
 
     name = "brute_force"
+    win_rate = reduced_rate = staticmethod(lambda n: 1.0)
 
     def __init__(self, n: int):
         self.n = n
@@ -232,6 +237,7 @@ class AlwaysFail:
     """Answers with the wrong shape on purpose; loses every round."""
 
     name = "always_fail"
+    win_rate = reduced_rate = staticmethod(lambda n: 0.0)
 
     def __init__(self, n: int):
         self.n = n

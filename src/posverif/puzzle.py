@@ -108,12 +108,13 @@ class PublicHandle:
 
 
 class Trapdoor:
-    """Inversion capability: holds the full key."""
+    """Inversion capability: the full key, and its public handle's eval."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "eval")
 
-    def __init__(self, key: PuzzleKey):
+    def __init__(self, key: PuzzleKey, handle: PublicHandle):
         self.key = key
+        self.eval = handle.eval
 
     @property
     def n(self) -> int:
@@ -126,12 +127,6 @@ class Trapdoor:
         x = _feistel_rounds(self.key.seed, self.key.n, int(y, 2), inverse=True)
         pre = int_to_bits(x, self.key.n)
         return xor_bits(pre, self.key.s) if b == "1" else pre
-
-    def eval(self, b: str, x: str) -> str:
-        _check_bit(b, "branch")
-        if len(x) != self.key.n:
-            raise LengthMismatch(f"preimage width {len(x)} != n={self.key.n}")
-        return _make_eval(self.key)(b, x)
 
 
 def _make_eval(key: PuzzleKey):
@@ -168,7 +163,8 @@ class BasePuzzle:
             s = rng.bits(self.n)
         key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
-        return PublicHandle(self.n, key_id, _make_eval(key)), Trapdoor(key)
+        handle = PublicHandle(self.n, key_id, _make_eval(key))
+        return handle, Trapdoor(key, handle)
 
     def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
         """Sample an obligation y and the claw superposition behind it.

@@ -245,3 +245,23 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(UnknownAttack):
             make_attack("entangle_everything", ProtocolConfig())
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 2), (8, 4)])
+    def test_rates_are_the_closed_forms(self, n, k):
+        expected = {
+            "guess": guessing_rate(n, k),
+            "forward_compiled_guess": guessing_rate(n, k),
+            "teleport": teleport_rate(n, k),
+            "classical_forward": classical_prover_rate(n, k),
+        }
+        cfg = ProtocolConfig(n=n, k=k)
+        rates = {name: make_attack(name, cfg).rate(n, k) for name in ATTACK_NAMES}
+        assert rates == expected
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 2), (8, 4)])
+    def test_compiled_rate_is_the_inner_rate(self, n, k):
+        inner = ClassicalForwardPair()
+        assert ForwardingPair(inner).rate(n, k) == inner.rate(n, k)
+
+    def test_distinct_tapes_have_no_closed_form(self):
+        assert ClassicalForwardPair(tape0=1, tape1=2).rate(8, 1) is None

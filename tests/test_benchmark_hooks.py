@@ -1,15 +1,22 @@
 """The benchmark under perfbench/ traces layers by wrapping library
 callables by name, so deleting or renaming one of them breaks
-`perfbench/run.py --trace 1` with a KeyError.  This test enters and
-exits that instrumentation, without any runs, to catch such a change."""
+`perfbench/run.py --trace 1` with a KeyError.  One test enters and
+exits that instrumentation, without any runs, to catch such a change.
+
+The benchmark's workloads also keep their own copy of each run kind's
+closed form, which gates their acceptance; another test pins that copy
+to the rates the attack and strategy catalogs state."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import posverif
 import posverif.cli  # imports every layer the instrumentation wraps
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_PATH = PERFBENCH / "spans.py"
+WORKLOADS_PATH = PERFBENCH / "workloads.py"
 
 
 def _load_spans():
@@ -47,3 +54,36 @@ def test_instrumentation_wraps_and_restores():
     assert posverif.cli.run_prpv is original
     for (cls, name), method in methods.items():
         assert vars(cls)[name] is method
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules as they are built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_workload_theory_is_the_catalog_rate():
+    workloads = _load_workloads()
+    adversary, game = posverif.adversary, posverif.nonlocal_game
+    attacks = [kind for kind in workloads.attacks_k4(posverif)
+               if kind.label in adversary.ATTACKS]
+    assert {kind.label for kind in attacks} == set(adversary.ATTACK_NAMES)
+    for kind in attacks:
+        config = posverif.protocol.ProtocolConfig(n=kind.n, k=kind.k)
+        pair = adversary.make_attack(kind.label, config)
+        assert kind.theory == pair.rate(kind.n, kind.k), kind.label
+    games = workloads.game_n12(posverif)
+    assert sorted(kind.label for kind in games) == sorted(
+        f"{play}_{name}" for play in ("game", "reduced") for name in game.STRATEGIES)
+    for kind in games:
+        play, name = kind.label.split("_", 1)
+        strategy = game.make_strategy(name, kind.n)
+        rate = strategy.win_rate if play == "game" else strategy.reduced_rate
+        assert kind.theory == rate(kind.n), kind.label

@@ -124,6 +124,20 @@ class TestPlay:
         with pytest.raises(UnknownStrategy):
             make_strategy("nope", 4)
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_registry_rates_are_the_closed_forms(self, n):
+        expected = {
+            "honest_to_B": (stats.honest_to_b_rate(n), stats.uniform_equation_rate(n)),
+            "measure_and_guess": (stats.measure_and_guess_rate(n),
+                                  stats.uniform_equation_rate(n)),
+            "brute_force": (1.0, 1.0),
+            "always_fail": (0.0, 0.0),
+        }
+        strategies = {name: make_strategy(name, n) for name in STRATEGIES}
+        rates = {name: (s.win_rate(n), s.reduced_rate(n))
+                 for name, s in strategies.items()}
+        assert rates == expected
+
 
 class TestRates:
     def test_measure_and_guess_near_three_quarters(self):
