@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- qsim: dense statevector engine over named registers (<= 24 qubits).
+- qsim: dense real statevector engine over named registers (<= 24 qubits).
 - puzzle: the 1-of-2 puzzle built on a toy trapdoor claw-free family,
   plus same-challenge and independent-challenge repetition.
 - nonlocal_game: the separated two-solver game and its strategy catalog.

@@ -16,9 +16,13 @@ are a stack of independent states over the same registers, one per row.
 The Hadamard, CNOT, Born-rule, measurement and tensor kernels act on every
 row of a stack in one numpy pass, and a single state is their batch-free
 case: the same code, with no row axis.
+
+Amplitudes are float64, and StateVector rejects any other dtype. The
+basis, claw and EPR states start real; Hadamard, CNOT, basis permutations
+and standard-basis projection map real states to real states; and the
+teleport corrections are classical bits XORed into outcomes, not gates.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -37,34 +41,6 @@ Q_MAX = 24
 TOL = 1e-12
 _INV_SQRT2 = 2.0**-0.5
 
-# NumPy gives each ufunc operand that it cannot walk as one strided run an
-# iteration buffer of up to getbufsize() elements, allocated and freed on
-# every call: 128 KiB of complex128 at the default 8192. Teleporting a
-# stack (k=4 rows of 11 qubits at n=8) made the C heap return such blocks
-# to the OS and fault them back in call after call, about 400 minor page
-# faults per teleport run on glibc. So tensor, bell_circuit and teleport,
-# whose states carry the two EPR qubits, run with _BUFSIZE-element buffers
-# once their first state holds that many amplitudes. Other kernels keep
-# the default: smaller buffers slow their einsum and gain nothing at the
-# sizes the claw states reach.
-_BUFSIZE = 2048
-
-
-def _small_buffers(kernel):
-    """Run kernel with ufunc buffers of _BUFSIZE elements when its first
-    state holds at least that many amplitudes."""
-
-    @functools.wraps(kernel)
-    def run(state, *args, **kwargs):
-        if state.amps.size < _BUFSIZE or np.getbufsize() <= _BUFSIZE:
-            return kernel(state, *args, **kwargs)
-        with np.errstate():
-            np.setbufsize(_BUFSIZE)
-            return kernel(state, *args, **kwargs)
-
-    return run
-
-
 class StateVector:
     """Pure state, or stack of pure states, over an ordered tuple of named
     registers."""
@@ -75,8 +51,10 @@ class StateVector:
         self.regs = tuple(regs)
         self.amps = amps
         self.q = sum(w for _, w in self.regs)
+        if amps.dtype != np.float64:
+            raise ValueError(f"amplitudes must be float64, got {amps.dtype}")
         if check:
-            norms = np.einsum("...i,...i->...", amps, amps.conj()).real
+            norms = np.einsum("...i,...i->...", amps, amps)
             for row, norm in enumerate(np.atleast_1d(norms)):
                 if abs(norm - 1.0) > 1e-9:
                     raise ValueError(f"state norm {norm} of row {row} is not 1")
@@ -123,7 +101,7 @@ def new_state(registers) -> StateVector:
     """All-zeros basis state over the given (name, width) registers."""
     regs = tuple(registers)
     total = _check_regs(regs)
-    amps = np.zeros(1 << total, dtype=np.complex128)
+    amps = np.zeros(1 << total, dtype=np.float64)
     amps[0] = 1.0
     return StateVector(regs, amps, check=False)
 
@@ -142,7 +120,7 @@ def prepare_claw_state(x0, x1) -> StateVector:
     regs = (("bit", 1), ("preimage", n))
     _check_regs(regs)
     size = 2 << n
-    amps = np.zeros(len(x0s) * size, dtype=np.complex128)
+    amps = np.zeros(len(x0s) * size, dtype=np.float64)
     for start, a, b in zip(range(0, amps.size, size), x0s, x1s):
         if len(a) != n or len(b) != n:
             raise LengthMismatch(f"preimage lengths {len(a)} and {len(b)} differ from {n}")
@@ -213,7 +191,7 @@ def _born(state: StateVector, register: str):
     is one row."""
     off, w, post = _spans(state, register)
     cube = state.amps.reshape(-1, 1 << off, 1 << w, 1 << post)
-    return cube, np.einsum("biok,biok->bo", cube, cube.conj()).real, w
+    return cube, np.einsum("biok,biok->bo", cube, cube), w
 
 
 def _per_row(state: StateVector, values: tuple):
@@ -298,18 +276,15 @@ def collapse(state: StateVector, register: str, outcome: str):
 
 def make_epr_pairs(count: int) -> StateVector:
     """count EPR pairs: registers R and S, pair i = qubit i of R with qubit i of S."""
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    if 2 * count > Q_MAX:
-        raise CapacityExceeded(f"{2 * count} qubits exceeds the {Q_MAX}-qubit cap")
-    amps = np.zeros(1 << (2 * count), dtype=np.complex128)
+    regs = (("R", count), ("S", count))
+    _check_regs(regs)
+    amps = np.zeros(1 << (2 * count), dtype=np.float64)
     scale = 2.0 ** (-count / 2)
     for r in range(1 << count):
         amps[(r << count) | r] = scale
-    return StateVector((("R", count), ("S", count)), amps, check=False)
+    return StateVector(regs, amps, check=False)
 
 
-@_small_buffers
 def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector:
     """Deterministic half of teleportation: pairwise CNOT then H on source.
 
@@ -334,7 +309,6 @@ def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector
     return apply_hadamard(working, source)
 
 
-@_small_buffers
 def teleport(state: StateVector, source: str, epr_local: str, rng):
     """Teleport the source register through local EPR halves.
 
@@ -356,7 +330,6 @@ def teleport(state: StateVector, source: str, epr_local: str, rng):
             working)
 
 
-@_small_buffers
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Joint state with a's registers before b's.
 

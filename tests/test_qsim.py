@@ -24,11 +24,11 @@ from posverif.errors import (
 )
 from posverif.rng import Rng
 
-H1 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+H1 = np.array([[1, 1], [1, -1]], dtype=np.float64) / np.sqrt(2)
 
 
 def h_matrix(q: int) -> np.ndarray:
-    m = np.array([[1]], dtype=np.complex128)
+    m = np.array([[1]], dtype=np.float64)
     for _ in range(q):
         m = np.kron(m, H1)
     return m
@@ -41,9 +41,30 @@ def dist_of(amps: np.ndarray) -> dict[int, float]:
 def random_state(regs, seed: int) -> qsim.StateVector:
     q = sum(w for _, w in regs)
     gen = np.random.default_rng(seed)
-    amps = gen.normal(size=1 << q) + 1j * gen.normal(size=1 << q)
+    # real, but of mixed sign, so Z corrections still show in teleport tests
+    amps = gen.normal(size=1 << q)
     amps /= np.linalg.norm(amps)
-    return qsim.StateVector(tuple(regs), amps.astype(np.complex128))
+    return qsim.StateVector(tuple(regs), amps)
+
+
+def _epr_joint():
+    return qsim.tensor(qsim.new_state([("psi", 2)]), qsim.make_epr_pairs(2))
+
+
+# Every constructor and kernel, fed real states, hands back float64 amplitudes.
+FLOAT64_CASES = {
+    "new_state": lambda: qsim.new_state([("a", 2)]),
+    "claw": lambda: qsim.prepare_claw_state("01", "10"),
+    "claw_stack": lambda: qsim.prepare_claw_state(("01", "00"), ("10", "11")),
+    "epr": lambda: qsim.make_epr_pairs(2),
+    "tensor": _epr_joint,
+    "hadamard": lambda: qsim.apply_hadamard(qsim.new_state([("a", 2)]), "a"),
+    "bell_circuit": lambda: qsim.bell_circuit(_epr_joint(), "psi", "R"),
+    "measure": lambda: qsim.measure(qsim.make_epr_pairs(2), "R", Rng(0))[1],
+    "teleport": lambda: qsim.teleport(_epr_joint(), "psi", "R", Rng(0))[2],
+    "permute_basis": lambda: qsim.permute_basis(qsim.new_state([("r", 2)]),
+                                                np.array([1, 0, 3, 2])),
+}
 
 
 class TestConstruction:
@@ -75,12 +96,22 @@ class TestConstruction:
 
     def test_norm_validation(self):
         with pytest.raises(ValueError):
-            qsim.StateVector((("a", 1),), np.array([1.0, 1.0], dtype=np.complex128))
+            qsim.StateVector((("a", 1),), np.array([1.0, 1.0], dtype=np.float64))
+
+    def test_complex_amplitudes_rejected(self):
+        amps = np.array([1.0, 0.0], dtype=np.complex128)
+        for check in (True, False):
+            with pytest.raises(ValueError, match="float64"):
+                qsim.StateVector((("a", 1),), amps, check=check)
+
+    @pytest.mark.parametrize("build", FLOAT64_CASES.values(), ids=FLOAT64_CASES.keys())
+    def test_amplitudes_are_float64(self, build):
+        assert build().amps.dtype == np.float64
 
     def test_claw_state_amplitudes(self):
         s = qsim.prepare_claw_state("01", "10")
         # |0,01> and |1,10> at indices 1 and 6
-        expect = np.zeros(8, dtype=np.complex128)
+        expect = np.zeros(8, dtype=np.float64)
         expect[1] = expect[6] = 2**-0.5
         np.testing.assert_allclose(s.amps, expect, atol=1e-15)
         with pytest.raises(LengthMismatch):

@@ -154,11 +154,11 @@ class _Fixed:
 
 # probabilities 0.36 and 0.64 - 1e-8 on outcomes 00 and 01, none on 10, 11:
 # the CDF ends just below 1
-SHORT = np.array([0.6, (0.64 - 1e-8) ** 0.5, 0.0, 0.0], dtype=np.complex128)
+SHORT = np.array([0.6, (0.64 - 1e-8) ** 0.5, 0.0, 0.0], dtype=np.float64)
 # no probability on outcome 00, so a uniform below the first CDF step
 # lands on a zero-probability outcome
-LEADING_ZERO = np.array([0.0, 0.6, 0.8, 0.0], dtype=np.complex128)
-PLAIN = np.array([0.6, 0.8, 0.0, 0.0], dtype=np.complex128)
+LEADING_ZERO = np.array([0.0, 0.6, 0.8, 0.0], dtype=np.float64)
+PLAIN = np.array([0.6, 0.8, 0.0, 0.0], dtype=np.float64)
 TOP = 1.0 - 2.0**-53  # the largest uniform Rng.random can return
 
 
