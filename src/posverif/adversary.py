@@ -37,7 +37,7 @@ from .puzzle import (
     encode_obligations,
 )
 from . import qsim
-from .rng import Rng, Uniforms, child_seed
+from .rng import Rng, child_seed
 from .stats import classical_prover_rate, guessing_rate, teleport_rate
 
 FORWARD_COMPILER_MAX_K = 8
@@ -227,6 +227,10 @@ class TeleportPair:
     and both sides apply them to the same raw outcomes, reproducing the
     honest answer distribution at both verifiers.  The default budget is
     the k*(n+1) pairs the attack consumes.
+
+    Teleportation is simulated by its identity, not by a Bell circuit:
+    each qubit's keys (k0, k1) are two fair coins, 1 iff the uniform
+    drawn is >= 1/2, and the remote half holds X^k0 Z^k1 of the qubit.
     """
 
     name = "teleport"
@@ -257,41 +261,32 @@ class TeleportPair:
 
 
 def _teleport_register(state: qsim.StateVector, rng: Rng):
-    """Teleport every qubit of every row of a stacked state, each row
-    through its own EPR pairs, one qubit step for all rows at a time; peak
-    width stays at (state width + 2) qubits per row.
+    """Teleport every qubit of every row of a stacked state, each qubit
+    through its own EPR pair, by the teleportation identity instead of a
+    Bell circuit.
 
-    The rng draws are taken up front in per-instance order (row by row,
-    then step by step, source before local), so each row's outcomes equal
-    those of teleporting that row alone. Returns (k0s, k1s, remote stack),
-    one k0 and k1 string per row: XOR k0 into standard-basis outcomes and
-    k1 into Hadamard-basis outcomes of the remote register, in the
-    original qubit order.
+    Bell-measuring a qubit with its EPR half gives each of the four
+    outcomes with probability 1/4 whatever the state, and leaves the
+    remote half holding X^k0 Z^k1 of the qubit. So a row's keys are two
+    fair coins per qubit, and its remote register is the row under the
+    Pauli frame (k0, k1). The draws are those of the measured circuit:
+    row by row, then qubit by qubit, the source (k1) uniform before the
+    local (k0) one, and an outcome is 1 iff its uniform is >= 1/2, the
+    rule qsim.measure applies to two outcomes of probability 1/2.
+    bell_circuit and qsim.teleport stay the dense reference for this.
+
+    Returns (k0s, k1s, remote stack), one k0 and k1 string per row: XOR
+    k0 into standard-basis outcomes and k1 into Hadamard-basis outcomes
+    of the remote register ("rem", in the original qubit order).
     """
-    width = state.q
-    rows = len(state.amps)
-    draws = [rng.random() for _ in range(2 * width * rows)]
-    working = qsim.merge_registers(state, state.names(), "src")
-    k0_steps = []
-    k1_steps = []
-    for j in range(width):
-        rest = width - j - 1
-        if rest:
-            working = qsim.split_register(working, "src", (("q", 1), ("src", rest)))
-        else:
-            working = qsim.merge_registers(working, ("src",), "q")
-        pairs = qsim.stack([qsim.make_epr_pairs(1) for _ in range(rows)])
-        working = qsim.tensor(working, pairs)
-        step = Uniforms(draws[2 * j::2 * width] + draws[2 * j + 1::2 * width])
-        bits0, bits1, working = qsim.teleport(working, "q", "S", step)
-        k0_steps.append(bits0)
-        k1_steps.append(bits1)
-        if j == 0:
-            working = qsim.merge_registers(working, ("R",), "rem")
-        else:
-            working = qsim.merge_registers(working, ("rem", "R"), "rem")
-    return (["".join(bits) for bits in zip(*k0_steps)],
-            ["".join(bits) for bits in zip(*k1_steps)], working)
+    k0s, k1s = [], []
+    for _ in range(len(state.amps)):
+        bits = ["1" if rng.random() >= 0.5 else "0" for _ in range(2 * state.q)]
+        k1s.append("".join(bits[0::2]))
+        k0s.append("".join(bits[1::2]))
+    remote = qsim.merge_registers(state, state.names(), "rem")
+    return k0s, k1s, qsim.apply_pauli_frame(
+        remote, [int(k, 2) for k in k0s], [int(k, 2) for k in k1s])
 
 
 def _corrected_answers(challenge: str, raws, k0s, k1s):
