@@ -13,7 +13,7 @@ Layers, bottom up:
 - adversary: the two-site attack catalog and the forwarding compiler.
 - stats: the seeded trial engine (tally), Wilson intervals and the
   closed-form rates.
-- cli / experiments: seeded experiment runners with Wilson intervals.
+- cli: seeded experiment runners with Wilson intervals.
 """
 
 __version__ = "0.1.0"

@@ -10,20 +10,13 @@ the original would have produced.
 
 Resource classes: R0 pairs share no entanglement, RF pairs additionally
 forward the challenge verbatim, RL pairs consume pre-shared EPR pairs.
-Each pair's rate(n, k) is the closed-form acceptance rate it reaches, or
-None where no closed form is known.
+Each pair's rate(n, k) is the closed-form acceptance rate it reaches.
 """
 
 from __future__ import annotations
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import (
-    BudgetExceeded,
-    ConfigInvalid,
-    KTooLarge,
-    NotClassicalTape,
-    UnknownAttack,
-)
+from .errors import ConfigInvalid, KTooLarge, NotClassicalTape, UnknownAttack
 from .protocol import (
     ProtocolConfig,
     TrialEnv,
@@ -60,7 +53,6 @@ class GuessingPair:
 
     name = "guess"
     klass = "R0"
-    classical_tape = True
     entanglement_budget = 0
     rate = staticmethod(guessing_rate)
 
@@ -99,39 +91,27 @@ class ClassicalForwardPair:
     """Classical devices sharing a response tape.
 
     Both sides deterministically recompute the classical prover's
-    replies from the shared tape; the right device forwards the
-    challenge so the left one can answer it too.  Distinct tapes on the
-    two sides make the verifiers see conflicting bytes, and no closed
-    form describes that pair.
+    replies from the shared tape, the actor seed; the right device
+    forwards the challenge so the left one can answer it too.
     """
 
     name = "classical_forward"
     klass = "R0"
-    classical_tape = True
     entanglement_budget = 0
-
-    def __init__(self, tape0: int | None = None, tape1: int | None = None):
-        self.tape0 = tape0
-        self.tape1 = tape1
-
-    def rate(self, n: int, k: int) -> float | None:
-        return classical_prover_rate(n, k) if self.tape0 == self.tape1 else None
+    rate = staticmethod(classical_prover_rate)
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ClassicalForwardTrial":
-        tape0 = self.tape0 if self.tape0 is not None else actor_seed
-        tape1 = self.tape1 if self.tape1 is not None else actor_seed
-        return _ClassicalForwardTrial(env, tape0, tape1)
+        return _ClassicalForwardTrial(env, actor_seed)
 
 
 class _ClassicalForwardTrial:
-    def __init__(self, env: TrialEnv, tape0: int, tape1: int):
+    def __init__(self, env: TrialEnv, tape: int):
         self.env = env
-        self.tape0 = tape0
-        self.tape1 = tape1
+        self.tape = tape
         self._challenge: str | None = None  # right-device memory
 
     def u1(self, handle):
-        ys, _ = classical_reply_y(handle, self.tape0)
+        ys, _ = classical_reply_y(handle, self.tape)
         return encode_obligations(ys), handle.key_id.encode()
 
     def u2(self, challenge: str) -> bytes:
@@ -140,13 +120,13 @@ class _ClassicalForwardTrial:
 
     def u3(self, m_body: bytes):
         handle = self.env.resolve(m_body.decode())
-        ys, _ = classical_reply_y(handle, self.tape1)
-        answers = classical_reply_ans(handle, self._challenge, self.tape1)
+        ys, _ = classical_reply_y(handle, self.tape)
+        answers = classical_reply_ans(handle, self._challenge, self.tape)
         return encode_obligations(ys), encode_answers(answers)
 
     def u4(self, n_body: bytes) -> bytes:
         challenge = _challenge_of(n_body)
-        answers = classical_reply_ans(self.env.handle, challenge, self.tape0)
+        answers = classical_reply_ans(self.env.handle, challenge, self.tape)
         return encode_answers(answers)
 
 
@@ -164,12 +144,10 @@ class ForwardingPair:
     """
 
     klass = "RF"
-    classical_tape = True
     entanglement_budget = 0
 
     def __init__(self, inner):
-        if getattr(inner, "klass", None) != "R0" or not getattr(
-                inner, "classical_tape", False):
+        if getattr(inner, "klass", None) != "R0":
             raise NotClassicalTape(
                 f"cannot compile {getattr(inner, 'name', inner)!r}: "
                 "forwarding compilation needs an unentangled classical-tape pair"
@@ -177,7 +155,7 @@ class ForwardingPair:
         self.inner = inner
         self.name = f"forward_compiled_{inner.name}"
 
-    def rate(self, n: int, k: int) -> float | None:
+    def rate(self, n: int, k: int) -> float:
         return self.inner.rate(n, k)  # every verdict is the inner pair's
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ForwardingTrial":
@@ -225,8 +203,8 @@ class TeleportPair:
     measures the steered qubits in the challenged bases as soon as the
     challenge arrives; the Pauli corrections travel with the obligations
     and both sides apply them to the same raw outcomes, reproducing the
-    honest answer distribution at both verifiers.  The default budget is
-    the k*(n+1) pairs the attack consumes.
+    honest answer distribution at both verifiers.  The budget is the
+    k*(n+1) pairs the attack consumes.
 
     Teleportation is simulated by its identity, not by a Bell circuit:
     each qubit's keys (k0, k1) are two fair coins, 1 iff the uniform
@@ -235,21 +213,12 @@ class TeleportPair:
 
     name = "teleport"
     klass = "RL"
-    classical_tape = False
     rate = staticmethod(teleport_rate)
 
-    def __init__(self, n: int, k: int, budget: int | None = None):
-        required = k * (n + 1)
-        if budget is None:
-            budget = required
-        if budget < required:
-            raise BudgetExceeded(
-                f"teleporting {k} instances of width {n} needs {required} "
-                f"EPR pairs, budget is {budget}"
-            )
+    def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self.entanglement_budget = budget
+        self.entanglement_budget = k * (n + 1)
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_TeleportTrial":
         if env.puzzle.n != self.n or env.puzzle.k != self.k:
@@ -257,7 +226,7 @@ class TeleportPair:
                 f"attack built for n={self.n}, k={self.k} but run has "
                 f"n={env.puzzle.n}, k={env.puzzle.k}"
             )
-        return _TeleportTrial(env, actor_seed, self.entanglement_budget)
+        return _TeleportTrial(env, actor_seed)
 
 
 def _teleport_register(state: qsim.StateVector, rng: Rng):
@@ -302,11 +271,10 @@ def _corrected_answers(challenge: str, raws, k0s, k1s):
 
 
 class _TeleportTrial:
-    def __init__(self, env: TrialEnv, actor_seed: int, budget: int):
+    def __init__(self, env: TrialEnv, actor_seed: int):
         self.env = env
         self.left_rng = Rng(child_seed(actor_seed, 1))   # u1
         self.right_rng = Rng(child_seed(actor_seed, 2))  # u2
-        self.budget = budget
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
         self._remote: qsim.StateVector | None = None  # right-device rows
@@ -317,13 +285,7 @@ class _TeleportTrial:
 
     def u1(self, handle):
         ys, state = self.env.obligate(self.left_rng)
-        needed = len(ys) * self.width
-        if self.pairs_used + needed > self.budget:
-            raise BudgetExceeded(
-                f"teleporting {len(ys)} instances needs {needed} EPR pairs; "
-                f"{self.budget - self.pairs_used} of the budget {self.budget} are left"
-            )
-        self.pairs_used += needed
+        self.pairs_used += len(ys) * self.width
         self._k0s, self._k1s, self._remote = _teleport_register(state, self.left_rng)
         y_bytes = encode_obligations(ys)
         m = encode_parts(

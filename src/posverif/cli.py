@@ -75,20 +75,20 @@ class Row:
     rate: float
     ci_low: float
     ci_high: float
-    theory: float | None
+    theory: float
     passed: bool
 
 
 def coverage_row(experiment: str, n: int, k: int, successes: int,
-                 trials: int, theory: float | None) -> Row:
+                 trials: int, theory: float) -> Row:
     low, high = wilson_interval(successes, trials)
-    passed = theory is None or low <= theory <= high
+    passed = low <= theory <= high
     return Row(experiment, n, k, trials, successes, successes / trials,
                low, high, theory, passed)
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
+def _fmt(value: float) -> str:
+    return f"{value:.12g}"
 
 
 def format_csv(rows: list[Row]) -> str:

@@ -45,10 +45,6 @@ class NotClassicalTape(PosverifError):
     """Compiler input keeps quantum state on the far side."""
 
 
-class BudgetExceeded(PosverifError):
-    """Attack needs more shared entanglement than its budget allows."""
-
-
 class InvalidTrials(PosverifError):
     pass
 

@@ -29,6 +29,8 @@ from functools import partial
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import ConfigInvalid, LengthMismatch, TagMismatch
 from .puzzle import (
+    N_MAX,
+    N_MIN,
     Answer,
     Equation,
     MultiHandle,
@@ -104,8 +106,9 @@ class ProtocolConfig:
     prover_position: Coordinate = Fraction(3, 2)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 2 <= self.n <= 12:
-            raise ConfigInvalid(f"puzzle width n={self.n!r} outside [2, 12]")
+        if not isinstance(self.n, int) or not N_MIN <= self.n <= N_MAX:
+            raise ConfigInvalid(
+                f"puzzle width n={self.n!r} outside [{N_MIN}, {N_MAX}]")
         if not isinstance(self.k, int) or self.k < 1:
             raise ConfigInvalid(f"instance count k={self.k!r} must be >= 1")
         if not isinstance(self.lam, int) or self.lam < 8:

@@ -16,12 +16,15 @@ tolerance, so `pytest tests/test_acceptance.py -v` reads as a checklist:
 
 Statistical checks use Wilson 95 percent intervals at trial counts chosen
 so the suite stays deterministic for ACCEPT_SEED; exact checks use
-Fraction equality or a 1e-12 amplitude tolerance. Everything runs on a
-single core; the two heavyweight tests assert their own wall-time budget.
+Fraction equality or a 1e-12 amplitude tolerance. c01 spreads its
+trials over every core, which leaves its counts unchanged; everything
+else runs on a single core. The two heavyweight tests assert their own
+wall-time budget.
 """
 
 import itertools
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -93,7 +96,8 @@ def test_c01_completeness_sweep_covers_theory():
     for index, position in enumerate(SWEEP):
         cfg = ProtocolConfig(n=8, k=1, prover_position=position)
         tally = estimate_acceptance(cfg, trials=10_000, seed=_seed(1, index),
-                                    prover=HonestProver())
+                                    prover=HonestProver(),
+                                    workers=os.cpu_count() or 1)
         assert _covers(tally, theory), (
             f"position {position}: CI [{tally.ci_low:.6f}, {tally.ci_high:.6f}] "
             f"misses {theory:.6f}"

@@ -12,7 +12,6 @@ from posverif.adversary import (
     make_attack,
 )
 from posverif.errors import (
-    BudgetExceeded,
     ConfigInvalid,
     KTooLarge,
     NotClassicalTape,
@@ -152,18 +151,18 @@ class TestTeleportAttack:
                                     adversaries=TeleportPair(6, 2))
         assert tally.ci_low <= teleport_rate(6, 2) <= tally.ci_high
 
-    def test_budget_is_exactly_consumed(self):
-        puz = parallel_puzzle(8, 1)
+    @pytest.mark.parametrize("n, k", [(8, 1), (6, 2), (4, 4)])
+    def test_budget_is_exactly_consumed(self, n, k):
+        puz = parallel_puzzle(n, k)
         handle, trapdoor = puz.keygen(Rng(3))
         env = TrialEnv(puz, handle, trapdoor)
-        pair = TeleportPair(8, 1)
-        assert pair.entanglement_budget == 9
+        pair = TeleportPair(n, k)
         trial = pair.new_trial(env, actor_seed=77)
         y_bytes, m = trial.u1(handle)
-        n_msg = trial.u2("1")
+        assert trial.pairs_used == pair.entanglement_budget == k * (n + 1)
+        n_msg = trial.u2("1" * k)
         y1_bytes, ans1 = trial.u3(m)
         ans0 = trial.u4(n_msg)
-        assert trial.pairs_used == 9
         assert y_bytes == y1_bytes
         assert ans0 == ans1
 
@@ -177,16 +176,6 @@ class TestTeleportAttack:
             n_msg = trial.u2(challenge)
             _, ans1 = trial.u3(m)
             assert trial.u4(n_msg) == ans1
-
-    def test_underfunded_budget_rejected_at_construction(self):
-        with pytest.raises(BudgetExceeded):
-            TeleportPair(8, 1, budget=8)
-        with pytest.raises(BudgetExceeded):
-            TeleportPair(8, 2, budget=17)
-
-    def test_surplus_budget_allowed(self):
-        pair = TeleportPair(8, 1, budget=100)
-        assert pair.entanglement_budget == 100
 
     def test_mismatched_run_parameters_rejected(self):
         cfg = ProtocolConfig(n=8, k=2)
@@ -212,11 +201,6 @@ class TestClassicalForward:
             assert (near.verdict.transcript_bytes()
                     == split.verdict.transcript_bytes())
             assert near.verdict.accept == split.verdict.accept
-
-    def test_mismatched_tapes_caught(self):
-        out = run_prpv(ProtocolConfig(), seed=602,
-                       adversaries=ClassicalForwardPair(tape0=1, tape1=2))
-        assert out.verdict.reason is FailureReason.MISMATCH
 
 
 class TestRegistry:
@@ -262,6 +246,3 @@ class TestRegistry:
     def test_compiled_rate_is_the_inner_rate(self, n, k):
         inner = ClassicalForwardPair()
         assert ForwardingPair(inner).rate(n, k) == inner.rate(n, k)
-
-    def test_distinct_tapes_have_no_closed_form(self):
-        assert ClassicalForwardPair(tape0=1, tape1=2).rate(8, 1) is None

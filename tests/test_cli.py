@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,18 +343,23 @@ class TestOptionPrecedence:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "posverif.cli", "poq", "--trials", "30"],
-            capture_output=True, text=True, timeout=300)
+        proc = run_module("poq", "--trials", "30")
         assert proc.returncode == 0
         assert proc.stdout.startswith(CSV_HEADER)
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_module(*argv, **env):
+    """`python -m posverif.cli` in a child process that imports the
+    package from src/, as the test process does."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "posverif.cli", *argv],
         capture_output=True, text=True, timeout=300,
-        env={**os.environ, **env})
+        env={**os.environ, "PYTHONPATH": path, **env})
 
 
 class TestOneResolutionPath:
