@@ -3,8 +3,9 @@
 Every entry of golden.json is the sha256 of what one cell of the grid
 below produces: verdict transcript bytes plus trace JSON lines for timed
 runs over seeds 0-3, transcripts of the timing-free protocol, game
-results per strategy, and the output of each CLI subcommand at small
-trial counts.  The statistical tests only check that rates cover their
+results per strategy, the output of each CLI subcommand at small
+trial counts, and the exit code and stdout of each script in demos/,
+run as a subprocess with src/ on PYTHONPATH.  The statistical tests only check that rates cover their
 closed forms, so a change that reorders one random draw passes them;
 it fails here.
 
@@ -18,6 +19,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,9 @@ from posverif.puzzle import BasePuzzle
 from posverif.rng import Rng
 
 GOLDEN = Path(__file__).with_name("golden.json")
+ROOT = GOLDEN.parents[1]
+DEMOS = ("attack_gallery", "claw_states", "nonlocal_game_values",
+         "proof_of_quantumness", "timing_geometry")
 SEEDS = range(4)
 KS = (1, 2, 8)
 GAME_N = 8
@@ -99,6 +106,15 @@ def _cli(*argvs) -> bytes:
     return b"".join(out)
 
 
+def _demo(name: str) -> bytes:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          capture_output=True, env=env, cwd=ROOT, timeout=300)
+    return f"{proc.returncode}\n".encode() + proc.stdout
+
+
 def _entries():
     entries = {}
     for hashed in (False, True):
@@ -138,6 +154,8 @@ def _entries():
         ("trace", "--seed", "5"),
         ("trace", "--seed", "5", "--name", "teleport", "--k", "2"),
         ("trace", "--seed", "7", "--pos", "5/4", "--hashed"))
+    for name in DEMOS:
+        entries[f"demo/{name}"] = lambda d=name: _demo(d)
     return entries
 
 
