@@ -14,35 +14,29 @@ timed protocol places on the line; only the clock is gone.
 from posverif.protocol import (
     ClassicalProver,
     HonestProver,
-    ProofOfQuantumness,
     ProtocolConfig,
+    estimate_poq,
+    run_poq,
 )
-from posverif.rng import child_seed
-from posverif.stats import classical_prover_rate, honest_completeness, wilson_interval
+from posverif.stats import classical_prover_rate, honest_completeness
 
 cfg = ProtocolConfig(n=8, k=1)
-poq = ProofOfQuantumness(cfg)
 
-result = poq.run(HonestProver(), seed=31)
+result = run_poq(cfg, seed=31, prover=HonestProver())
 print("one transcript, in order:")
 for label, body in result.transcript:
     print(f"  {label:<3}  {len(body):>3} bytes")
 print(f"accepted: {result.accept}\n")
 
 
-def rate(prover, trials, seed):
-    wins = sum(poq.run(prover, child_seed(seed, i)).accept
-               for i in range(trials))
-    low, high = wilson_interval(wins, trials)
-    return wins / trials, low, high
-
-
-q_rate, q_low, q_high = rate(HonestProver(), trials=1500, seed=32)
-c_rate, c_low, c_high = rate(ClassicalProver(), trials=2500, seed=33)
-print(f"quantum prover    {q_rate:.4f}  [{q_low:.4f}, {q_high:.4f}]"
+quantum = estimate_poq(cfg, trials=1500, seed=32, prover=HonestProver())
+classical = estimate_poq(cfg, trials=2500, seed=33, prover=ClassicalProver())
+print(f"quantum prover    {quantum.rate:.4f}  "
+      f"[{quantum.ci_low:.4f}, {quantum.ci_high:.4f}]"
       f"   theory {honest_completeness(cfg.n, cfg.k):.4f}")
-print(f"classical prover  {c_rate:.4f}  [{c_low:.4f}, {c_high:.4f}]"
+print(f"classical prover  {classical.rate:.4f}  "
+      f"[{classical.ci_low:.4f}, {classical.ci_high:.4f}]"
       f"   theory {classical_prover_rate(cfg.n, cfg.k):.4f}")
-print(f"\ngap: {q_rate - c_rate:.4f} (quantum minus classical)")
+print(f"\ngap: {quantum.rate - classical.rate:.4f} (quantum minus classical)")
 print("the classical ceiling is 1/2 + 1/4*(1 - 2^-n) ~ 3/4 per instance,")
 print("and parallel repetition drives it down exponentially in k")

@@ -20,7 +20,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 from .adversary import ATTACK_NAMES, make_attack
 from .errors import ConfigInvalid, PosverifError
@@ -34,9 +33,9 @@ from .nonlocal_game import (
 from .protocol import (
     ClassicalProver,
     HonestProver,
-    ProofOfQuantumness,
     ProtocolConfig,
     estimate_acceptance,
+    estimate_poq,
     run_prpv,
     run_roprpv,
 )
@@ -46,7 +45,6 @@ from .stats import (
     classical_prover_rate,
     honest_completeness,
     reduction_slack,
-    tally,
     wilson_interval,
 )
 
@@ -115,13 +113,6 @@ def format_json(rows: list[Row]) -> str:
     return json.dumps({"rows": payload}, sort_keys=True, indent=2) + "\n"
 
 
-def _poq_trial(poq, prover, seed) -> tuple[bool, bool]:
-    """(accepted, transcript in protocol order)."""
-    result = poq.run(prover, seed)
-    return result.accept, [label for label, _ in result.transcript] == [
-        "pk", "y", "b", "ans"]
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -171,20 +162,16 @@ def nonlocal_rows(name: str, n: int, trials: int, seed: int,
 
 
 def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
-    poq = ProofOfQuantumness(ProtocolConfig(n=n, k=k))
-    quantum = tally(partial(_poq_trial, poq, HonestProver()), trials,
-                    child_seed(seed, 0), workers)
-    classical = tally(partial(_poq_trial, poq, ClassicalProver()), trials,
-                      child_seed(seed, 1), workers)
-    quantum_wins = sum(c for (accept, _), c in quantum.items() if accept)
-    order_ok = sum(c for (_, in_order), c in quantum.items() if in_order)
-    classical_wins = sum(c for (accept, _), c in classical.items() if accept)
+    config = ProtocolConfig(n=n, k=k)
+    quantum = estimate_poq(config, trials, child_seed(seed, 0),
+                           prover=HonestProver(), workers=workers)
+    classical = estimate_poq(config, trials, child_seed(seed, 1),
+                             prover=ClassicalProver(), workers=workers)
     return [
-        coverage_row("poq_quantum", n, k, quantum_wins, trials,
+        coverage_row("poq_quantum", n, k, quantum.successes, trials,
                      honest_completeness(n, k)),
-        coverage_row("poq_classical", n, k, classical_wins, trials,
+        coverage_row("poq_classical", n, k, classical.successes, trials,
                      classical_prover_rate(n, k)),
-        coverage_row("poq_order", n, k, order_ok, trials, 1.0),
     ]
 
 

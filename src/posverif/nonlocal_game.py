@@ -22,7 +22,7 @@ from types import MappingProxyType
 from .bits import dot_bits, int_to_bits, xor_bits
 from .errors import LengthMismatch, TagMismatch, UnknownStrategy
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
-from .qsim import ScopedState, SharedState
+from .qsim import ScopedState, SharedState, measure
 from .rng import Rng
 from .stats import (Estimate, honest_to_b_rate, measure_and_guess_rate, tally,
                     uniform_equation_rate)
@@ -185,12 +185,10 @@ class MeasureAndGuess:
 
     def stage_a(self, handle, env, rng):
         y, state = self._puz.obligate(handle, env, rng)
-        cell = SharedState(state)
-        scratch = ScopedState(cell, ("bit", "preimage"))
-        bit = scratch.measure("bit", rng).outcome
-        v = scratch.measure("preimage", rng).outcome
+        bit, state = measure(state, "bit", rng)
+        v, _ = measure(state, "preimage", rng)
         guess = uniform_answer_guess(self.n, "1", rng)
-        tape = {"preimage": Preimage(bit, v), "equation": guess}
+        tape = {"preimage": Preimage(bit.outcome, v.outcome), "equation": guess}
         return make_prep(y, tape=tape)
 
     def answer_b(self, view, tape, challenge, rng):

@@ -267,21 +267,17 @@ class HonestProver:
 class ClassicalProver:
     """Deterministic challenge-response device with no quantum memory.
 
-    Every reply is a function of the public messages and a stored random
-    tape: obligations commit to preimages of the 0-branch, challenge
-    bits asking for an equation are answered with a tape guess.  The
-    tape is tape_seed, or the run's actor seed when tape_seed is None.
+    Every reply is a function of the public messages and a random tape,
+    the run's actor seed: obligations commit to preimages of the
+    0-branch, challenge bits asking for an equation are answered with a
+    tape guess.  It sits at the configured prover position.
     """
 
-    def __init__(self, tape_seed: int | None = None,
-                 position: Coordinate | None = None):
-        self.tape_seed = tape_seed
-        self.position = None if position is None else as_coord(position)
+    position = None
 
     def reply_y(self, env: TrialEnv, actor_seed: int):
-        tape = actor_seed if self.tape_seed is None else self.tape_seed
-        ys, _ = classical_reply_y(env.handle, tape)
-        return encode_obligations(ys), tape
+        ys, _ = classical_reply_y(env.handle, actor_seed)
+        return encode_obligations(ys), actor_seed
 
     def reply_ans(self, env: TrialEnv, tape: int, challenge: str) -> bytes:
         return encode_answers(classical_reply_ans(env.handle, challenge, tape))
@@ -561,35 +557,27 @@ class PoQResult:
     transcript: tuple[tuple[str, bytes], ...]
 
 
-class ProofOfQuantumness:
-    """Timing-free four-message protocol: key, obligations, challenge,
-    answers.  Acceptance uses the same verification as the timed runs,
-    so quantum and classical success rates carry over unchanged."""
+def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
+    """One run of the timing-free four messages (key, obligations,
+    challenge, answers) against prover (HonestProver or ClassicalProver),
+    seeded like a timed run.  Acceptance uses the same verification as
+    the timed runs, so quantum and classical success rates carry over
+    unchanged."""
+    puzzle = parallel_puzzle(config.n, config.k)
+    handle, trapdoor = puzzle.keygen(Rng(child_seed(seed, 0)))
+    env = TrialEnv(puzzle, handle, trapdoor)
 
-    def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self.puzzle = parallel_puzzle(config.n, config.k)
-
-    def run(self, prover, seed: int) -> PoQResult:
-        """One run of the four messages against prover (HonestProver or
-        ClassicalProver), seeded like a timed run."""
-        verifier_rng = Rng(child_seed(seed, 0))
-        challenge_rng = Rng(child_seed(seed, 1))
-        handle, trapdoor = self.puzzle.keygen(verifier_rng)
-        env = TrialEnv(self.puzzle, handle, trapdoor)
-
-        pk_bytes = handle.key_id.encode()
-        y_bytes, memo = prover.reply_y(env, child_seed(seed, 2))
-        challenge = self.puzzle.sample_challenge(challenge_rng)
-        ans_bytes = prover.reply_ans(env, memo, challenge)
-        transcript = (
-            ("pk", pk_bytes),
-            ("y", y_bytes),
-            ("b", pack_bits(challenge)),
-            ("ans", ans_bytes),
-        )
-        accept = _verifies(self.puzzle, trapdoor, y_bytes, challenge, ans_bytes)
-        return PoQResult(accept=accept, transcript=transcript)
+    y_bytes, memo = prover.reply_y(env, child_seed(seed, 2))
+    challenge = puzzle.sample_challenge(Rng(child_seed(seed, 1)))
+    ans_bytes = prover.reply_ans(env, memo, challenge)
+    transcript = (
+        ("pk", handle.key_id.encode()),
+        ("y", y_bytes),
+        ("b", pack_bits(challenge)),
+        ("ans", ans_bytes),
+    )
+    accept = _verifies(puzzle, trapdoor, y_bytes, challenge, ans_bytes)
+    return PoQResult(accept=accept, transcript=transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -610,3 +598,15 @@ def estimate_acceptance(config: ProtocolConfig, trials: int, seed: int, *,
     counts = tally(partial(_acceptance_trial, config, runner, prover,
                            adversaries), trials, seed, workers)
     return Estimate.of(counts, FailureReason.NONE)
+
+
+def _poq_trial(config, prover, seed) -> bool:
+    return run_poq(config, seed, prover=prover).accept
+
+
+def estimate_poq(config: ProtocolConfig, trials: int, seed: int, *, prover,
+                 workers: int = 1) -> Estimate:
+    """Acceptance frequency of the timing-free protocol, estimated like
+    estimate_acceptance; reasons counts the rejected runs under False."""
+    counts = tally(partial(_poq_trial, config, prover), trials, seed, workers)
+    return Estimate.of(counts, True)

@@ -16,10 +16,10 @@ tolerance, so `pytest tests/test_acceptance.py -v` reads as a checklist:
 
 Statistical checks use Wilson 95 percent intervals at trial counts chosen
 so the suite stays deterministic for ACCEPT_SEED; exact checks use
-Fraction equality or a 1e-12 amplitude tolerance. c01 spreads its
-trials over every core, which leaves its counts unchanged; everything
-else runs on a single core. The two heavyweight tests assert their own
-wall-time budget.
+Fraction equality or a 1e-12 amplitude tolerance. c01, c04 and c05
+spread their estimates over every core, which leaves their counts
+unchanged; everything else runs on a single core. The two heavyweight
+tests assert their own wall-time budget.
 """
 
 import itertools
@@ -169,9 +169,11 @@ def test_c04_reduction_inequality_per_strategy():
     names = ("always_fail", "brute_force", "honest_to_B", "measure_and_guess")
     for index, name in enumerate(names):
         strategy = make_strategy(name, 8)
-        tau = estimate_win_rate(puz, strategy, n_trials, _seed(4, 2 * index))
+        tau = estimate_win_rate(puz, strategy, n_trials, _seed(4, 2 * index),
+                                workers=os.cpu_count() or 1)
         p2 = estimate_2of2_rate(puz, reduce_to_2of2(strategy), n_trials,
-                                _seed(4, 2 * index + 1))
+                                _seed(4, 2 * index + 1),
+                                workers=os.cpu_count() or 1)
         sigma = reduction_slack(p2.rate, n_trials, tau.rate, n_trials)
         bound = 2.0 * tau.rate - 1.0 - 5.0 * sigma
         assert p2.rate >= bound, (
@@ -185,7 +187,8 @@ def test_c05_guessing_soundness_and_compiler_equivalence():
     for k, trials in ((1, 10_000), (2, 10_000), (4, 5_000), (8, 8_000)):
         cfg = ProtocolConfig(n=8, k=k)
         tally = estimate_acceptance(cfg, trials=trials, seed=_seed(5, k),
-                                    adversaries=GuessingPair())
+                                    adversaries=GuessingPair(),
+                                    workers=os.cpu_count() or 1)
         theory = guessing_rate(8, k)
         assert _covers(tally, theory), (
             f"k={k}: CI [{tally.ci_low:.4f}, {tally.ci_high:.4f}] "

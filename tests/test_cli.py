@@ -179,8 +179,7 @@ class TestPoq:
         rows = parse_csv(out)
         assert code == 0
         assert [r["experiment"] for r in rows] == [
-            "poq_quantum", "poq_classical", "poq_order"]
-        assert rows[2]["rate"] == "1"
+            "poq_quantum", "poq_classical"]
         quantum = float(rows[0]["rate"])
         classical = float(rows[1]["rate"])
         assert quantum > classical

@@ -39,8 +39,8 @@ from posverif.nonlocal_game import (
 from posverif.protocol import (
     ClassicalProver,
     HonestProver,
-    ProofOfQuantumness,
     ProtocolConfig,
+    run_poq,
     run_prpv,
     run_roprpv,
 )
@@ -74,10 +74,10 @@ def _timed(hashed: bool, actor: str, k: int) -> bytes:
 
 
 def _poq(prover, k: int) -> bytes:
-    poq = ProofOfQuantumness(ProtocolConfig(k=k))
+    config = ProtocolConfig(k=k)
     out = []
     for seed in SEEDS:
-        result = poq.run(prover, seed)
+        result = run_poq(config, seed, prover=prover)
         parts = [label.encode() + b"=" + body for label, body in result.transcript]
         out.append(encode_parts(str(int(result.accept)).encode(), *parts))
     return b"".join(out)
@@ -130,7 +130,6 @@ def _entries():
     provers = {
         "honest": HonestProver(),
         "classical_default_tape": ClassicalProver(),
-        "classical_tape5": ClassicalProver(tape_seed=5),
     }
     for label, prover in provers.items():
         for k in KS:

@@ -16,7 +16,6 @@ from posverif.protocol import (
     FailureReason,
     HonestProver,
     PoQResult,
-    ProofOfQuantumness,
     ProtocolConfig,
     RandomOracle,
     Verdict,
@@ -27,16 +26,14 @@ from posverif.protocol import (
     decode_message,
     encode_message,
     estimate_acceptance,
+    estimate_poq,
+    run_poq,
     run_prpv,
     run_roprpv,
 )
 from posverif.puzzle import decode_obligations, encode_obligations
 from posverif.rng import Rng, child_seed
-from posverif.stats import (
-    classical_prover_rate,
-    honest_completeness,
-    wilson_interval,
-)
+from posverif.stats import classical_prover_rate, honest_completeness
 
 SWEEP_POSITIONS = (
     Fraction(1),
@@ -355,39 +352,36 @@ class TestRandomOracle:
 
 class TestProofOfQuantumness:
     def test_transcript_order(self):
-        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=2))
-        result = poq.run(HonestProver(), seed=8)
+        result = run_poq(ProtocolConfig(n=8, k=2), seed=8, prover=HonestProver())
         assert [label for label, _ in result.transcript] == ["pk", "y", "b", "ans"]
         assert isinstance(result, PoQResult)
 
     def test_deterministic_per_seed(self):
-        poq = ProofOfQuantumness(ProtocolConfig(n=6, k=3))
-        a = poq.run(HonestProver(), seed=12)
-        b = poq.run(HonestProver(), seed=12)
+        cfg = ProtocolConfig(n=6, k=3)
+        a = run_poq(cfg, seed=12, prover=HonestProver())
+        b = run_poq(cfg, seed=12, prover=HonestProver())
         assert a == b
 
     def test_quantum_rate(self):
-        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=1))
-        wins = sum(poq.run(HonestProver(), child_seed(200, i)).accept
-                   for i in range(2000))
-        low, high = wilson_interval(wins, 2000)
-        assert low <= honest_completeness(8, 1) <= high
+        est = estimate_poq(ProtocolConfig(n=8, k=1), trials=2000, seed=200,
+                           prover=HonestProver())
+        assert est.ci_low <= honest_completeness(8, 1) <= est.ci_high
 
     def test_classical_rate(self):
-        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=1))
-        wins = sum(poq.run(ClassicalProver(), child_seed(201, i)).accept
-                   for i in range(2500))
-        low, high = wilson_interval(wins, 2500)
-        theory = classical_prover_rate(8, 1)
-        assert low <= theory <= high
+        est = estimate_poq(ProtocolConfig(n=8, k=1), trials=2500, seed=201,
+                           prover=ClassicalProver())
+        assert est.ci_low <= classical_prover_rate(8, 1) <= est.ci_high
         # the gap to the quantum rate is the capability signal
-        assert high < honest_completeness(8, 1)
+        assert est.ci_high < honest_completeness(8, 1)
 
-    def test_classical_poq_prover_explicit_tape(self):
-        poq = ProofOfQuantumness(ProtocolConfig(n=8, k=2))
-        a = poq.run(ClassicalProver(tape_seed=5), seed=40)
-        b = poq.run(ClassicalProver(tape_seed=5), seed=40)
-        assert a == b
+    def test_workers_do_not_change_estimate(self, pool_sizes):
+        """Two worker processes give the serial Estimate."""
+        cfg = ProtocolConfig(n=6, k=2)
+        serial = estimate_poq(cfg, trials=40, seed=105, prover=HonestProver())
+        pooled = estimate_poq(cfg, trials=40, seed=105, prover=HonestProver(),
+                              workers=2)
+        assert pool_sizes == [2]
+        assert pooled == serial
 
 
 class TestClassicalReplies:
