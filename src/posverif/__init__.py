@@ -4,7 +4,7 @@ Layers, bottom up:
 
 - qsim: dense real statevector engine over named registers (<= 24 qubits).
 - puzzle: the 1-of-2 puzzle built on a toy trapdoor claw-free family,
-  plus same-challenge and independent-challenge repetition.
+  and its k-fold repetition with one challenge bit per instance.
 - nonlocal_game: the separated two-solver game and its strategy catalog.
 - spacetime: exact rational 1D timing simulator with speed-1 delivery.
 - protocol: the timing-constrained verification protocol family and the

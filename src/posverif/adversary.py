@@ -69,7 +69,7 @@ class _GuessingTrial:
     def u1(self, handle):
         rng = self.rng
         ys, states = self.env.obligate(rng)
-        guess = rng.bits(self.env.puzzle.challenge_len)
+        guess = rng.bits(self.env.puzzle.k)
         answers = self.env.puzzle.solve(handle, ys, states, guess, rng)
         y_bytes = encode_obligations(ys)
         ans_bytes = encode_answers(answers)
@@ -159,10 +159,9 @@ class ForwardingPair:
         return self.inner.rate(n, k)  # every verdict is the inner pair's
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ForwardingTrial":
-        width = env.puzzle.challenge_len
-        if width > FORWARD_COMPILER_MAX_K:
+        if env.puzzle.k > FORWARD_COMPILER_MAX_K:
             raise KTooLarge(
-                f"challenge width {width} exceeds the compiler cap "
+                f"challenge width {env.puzzle.k} exceeds the compiler cap "
                 f"{FORWARD_COMPILER_MAX_K}"
             )
         return _ForwardingTrial(self.inner, env, actor_seed)
@@ -221,6 +220,12 @@ class TeleportPair:
         self.entanglement_budget = k * (n + 1)
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_TeleportTrial":
+        if env.oracle is not None:
+            raise ConfigInvalid(
+                "teleport has no hash-challenge form: the right device learns "
+                "the challenge at t=3 at the earliest, so its outcomes would "
+                "reach V0 at t=6, after ans0's deadline at 4"
+            )
         if env.puzzle.n != self.n or env.puzzle.k != self.k:
             raise ConfigInvalid(
                 f"attack built for n={self.n}, k={self.k} but run has "

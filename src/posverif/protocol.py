@@ -41,7 +41,6 @@ from .puzzle import (
     decode_obligations,
     encode_answers,
     encode_obligations,
-    parallel_puzzle,
 )
 from .rng import Rng, child_seed, mix64
 from .spacetime import (
@@ -188,17 +187,18 @@ class RandomOracle:
 class TrialEnv:
     """Key material context shared by the parties of one run.
 
-    Exposes the public handle, key lookup by announced id, and an
-    obligation service that mints claw states against the key.  The
-    trapdoor itself stays with the verdict logic and is not reachable
-    through this object.
+    Exposes the public handle, key lookup by announced id, an obligation
+    service that mints claw states against the key, and the run's random
+    oracle (None in the plain variant).  The trapdoor itself stays with
+    the verdict logic and is not reachable through this object.
     """
 
     def __init__(self, puzzle: RepeatedPuzzle, handle: MultiHandle,
-                 trapdoor: MultiTrapdoor):
+                 trapdoor: MultiTrapdoor, oracle: RandomOracle | None = None):
         self.puzzle = puzzle
         self.handle = handle
         self._trapdoor = trapdoor
+        self.oracle = oracle
 
     def resolve(self, key_id: str) -> MultiHandle:
         if key_id != self.handle.key_id:
@@ -325,12 +325,10 @@ class _ProverBehavior(PartyBehavior):
     are buffered and each reply is emitted as soon as its inputs exist.
     """
 
-    def __init__(self, prover, env: TrialEnv, actor_seed: int,
-                 oracle: RandomOracle | None):
+    def __init__(self, prover, env: TrialEnv, actor_seed: int):
         self.prover = prover
         self.env = env
         self.actor_seed = actor_seed
-        self.oracle = oracle
         self._challenge: str | None = None
         self._nonce0: str | None = None
         self._nonce1: str | None = None
@@ -354,7 +352,7 @@ class _ProverBehavior(PartyBehavior):
             self._nonce1, _ = unpack_bits(parts[0])
         if (self._challenge is None and self._nonce0 is not None
                 and self._nonce1 is not None):
-            self._challenge = self.oracle.query(xor_bits(self._nonce0, self._nonce1))
+            self._challenge = self.env.oracle.query(xor_bits(self._nonce0, self._nonce1))
         if self._obligated and self._challenge is not None and not self._answered:
             self._answered = True
             ans_bytes = self.prover.reply_ans(self.env, self._memo,
@@ -479,14 +477,14 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
     if (prover is None) == (adversaries is None):
         raise ConfigInvalid("supply exactly one of prover or adversaries")
 
-    puzzle = parallel_puzzle(config.n, config.k)
+    puzzle = RepeatedPuzzle(config.n, config.k)
     v0_rng = Rng(child_seed(seed, 0))
     v1_rng = Rng(child_seed(seed, 1))
     actor_seed = child_seed(seed, 2)
     oracle = RandomOracle(child_seed(seed, 3), config.lam, config.k) if hashed else None
 
     handle, trapdoor = puzzle.keygen(v0_rng)
-    env = TrialEnv(puzzle, handle, trapdoor)
+    env = TrialEnv(puzzle, handle, trapdoor, oracle)
 
     key_id = handle.key_id.encode()
     if hashed:
@@ -510,7 +508,7 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         position = prover.position
         if position is None:
             position = config.prover_position
-        sim.add_party(position, _ProverBehavior(prover, env, actor_seed, oracle))
+        sim.add_party(position, _ProverBehavior(prover, env, actor_seed))
     else:
         trial = adversaries.new_trial(env, actor_seed)
         left = _LeftAdversaryBehavior(trial, env, v0_pid)
@@ -563,7 +561,7 @@ def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
     seeded like a timed run.  Acceptance uses the same verification as
     the timed runs, so quantum and classical success rates carry over
     unchanged."""
-    puzzle = parallel_puzzle(config.n, config.k)
+    puzzle = RepeatedPuzzle(config.n, config.k)
     handle, trapdoor = puzzle.keygen(Rng(child_seed(seed, 0)))
     env = TrialEnv(puzzle, handle, trapdoor)
 

@@ -150,8 +150,6 @@ class BasePuzzle:
         if not (N_MIN <= n <= N_MAX):
             raise InvalidN(f"n must be in [{N_MIN}, {N_MAX}], got {n}")
         self.n = n
-        self.k = 1
-        self.challenge_len = 1
 
     def sample_challenge(self, rng) -> str:
         return rng.bits(1)
@@ -273,10 +271,6 @@ class MultiHandle:
         self.parts = parts
         self.key_id = "".join(p.key_id for p in parts)
 
-    @property
-    def n(self) -> int:
-        return self.parts[0].n
-
 
 class MultiTrapdoor:
     __slots__ = ("parts",)
@@ -286,12 +280,10 @@ class MultiTrapdoor:
 
 
 class RepeatedPuzzle:
-    """k independent instances, with shared or per-instance challenge bits.
+    """k independent instances, each answering its own challenge bit.
 
-    shared_challenge=True reuses one challenge bit across all instances
-    (challenge length 1); False gives each instance a fresh bit (challenge
-    length k). Verification is the AND over instances. k=1 behaves exactly
-    like the base puzzle either way.
+    A challenge is a k-bit string, bit i for instance i; verification is
+    the AND over instances. k=1 behaves exactly like the base puzzle.
 
     The k claw states travel as one qsim stack, row i holding instance i;
     obligate builds it and solve measures it in one pass per register.
@@ -299,25 +291,15 @@ class RepeatedPuzzle:
     one after another.
     """
 
-    def __init__(self, n: int, k: int, shared_challenge: bool):
+    def __init__(self, n: int, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.base = BasePuzzle(n)
         self.n = n
         self.k = k
-        self.shared_challenge = shared_challenge
-        self.challenge_len = 1 if shared_challenge else k
 
     def sample_challenge(self, rng) -> str:
-        return rng.bits(self.challenge_len)
-
-    def _instance_bits(self, challenge: str) -> str:
-        """The challenge bit of each instance, in instance order."""
-        if len(challenge) != self.challenge_len:
-            raise LengthMismatch(
-                f"challenge width {len(challenge)} != {self.challenge_len}"
-            )
-        return challenge * self.k if self.shared_challenge else challenge
+        return rng.bits(self.k)
 
     def keygen(self, rng) -> tuple[MultiHandle, MultiTrapdoor]:
         pairs = [self.base.keygen(rng) for _ in range(self.k)]
@@ -333,29 +315,22 @@ class RepeatedPuzzle:
     def solve(self, handle: MultiHandle, ys, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
         """Solve all k instances over their stacked claw states; answers
         and rng draws equal k base-puzzle solves in instance order."""
-        bits = self._instance_bits(challenge)
-        for b in set(bits):
+        if len(challenge) != self.k:
+            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
+        for b in set(challenge):
             _check_bit(b)
         self.base._check_state(state, (self.k,))
-        return _solve_rows(state, bits, rng)
+        return _solve_rows(state, challenge, rng)
 
     def verify(self, env: MultiTrapdoor, ys, challenge: str, answers) -> bool:
+        if len(challenge) != self.k:
+            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
         if len(ys) != self.k or len(answers) != self.k:
             raise LengthMismatch(f"expected {self.k} obligations and answers")
         return all(
             self.base.verify(t, y, b, a)
-            for t, y, b, a in zip(env.parts, ys, self._instance_bits(challenge), answers)
+            for t, y, b, a in zip(env.parts, ys, challenge, answers)
         )
-
-
-def strong_puzzle(n: int, k: int) -> RepeatedPuzzle:
-    """k instances answering one shared challenge bit."""
-    return RepeatedPuzzle(n, k, shared_challenge=True)
-
-
-def parallel_puzzle(n: int, k: int) -> RepeatedPuzzle:
-    """k instances with independent challenge bits."""
-    return RepeatedPuzzle(n, k, shared_challenge=False)
 
 
 _KIND_PREIMAGE = 0
@@ -372,6 +347,8 @@ def encode_answer(answer: Answer) -> bytes:
 
 def decode_answer(data: bytes, offset: int = 0) -> tuple[Answer, int]:
     kind, bit = data[offset], data[offset + 1]
+    if bit > 1:
+        raise ValueError(f"answer bit byte must be 0 or 1, got {bit}")
     payload, end = unpack_bits(data, offset + 2)
     if kind == _KIND_PREIMAGE:
         return Preimage(str(bit), payload), end

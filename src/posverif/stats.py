@@ -111,11 +111,6 @@ def honest_completeness(n: int, k: int = 1) -> float:
     return (1.0 - 2.0 ** -(n + 1)) ** k
 
 
-def strong_completeness(n: int, k: int) -> float:
-    """Honest acceptance with one challenge bit shared by k instances."""
-    return 0.5 * (1.0 + (1.0 - 2.0**-n) ** k)
-
-
 def guessing_rate(n: int, k: int) -> float:
     """Two-site challenge-guessing attack: guess k bits, then play honestly."""
     return 2.0**-k * honest_completeness(n, k)

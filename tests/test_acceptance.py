@@ -16,9 +16,9 @@ tolerance, so `pytest tests/test_acceptance.py -v` reads as a checklist:
 
 Statistical checks use Wilson 95 percent intervals at trial counts chosen
 so the suite stays deterministic for ACCEPT_SEED; exact checks use
-Fraction equality or a 1e-12 amplitude tolerance. c01, c04 and c05
-spread their estimates over every core, which leaves their counts
-unchanged; everything else runs on a single core. The two heavyweight
+Fraction equality or a 1e-12 amplitude tolerance. c01, c03, c04, c05
+and c09 spread their estimates over every core, which leaves their
+counts unchanged; everything else runs on a single core. The two heavyweight
 tests assert their own wall-time budget.
 """
 
@@ -55,7 +55,7 @@ from posverif.protocol import (
     run_prpv,
     run_roprpv,
 )
-from posverif.puzzle import BasePuzzle, obligate_circuit_state, parallel_puzzle, run_obligate_circuit
+from posverif.puzzle import BasePuzzle, RepeatedPuzzle, obligate_circuit_state, run_obligate_circuit
 from posverif.rng import Rng, child_seed
 from posverif.stats import (
     guessing_rate,
@@ -141,7 +141,8 @@ def test_c03_nonlocal_game_values():
     puz = BasePuzzle(8)
     start = time.perf_counter()
     mg = estimate_win_rate(puz, make_strategy("measure_and_guess", 8),
-                           trials=10_000, seed=_seed(3, 0))
+                           trials=10_000, seed=_seed(3, 0),
+                           workers=os.cpu_count() or 1)
     mg_theory = measure_and_guess_rate(8)
     assert abs(mg_theory - 0.75) < 2e-3
     for target in (0.75, mg_theory):
@@ -149,7 +150,8 @@ def test_c03_nonlocal_game_values():
             f"CI [{mg.ci_low:.4f}, {mg.ci_high:.4f}] misses {target:.4f}"
         )
     hb = estimate_win_rate(puz, make_strategy("honest_to_B", 8),
-                           trials=10_000, seed=_seed(3, 1))
+                           trials=10_000, seed=_seed(3, 1),
+                           workers=os.cpu_count() or 1)
     hb_theory = honest_to_b_rate(8)
     assert abs(hb_theory - 0.25) < 2e-5
     for target in (0.25, hb_theory):
@@ -157,7 +159,8 @@ def test_c03_nonlocal_game_values():
             f"CI [{hb.ci_low:.4f}, {hb.ci_high:.4f}] misses {target:.4f}"
         )
     bf = estimate_win_rate(puz, make_strategy("brute_force", 8),
-                           trials=2_000, seed=_seed(3, 2))
+                           trials=2_000, seed=_seed(3, 2),
+                           workers=os.cpu_count() or 1)
     assert bf.rate == 1.0
     assert time.perf_counter() - start < 60.0
 
@@ -218,7 +221,7 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     assert set(tally.reasons) <= {FailureReason.VER_FAIL}
 
     # drive one trial by hand and count the pairs it consumes
-    puz = parallel_puzzle(8, 1)
+    puz = RepeatedPuzzle(8, 1)
     handle, trapdoor = puz.keygen(Rng(_seed(6, 1)))
     env = TrialEnv(puz, handle, trapdoor)
     pair = TeleportPair(8, 1)
@@ -307,12 +310,14 @@ def test_c09_hash_challenge_completeness_and_oracle():
     cfg = ProtocolConfig(n=8, k=4, lam=16)
     theory = honest_completeness(8, 4)
     hashed = estimate_acceptance(cfg, trials=4_000, seed=_seed(9, 0),
-                                 prover=HonestProver(), runner=run_roprpv)
+                                 prover=HonestProver(), runner=run_roprpv,
+                                 workers=os.cpu_count() or 1)
     assert _covers(hashed, theory), (
         f"hashed CI [{hashed.ci_low:.4f}, {hashed.ci_high:.4f}] misses {theory:.4f}"
     )
     plain = estimate_acceptance(cfg, trials=4_000, seed=_seed(9, 1),
-                                prover=HonestProver())
+                                prover=HonestProver(),
+                                workers=os.cpu_count() or 1)
     assert _covers(plain, theory)
     assert max(hashed.ci_low, plain.ci_low) <= min(hashed.ci_high, plain.ci_high)
 

@@ -26,7 +26,7 @@ from posverif.protocol import (
     run_prpv,
     run_roprpv,
 )
-from posverif.puzzle import parallel_puzzle
+from posverif.puzzle import RepeatedPuzzle
 from posverif.rng import Rng, child_seed
 from posverif.stats import (
     classical_prover_rate,
@@ -153,7 +153,7 @@ class TestTeleportAttack:
 
     @pytest.mark.parametrize("n, k", [(8, 1), (6, 2), (4, 4)])
     def test_budget_is_exactly_consumed(self, n, k):
-        puz = parallel_puzzle(n, k)
+        puz = RepeatedPuzzle(n, k)
         handle, trapdoor = puz.keygen(Rng(3))
         env = TrialEnv(puz, handle, trapdoor)
         pair = TeleportPair(n, k)
@@ -167,7 +167,7 @@ class TestTeleportAttack:
         assert ans0 == ans1
 
     def test_sides_agree_for_either_challenge(self):
-        puz = parallel_puzzle(6, 1)
+        puz = RepeatedPuzzle(6, 1)
         handle, trapdoor = puz.keygen(Rng(4))
         env = TrialEnv(puz, handle, trapdoor)
         for challenge in ("0", "1"):
@@ -181,6 +181,14 @@ class TestTeleportAttack:
         cfg = ProtocolConfig(n=8, k=2)
         with pytest.raises(ConfigInvalid):
             run_prpv(cfg, seed=502, adversaries=TeleportPair(8, 1))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_hashed_run_rejected(self, k):
+        """Under hashing the right device learns the challenge too late
+        to steer its measurements, so the pair has no hashed form."""
+        with pytest.raises(ConfigInvalid, match="deadline"):
+            run_roprpv(ProtocolConfig(n=6, k=k), seed=503,
+                       adversaries=TeleportPair(6, k))
 
 
 class TestClassicalForward:

@@ -200,6 +200,13 @@ class TestTrace:
         assert code == 0
         assert out
 
+    def test_hashed_teleport_trace_is_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "trace", "--name", "teleport",
+                                 "--hashed", "--n", "6")
+        assert code == 2
+        assert "error:" in err
+        assert out == ""
+
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "trace", "--seed", "9")
         _, second, _ = run_cli(capsys, "trace", "--seed", "9")

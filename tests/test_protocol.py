@@ -31,7 +31,7 @@ from posverif.protocol import (
     run_prpv,
     run_roprpv,
 )
-from posverif.puzzle import decode_obligations, encode_obligations
+from posverif.puzzle import RepeatedPuzzle, decode_obligations, encode_obligations
 from posverif.rng import Rng, child_seed
 from posverif.stats import classical_prover_rate, honest_completeness
 
@@ -386,8 +386,7 @@ class TestProofOfQuantumness:
 
 class TestClassicalReplies:
     def test_y_deterministic_and_wellformed(self):
-        from posverif.puzzle import parallel_puzzle
-        puz = parallel_puzzle(6, 3)
+        puz = RepeatedPuzzle(6, 3)
         handle, _ = puz.keygen(Rng(3))
         ys1, xs1 = classical_reply_y(handle, tape_seed=7)
         ys2, xs2 = classical_reply_y(handle, tape_seed=7)
@@ -396,8 +395,7 @@ class TestClassicalReplies:
         assert all(handle.parts[i].eval("0", xs1[i]) == ys1[i] for i in range(3))
 
     def test_ans_consumes_tape_uniformly(self):
-        from posverif.puzzle import parallel_puzzle
-        puz = parallel_puzzle(6, 3)
+        puz = RepeatedPuzzle(6, 3)
         handle, _ = puz.keygen(Rng(3))
         # equation guesses for a given instance do not depend on the
         # other challenge bits
@@ -406,8 +404,7 @@ class TestClassicalReplies:
         assert a[0] == b[0]
 
     def test_preimage_branch_always_verifies(self):
-        from posverif.puzzle import parallel_puzzle
-        puz = parallel_puzzle(6, 2)
+        puz = RepeatedPuzzle(6, 2)
         handle, td = puz.keygen(Rng(4))
         ys, _ = classical_reply_y(handle, tape_seed=9)
         answers = classical_reply_ans(handle, "00", tape_seed=9)

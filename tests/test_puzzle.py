@@ -283,70 +283,39 @@ class TestSolveVerify:
 
 class TestRepetition:
     def test_k1_matches_base(self):
-        for factory in (puzzle.strong_puzzle, puzzle.parallel_puzzle):
-            rp = factory(4, 1)
-            handle, td = rp.keygen(Rng(55))
-            base_handle, base_td = puzzle.BasePuzzle(4).keygen(Rng(55))
-            assert handle.parts[0].key_id == base_handle.key_id
-            ys, states = rp.obligate(handle, td, Rng(56))
-            y_base, _ = puzzle.BasePuzzle(4).obligate(base_handle, base_td, Rng(56))
-            assert ys == (y_base,)
-            ans = rp.solve(handle, ys, states, "1", Rng(57))
-            assert rp.verify(td, ys, "1", ans) == puzzle.BasePuzzle(4).verify(
-                base_td, ys[0], "1", ans[0]
-            )
+        rp = puzzle.RepeatedPuzzle(4, 1)
+        handle, td = rp.keygen(Rng(55))
+        base_handle, base_td = puzzle.BasePuzzle(4).keygen(Rng(55))
+        assert handle.parts[0].key_id == base_handle.key_id
+        ys, states = rp.obligate(handle, td, Rng(56))
+        y_base, _ = puzzle.BasePuzzle(4).obligate(base_handle, base_td, Rng(56))
+        assert ys == (y_base,)
+        ans = rp.solve(handle, ys, states, "1", Rng(57))
+        assert rp.verify(td, ys, "1", ans) == puzzle.BasePuzzle(4).verify(
+            base_td, ys[0], "1", ans[0]
+        )
 
     def test_challenge_widths(self):
-        assert puzzle.strong_puzzle(4, 5).challenge_len == 1
-        assert puzzle.parallel_puzzle(4, 5).challenge_len == 5
-        rp = puzzle.parallel_puzzle(4, 3)
+        assert len(puzzle.RepeatedPuzzle(4, 5).sample_challenge(Rng(0))) == 5
+        rp = puzzle.RepeatedPuzzle(4, 3)
         handle, td = rp.keygen(Rng(1))
         ys, states = rp.obligate(handle, td, Rng(2))
         with pytest.raises(LengthMismatch):
             rp.solve(handle, ys, states, "0", Rng(3))
 
-    def _rate(self, rp, trials, seed):
-        handle, td = rp.keygen(Rng(seed))
-        r = Rng(seed + 1)
+    def test_parallel_completeness(self):
+        """Fresh challenge bits: honest rate (1 - 2^-(n+1))^k within 4 sigma."""
+        n, k, trials = 4, 4, 6_000
+        rp = puzzle.RepeatedPuzzle(n, k)
+        handle, td = rp.keygen(Rng(72))
+        r = Rng(73)
         wins = 0
         for _ in range(trials):
             ys, states = rp.obligate(handle, td, r)
             ch = rp.sample_challenge(r)
             ans = rp.solve(handle, ys, states, ch, r)
             wins += rp.verify(td, ys, ch, ans)
-        return wins / trials
-
-    def test_strong_completeness(self):
-        """Shared challenge bit: honest rate (1 + (1-2^-n)^k)/2 within 4 sigma."""
-        n, k, trials = 4, 4, 6_000
-        rate = self._rate(puzzle.strong_puzzle(n, k), trials, 71)
-        expect = stats.strong_completeness(n, k)
-        assert abs(rate - expect) < 4 * (expect * (1 - expect) / trials) ** 0.5
-
-    def test_parallel_completeness(self):
-        """Fresh challenge bits: honest rate (1 - 2^-(n+1))^k within 4 sigma."""
-        n, k, trials = 4, 4, 6_000
-        rate = self._rate(puzzle.parallel_puzzle(n, k), trials, 72)
         expect = stats.honest_completeness(n, k)
-        assert abs(rate - expect) < 4 * (expect * (1 - expect) / trials) ** 0.5
-
-    def test_strong_guessing_half(self):
-        """Guessing the shared bit then playing honestly wins about 1/2,
-        independent of k: the committed basis choice pays off only when
-        the guess matches the real challenge."""
-        n, k, trials = 4, 6, 6_000
-        rp = puzzle.strong_puzzle(n, k)
-        handle, td = rp.keygen(Rng(81))
-        r = Rng(82)
-        wins = 0
-        for _ in range(trials):
-            ys, states = rp.obligate(handle, td, r)
-            guess = rp.sample_challenge(r)
-            ans = rp.solve(handle, ys, states, guess, r)
-            ch = rp.sample_challenge(r)
-            if ch == guess:
-                wins += rp.verify(td, ys, ch, ans)
-        expect = 0.5 * 0.5 * (1 + (1 - 2.0**-n) ** k)
         assert abs(wins / trials - expect) < 4 * (expect * (1 - expect) / trials) ** 0.5
 
 
@@ -372,6 +341,13 @@ class TestSerialization:
     def test_key_roundtrip(self):
         p, handle, td = make_puzzle(6, seed=91)
         assert handle.key_id == puzzle.public_key_bytes(6, td.key.seed).hex()
+
+    def test_bit_byte_other_than_0_or_1_rejected(self):
+        for answer in (puzzle.Preimage("0", "11"), puzzle.Equation("0", "11")):
+            data = bytearray(puzzle.encode_answer(answer))
+            data[1] = 7
+            with pytest.raises(ValueError):
+                puzzle.decode_answer(bytes(data))
 
     def test_trailing_bytes_rejected(self):
         data = puzzle.encode_answers((puzzle.Preimage("0", "11"),)) + b"x"

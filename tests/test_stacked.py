@@ -22,9 +22,8 @@ from posverif.protocol import TrialEnv
 from posverif.puzzle import (
     Equation,
     Preimage,
+    RepeatedPuzzle,
     encode_obligations,
-    parallel_puzzle,
-    strong_puzzle,
 )
 from posverif.rng import Rng, Uniforms, child_seed
 
@@ -71,17 +70,15 @@ def _teleport_one(state, rng):
     return k0, k1, working
 
 
-@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_obligate_and_solve_match_per_instance(k, shared):
-    puz = strong_puzzle(N, k) if shared else parallel_puzzle(N, k)
+def test_obligate_and_solve_match_per_instance(k):
+    puz = RepeatedPuzzle(N, k)
     handle, trapdoor = puz.keygen(Rng(900 + k))
     for seed in SEEDS:
-        for bits in ("0" * k, "1" * k) if shared else _challenges(k):
-            challenge = bits[0] if shared else bits
+        for bits in _challenges(k):
             rng, ref = Rng(seed), Rng(seed)
             ys, state = puz.obligate(handle, trapdoor, rng)
-            answers = puz.solve(handle, ys, state, challenge, rng)
+            answers = puz.solve(handle, ys, state, bits, rng)
 
             singles = [_oblige_one(h, t, ref)
                        for h, t in zip(handle.parts, trapdoor.parts)]
@@ -111,7 +108,7 @@ def _frame_matrix(k0: str, k1: str) -> np.ndarray:
 @pytest.mark.parametrize("n, k, seeds", [(N, 1, SEEDS), (N, 4, SEEDS), (8, 4, range(8)),
                                          (8, 8, range(8))])
 def test_stacked_teleport_matches_per_instance(n, k, seeds):
-    puz = parallel_puzzle(n, k)
+    puz = RepeatedPuzzle(n, k)
     handle, trapdoor = puz.keygen(Rng(950 + k))
     for seed in seeds:
         rng, ref = Rng(seed), Rng(seed)
@@ -133,7 +130,7 @@ def test_stacked_teleport_matches_per_instance(n, k, seeds):
 @pytest.mark.parametrize("k", [1, 4])
 def test_teleport_trial_messages_match_per_instance(k):
     """u1's keys and u2's raw outcomes, built per instance by hand."""
-    puz = parallel_puzzle(N, k)
+    puz = RepeatedPuzzle(N, k)
     handle, trapdoor = puz.keygen(Rng(970 + k))
     env = TrialEnv(puz, handle, trapdoor)
     for seed in SEEDS:
