@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import ConfigInvalid, KTooLarge, NotClassicalTape, UnknownAttack
-from .protocol import (
-    ProtocolConfig,
-    TrialEnv,
-    classical_reply_ans,
-    classical_reply_y,
-)
+from .protocol import ClassicalProver, ProtocolConfig, TrialEnv
 from .puzzle import (
     Equation,
     Preimage,
@@ -108,26 +103,24 @@ class _ClassicalForwardTrial:
     def __init__(self, env: TrialEnv, tape: int):
         self.env = env
         self.tape = tape
+        self.device = ClassicalProver()
         self._challenge: str | None = None  # right-device memory
 
     def u1(self, handle):
-        ys, _ = classical_reply_y(handle, self.tape)
-        return encode_obligations(ys), handle.key_id.encode()
+        y_bytes, _ = self.device.reply_y(self.env, self.tape)
+        return y_bytes, handle.key_id.encode()
 
     def u2(self, challenge: str) -> bytes:
         self._challenge = challenge
         return encode_parts(pack_bits(challenge))
 
     def u3(self, m_body: bytes):
-        handle = self.env.resolve(m_body.decode())
-        ys, _ = classical_reply_y(handle, self.tape)
-        answers = classical_reply_ans(handle, self._challenge, self.tape)
-        return encode_obligations(ys), encode_answers(answers)
+        self.env.resolve(m_body.decode())
+        y_bytes, _ = self.device.reply_y(self.env, self.tape)
+        return y_bytes, self.device.reply_ans(self.env, self.tape, self._challenge)
 
     def u4(self, n_body: bytes) -> bytes:
-        challenge = _challenge_of(n_body)
-        answers = classical_reply_ans(self.env.handle, challenge, self.tape)
-        return encode_answers(answers)
+        return self.device.reply_ans(self.env, self.tape, _challenge_of(n_body))
 
 
 class ForwardingPair:

@@ -6,10 +6,13 @@ The integer value of a bitstring is int(s, 2); index 0 is the leftmost bit.
 Wire encoding of a bitstring: u32 little-endian bit length, then the bits
 packed big-endian within each byte (bit i lands in byte i//8 at position
 7 - i%8), zero-padded. All protocol payload equality checks compare these
-bytes, so the encoding must stay stable.
+bytes, so the encoding must stay stable. Every decoder raises
+MalformedMessage for bytes that do not decode.
 """
 
 import struct
+
+from .errors import MalformedMessage
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -35,39 +38,49 @@ def is_zero(s: str) -> bool:
     return "1" not in s
 
 
+pack_u32 = struct.Struct("<I").pack
+
+
+def _read(data: bytes, offset: int, size: int) -> tuple[bytes, int]:
+    """The size bytes at offset, and the offset after them."""
+    end = offset + size
+    if end > len(data):
+        raise MalformedMessage(
+            f"{size} bytes at offset {offset} overrun a {len(data)}-byte message")
+    return data[offset:end], end
+
+
+def read_u32(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Decode one u32 little-endian; returns (value, next offset)."""
+    chunk, end = _read(data, offset, 4)
+    return int.from_bytes(chunk, "little"), end
+
+
 def pack_bits(s: str) -> bytes:
     """Length-prefixed packed form of a bitstring."""
     nbytes = (len(s) + 7) // 8
     value = int(s, 2) << (8 * nbytes - len(s)) if s else 0
-    return struct.pack("<I", len(s)) + value.to_bytes(nbytes, "big")
+    return pack_u32(len(s)) + value.to_bytes(nbytes, "big")
 
 
 def unpack_bits(data: bytes, offset: int = 0) -> tuple[str, int]:
     """Decode one packed bitstring; returns (bits, next offset)."""
-    (nbits,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+    nbits, offset = read_u32(data, offset)
     nbytes = (nbits + 7) // 8
-    chunk = data[offset : offset + nbytes]
-    if len(chunk) != nbytes:
-        raise ValueError("truncated bitstring")
+    chunk, end = _read(data, offset, nbytes)
     value = int.from_bytes(chunk, "big") >> (8 * nbytes - nbits) if nbits else 0
-    return int_to_bits(value, nbits), offset + nbytes
+    return int_to_bits(value, nbits), end
 
 
 def encode_parts(*parts: bytes) -> bytes:
     """Concatenate byte strings, each with a u32 length prefix."""
-    return b"".join(struct.pack("<I", len(p)) + p for p in parts)
+    return b"".join(pack_u32(len(p)) + p for p in parts)
 
 
 def decode_parts(data: bytes) -> list[bytes]:
-    parts = []
-    offset = 0
+    parts, offset = [], 0
     while offset < len(data):
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        chunk = data[offset : offset + length]
-        if len(chunk) != length:
-            raise ValueError("truncated part")
-        parts.append(chunk)
-        offset += length
+        length, offset = read_u32(data, offset)
+        part, offset = _read(data, offset, length)
+        parts.append(part)
     return parts

@@ -21,6 +21,10 @@ class LengthMismatch(PosverifError):
     pass
 
 
+class MalformedMessage(PosverifError, ValueError):
+    """Wire bytes that do not decode: truncated, overrun, trailing or out of range."""
+
+
 class WrongStateShape(PosverifError):
     """State registers do not match what the operation expects."""
 
@@ -31,10 +35,6 @@ class RegisterViolation(PosverifError):
 
 class InvalidN(PosverifError):
     pass
-
-
-class TagMismatch(PosverifError):
-    """Answer kind does not match the challenge branch."""
 
 
 class KTooLarge(PosverifError):

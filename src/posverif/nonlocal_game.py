@@ -20,7 +20,7 @@ from functools import partial
 from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
-from .errors import LengthMismatch, TagMismatch, UnknownStrategy
+from .errors import UnknownStrategy
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
 from .qsim import ScopedState, SharedState, measure
 from .rng import Rng
@@ -65,13 +65,6 @@ def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
     return Equation(rng.bits(1), rng.bits(n))
 
 
-def _safe_verify(puz: BasePuzzle, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
-    try:
-        return puz.verify(env, y, challenge, answer)
-    except (ValueError, TagMismatch, LengthMismatch):
-        return False  # an answer of the wrong kind, width or bits just loses
-
-
 def _views(prep: StagePrep):
     if prep.cell is None:
         return None, None
@@ -86,8 +79,8 @@ def play_nonlocal(puz: BasePuzzle, strategy, rng) -> GameResult:
     view_b, view_c = _views(prep)
     ans_b = strategy.answer_b(view_b, prep.tape, challenge, rng)
     ans_c = strategy.answer_c(view_c, prep.tape, challenge, rng)
-    accept_b = _safe_verify(puz, env, prep.obligation, challenge, ans_b)
-    accept_c = _safe_verify(puz, env, prep.obligation, challenge, ans_c)
+    accept_b = puz.verify(env, prep.obligation, challenge, ans_b)
+    accept_c = puz.verify(env, prep.obligation, challenge, ans_c)
     return GameResult(accept_b and accept_c, accept_b, accept_c, challenge, prep.obligation)
 
 
@@ -118,7 +111,7 @@ def play_2of2(puz: BasePuzzle, solver, rng) -> bool:
     """One 2-of-2 round: the solver must answer both challenges at once."""
     handle, env = puz.keygen(rng)
     y, ans0, ans1 = solver(handle, env, rng)
-    return _safe_verify(puz, env, y, "0", ans0) and _safe_verify(puz, env, y, "1", ans1)
+    return puz.verify(env, y, "0", ans0) and puz.verify(env, y, "1", ans1)
 
 
 def _game_trial(puz: BasePuzzle, strategy, seed: int) -> bool:

@@ -21,17 +21,15 @@ leaves exactly a proof-of-quantumness prover.
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import ConfigInvalid, LengthMismatch, TagMismatch
+from .errors import ConfigInvalid, LengthMismatch, MalformedMessage
 from .puzzle import (
     N_MAX,
     N_MIN,
-    Answer,
     Equation,
     MultiHandle,
     MultiTrapdoor,
@@ -84,7 +82,7 @@ def encode_message(kind: bytes, *parts: bytes) -> bytes:
 
 def decode_message(payload: bytes) -> tuple[bytes, list[bytes]]:
     if not payload:
-        raise ValueError("empty message")
+        raise MalformedMessage("empty message")
     return payload[:1], decode_parts(payload[1:])
 
 
@@ -268,54 +266,26 @@ class ClassicalProver:
     """Deterministic challenge-response device with no quantum memory.
 
     Every reply is a function of the public messages and a random tape,
-    the run's actor seed: obligations commit to preimages of the
-    0-branch, challenge bits asking for an equation are answered with a
-    tape guess.  It sits at the configured prover position.
+    the run's actor seed: obligations commit to tape preimages x_i of the
+    0-branch, challenge bits asking for an equation get a tape guess,
+    drawn for every instance so that tape use does not depend on the
+    challenge.  It sits at the configured prover position.
     """
 
     position = None
 
     def reply_y(self, env: TrialEnv, actor_seed: int):
-        ys, _ = classical_reply_y(env.handle, actor_seed)
+        xs = Rng(child_seed(actor_seed, 0))
+        ys = [part.eval("0", xs.bits(part.n)) for part in env.handle.parts]
         return encode_obligations(ys), actor_seed
 
     def reply_ans(self, env: TrialEnv, tape: int, challenge: str) -> bytes:
-        return encode_answers(classical_reply_ans(env.handle, challenge, tape))
-
-
-def _tape_preimages(handle: MultiHandle, tape_seed: int) -> tuple[str, ...]:
-    """The classical prover's 0-branch preimages x_i, one per instance."""
-    tape = Rng(child_seed(tape_seed, 0))
-    return tuple(tape.bits(part.n) for part in handle.parts)
-
-
-def classical_reply_y(handle: MultiHandle, tape_seed: int):
-    """Obligations of the classical prover: y_i = f_0(x_i) for tape x_i."""
-    xs = _tape_preimages(handle, tape_seed)
-    ys = tuple(part.eval("0", x) for part, x in zip(handle.parts, xs))
-    return ys, xs
-
-
-def classical_reply_ans(handle: MultiHandle, challenge: str,
-                        tape_seed: int) -> tuple[Answer, ...]:
-    """Challenge answers from the same tape as classical_reply_y.
-
-    Preimage requests are met with the stored x_i; equation requests get
-    a uniform tape guess.  Guesses are drawn for every instance so tape
-    consumption does not depend on the challenge.
-    """
-    xs = _tape_preimages(handle, tape_seed)
-    guess_tape = Rng(child_seed(tape_seed, 1))
-    guesses = [(guess_tape.bits(1), guess_tape.bits(part.n))
-               for part in handle.parts]
-    answers: list[Answer] = []
-    for i in range(len(handle.parts)):
-        if challenge[i] == "0":
-            answers.append(Preimage("0", xs[i]))
-        else:
-            c, d = guesses[i]
-            answers.append(Equation(c, d))
-    return tuple(answers)
+        xs, guesses = Rng(child_seed(tape, 0)), Rng(child_seed(tape, 1))
+        answers = []
+        for i, part in enumerate(env.handle.parts):
+            x, c, d = xs.bits(part.n), guesses.bits(1), guesses.bits(part.n)
+            answers.append(Preimage("0", x) if challenge[i] == "0" else Equation(c, d))
+        return encode_answers(answers)
 
 
 class _ProverBehavior(PartyBehavior):
@@ -427,13 +397,14 @@ def _has_conflict(arrivals: list[tuple[Fraction, bytes]]) -> bool:
 
 def _verifies(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor, y_bytes: bytes,
               challenge: str, ans_bytes: bytes) -> bool:
-    """The verifiers' decision on encoded obligations and answers; bytes
-    that fail to decode or answers of the wrong kind or width lose."""
+    """The verifiers' decision on encoded obligations and answers: bytes
+    that do not decode lose, verify rejects any wrong shape, and any
+    other error is a fault that propagates."""
     try:
-        return puzzle.verify(trapdoor, decode_obligations(y_bytes), challenge,
-                             decode_answers(ans_bytes))
-    except (ValueError, IndexError, struct.error, LengthMismatch, TagMismatch):
+        ys, answers = decode_obligations(y_bytes), decode_answers(ans_bytes)
+    except MalformedMessage:
         return False
+    return puzzle.verify(trapdoor, ys, challenge, answers)
 
 
 def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,

@@ -25,10 +25,12 @@ from .bits import (
     int_to_bits,
     is_zero,
     pack_bits,
+    pack_u32,
+    read_u32,
     unpack_bits,
     xor_bits,
 )
-from .errors import InvalidN, LengthMismatch, TagMismatch, WrongStateShape
+from .errors import InvalidN, LengthMismatch, MalformedMessage, WrongStateShape
 from .rng import Uniforms, mix64
 
 N_MIN = 2
@@ -85,6 +87,11 @@ Answer = Preimage | Equation
 def _check_bit(b: str, what: str = "challenge"):
     if b not in ("0", "1"):
         raise ValueError(f"{what} must be '0' or '1', got {b!r}")
+
+
+def _is_bits(s, n: int) -> bool:
+    """Whether s is an n-bit string of '0'/'1' characters."""
+    return isinstance(s, str) and len(s) == n and not s.strip("01")
 
 
 class PublicHandle:
@@ -194,20 +201,18 @@ class BasePuzzle:
         return _solve_rows(qsim.stack([state]), challenge, rng)[0]
 
     def verify(self, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
+        """Whether answer solves y. y and answer are the prover's, so a
+        wrong kind, a bit other than '0'/'1', or a y, v or d that is not
+        n '0'/'1' bits rejects; the verifier's challenge bit raises."""
         _check_bit(challenge)
+        n = env.n
         if challenge == "0":
-            if not isinstance(answer, Preimage):
-                raise TagMismatch(f"challenge 0 needs a Preimage answer, got {type(answer).__name__}")
-            return env.eval(answer.bit, answer.v) == y
-        if not isinstance(answer, Equation):
-            raise TagMismatch(f"challenge 1 needs an Equation answer, got {type(answer).__name__}")
-        if len(y) != env.n:
-            raise LengthMismatch(f"image width {len(y)} != n={env.n}")
-        if len(answer.d) != env.n:
-            raise LengthMismatch(f"equation width {len(answer.d)} != n={env.n}")
-        if is_zero(answer.d):
-            return False
-        return dot_bits(answer.d, env.key.s) == int(answer.c, 2)
+            # eval returns an n-bit string, which no malformed y equals
+            return (isinstance(answer, Preimage) and _is_bits(answer.bit, 1)
+                    and _is_bits(answer.v, n) and env.eval(answer.bit, answer.v) == y)
+        return (isinstance(answer, Equation) and _is_bits(answer.c, 1)
+                and _is_bits(answer.d, n) and _is_bits(y, n) and not is_zero(answer.d)
+                and dot_bits(answer.d, env.key.s) == int(answer.c, 2))
 
 
 def _solve_rows(state: qsim.StateVector, bits: str, rng) -> tuple[Answer, ...]:
@@ -312,21 +317,25 @@ class RepeatedPuzzle:
                              for h, t in zip(handle.parts, env.parts)))
         return ys, qsim.prepare_claw_state(x0s, x1s)
 
+    def _check_challenge(self, challenge: str):
+        if len(challenge) != self.k:
+            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
+        if challenge.strip("01"):
+            raise ValueError(f"challenge must be '0'/'1' bits, got {challenge!r}")
+
     def solve(self, handle: MultiHandle, ys, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
         """Solve all k instances over their stacked claw states; answers
         and rng draws equal k base-puzzle solves in instance order."""
-        if len(challenge) != self.k:
-            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
-        for b in set(challenge):
-            _check_bit(b)
+        self._check_challenge(challenge)
         self.base._check_state(state, (self.k,))
         return _solve_rows(state, challenge, rng)
 
     def verify(self, env: MultiTrapdoor, ys, challenge: str, answers) -> bool:
-        if len(challenge) != self.k:
-            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
+        """AND of the base verdicts; the wrong number of obligations or
+        answers rejects, a malformed challenge raises."""
+        self._check_challenge(challenge)
         if len(ys) != self.k or len(answers) != self.k:
-            raise LengthMismatch(f"expected {self.k} obligations and answers")
+            return False
         return all(
             self.base.verify(t, y, b, a)
             for t, y, b, a in zip(env.parts, ys, challenge, answers)
@@ -335,6 +344,7 @@ class RepeatedPuzzle:
 
 _KIND_PREIMAGE = 0
 _KIND_EQUATION = 1
+_ANSWER_KINDS = {_KIND_PREIMAGE: Preimage, _KIND_EQUATION: Equation}
 
 
 def encode_answer(answer: Answer) -> bytes:
@@ -346,48 +356,42 @@ def encode_answer(answer: Answer) -> bytes:
 
 
 def decode_answer(data: bytes, offset: int = 0) -> tuple[Answer, int]:
+    if len(data) < offset + 2:
+        raise MalformedMessage(f"truncated answer header at offset {offset}")
     kind, bit = data[offset], data[offset + 1]
-    if bit > 1:
-        raise ValueError(f"answer bit byte must be 0 or 1, got {bit}")
+    if bit > 1 or kind not in _ANSWER_KINDS:
+        raise MalformedMessage(f"answer of kind {kind} with bit byte {bit}")
     payload, end = unpack_bits(data, offset + 2)
-    if kind == _KIND_PREIMAGE:
-        return Preimage(str(bit), payload), end
-    if kind == _KIND_EQUATION:
-        return Equation(str(bit), payload), end
-    raise ValueError(f"unknown answer kind {kind}")
+    return _ANSWER_KINDS[kind](str(bit), payload), end
+
+
+def _encode_list(items, encode_item) -> bytes:
+    return pack_u32(len(items)) + b"".join(map(encode_item, items))
+
+
+def _decode_list(data: bytes, decode_item, what: str) -> tuple:
+    """A u32 count, then that many items, then nothing."""
+    count, offset = read_u32(data)
+    items = []
+    for _ in range(count):
+        item, offset = decode_item(data, offset)
+        items.append(item)
+    if offset != len(data):
+        raise MalformedMessage(f"trailing bytes after {what}")
+    return tuple(items)
 
 
 def encode_answers(answers) -> bytes:
-    out = [struct.pack("<I", len(answers))]
-    out.extend(encode_answer(a) for a in answers)
-    return b"".join(out)
+    return _encode_list(answers, encode_answer)
 
 
 def decode_answers(data: bytes) -> tuple[Answer, ...]:
-    (count,) = struct.unpack_from("<I", data, 0)
-    offset = 4
-    answers = []
-    for _ in range(count):
-        a, offset = decode_answer(data, offset)
-        answers.append(a)
-    if offset != len(data):
-        raise ValueError("trailing bytes after answers")
-    return tuple(answers)
+    return _decode_list(data, decode_answer, "answers")
 
 
 def encode_obligations(ys) -> bytes:
-    out = [struct.pack("<I", len(ys))]
-    out.extend(pack_bits(y) for y in ys)
-    return b"".join(out)
+    return _encode_list(ys, pack_bits)
 
 
 def decode_obligations(data: bytes) -> tuple[str, ...]:
-    (count,) = struct.unpack_from("<I", data, 0)
-    offset = 4
-    ys = []
-    for _ in range(count):
-        y, offset = unpack_bits(data, offset)
-        ys.append(y)
-    if offset != len(data):
-        raise ValueError("trailing bytes after obligations")
-    return tuple(ys)
+    return _decode_list(data, unpack_bits, "obligations")

@@ -223,11 +223,14 @@ class TestReduction:
         assert not any(play_2of2(puzzle.BasePuzzle(4), solver, Rng(s)) for s in range(100))
 
     def test_wrong_width_solver_loses(self):
-        """Equations of the wrong width or with a bit outside {0,1} lose
-        the round instead of ending it in an exception."""
+        """Equations of the wrong width or with a bit outside {0,1}, and
+        answers of the wrong kind, lose the round instead of ending it in
+        an exception."""
         for equation in (puzzle.Equation("1", "101"),
                          puzzle.Equation("2", "111111"),
-                         puzzle.Equation("1", "11x111")):
+                         puzzle.Equation("1", "11x111"),
+                         puzzle.Preimage("0", "x" * 6),
+                         None):
             solver = self._honest_then(equation)
             assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s))
                            for s in range(20)), equation

@@ -7,8 +7,20 @@ from fractions import Fraction
 import pytest
 
 from posverif.adversary import make_attack
-from posverif.bits import encode_parts, pack_bits, unpack_bits, xor_bits
-from posverif.errors import ConfigInvalid, InvalidTrials, LengthMismatch
+from posverif.bits import (
+    decode_parts,
+    encode_parts,
+    pack_bits,
+    pack_u32,
+    unpack_bits,
+    xor_bits,
+)
+from posverif.errors import (
+    ConfigInvalid,
+    InvalidTrials,
+    LengthMismatch,
+    MalformedMessage,
+)
 from posverif.protocol import (
     ANS0_DEADLINE,
     ANS1_DEADLINE,
@@ -18,11 +30,10 @@ from posverif.protocol import (
     PoQResult,
     ProtocolConfig,
     RandomOracle,
+    TrialEnv,
     Verdict,
     Y0_DEADLINE,
     Y1_DEADLINE,
-    classical_reply_ans,
-    classical_reply_y,
     decode_message,
     encode_message,
     estimate_acceptance,
@@ -31,7 +42,13 @@ from posverif.protocol import (
     run_prpv,
     run_roprpv,
 )
-from posverif.puzzle import RepeatedPuzzle, decode_obligations, encode_obligations
+from posverif.puzzle import (
+    Preimage,
+    RepeatedPuzzle,
+    decode_answers,
+    decode_obligations,
+    encode_answers,
+)
 from posverif.rng import Rng, child_seed
 from posverif.stats import classical_prover_rate, honest_completeness
 
@@ -62,35 +79,71 @@ class StubForwardPair:
         tape0 = self.tape0 if self.tape0 is not None else actor_seed
         tape1 = self.tape1 if self.tape1 is not None else actor_seed
         pair = self
+        device = ClassicalProver()
 
         class Trial:
             def __init__(self):
                 self.challenge = None
 
             def u1(self, handle):
-                ys, _ = classical_reply_y(handle, tape0)
-                return encode_obligations(ys), handle.key_id.encode()
+                y_bytes, _ = device.reply_y(env, tape0)
+                return y_bytes, handle.key_id.encode()
 
             def u2(self, challenge):
                 self.challenge = challenge
                 return encode_parts(pack_bits(challenge))
 
             def u3(self, m_body):
-                handle = env.resolve(m_body.decode())
-                ys, _ = classical_reply_y(handle, tape1)
-                answers = classical_reply_ans(handle, self.challenge, tape1)
-                from posverif.puzzle import encode_answers
-                ans = b"\xff" if pair.garble_ans else encode_answers(answers)
-                return encode_obligations(ys), ans
+                env.resolve(m_body.decode())
+                y_bytes, _ = device.reply_y(env, tape1)
+                ans = device.reply_ans(env, tape1, self.challenge)
+                return y_bytes, b"\xff" if pair.garble_ans else ans
 
             def u4(self, n_body):
                 challenge, _ = unpack_bits(n_body[4:])
-                answers = classical_reply_ans(env.handle, challenge, tape0)
-                from posverif.puzzle import encode_answers
-                ans = b"\xff" if pair.garble_ans else encode_answers(answers)
-                return ans
+                ans = device.reply_ans(env, tape0, challenge)
+                return b"\xff" if pair.garble_ans else ans
 
         return Trial()
+
+
+# One body per way a count-prefixed list can fail to decode.
+_ONE = pack_u32(1)
+MALFORMED_BODIES = {
+    "empty": b"",
+    "short_header": b"\x01\x00",
+    "count_without_items": pack_u32(5),
+    "length_overrun": _ONE + pack_u32(64) + b"\xff",
+    "kind_only_answer": _ONE + b"\x00",
+    "unknown_kind": _ONE + b"\x09\x00" + pack_bits("0101"),
+    "bit_byte_7": _ONE + b"\x00\x07" + pack_bits("0101"),
+    "trailing_byte": encode_answers((Preimage("0", "0101"),)) + b"\x00",
+}
+
+
+class HostilePair:
+    """Both devices send one fixed body as obligations and as answers, in
+    time and identically, so only verification can fail the run."""
+
+    name = "hostile"
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def new_trial(self, env, actor_seed):
+        return self
+
+    def u1(self, handle):
+        return self.body, b""
+
+    def u2(self, challenge):
+        return b""
+
+    def u3(self, m_body):
+        return self.body, self.body
+
+    def u4(self, n_body):
+        return self.body
 
 
 class TestConfig:
@@ -129,7 +182,7 @@ class TestMessageCodec:
         assert parts == [b"abc", b"", b"\x00\x01"]
 
     def test_empty_message_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedMessage):
             decode_message(b"")
 
     def test_kind_must_be_single_byte(self):
@@ -385,27 +438,83 @@ class TestProofOfQuantumness:
 
 
 class TestClassicalReplies:
+    """ClassicalProver's replies, decoded from the bytes it sends."""
+
+    @staticmethod
+    def _env(k: int, seed: int):
+        puz = RepeatedPuzzle(6, k)
+        handle, td = puz.keygen(Rng(seed))
+        return TrialEnv(puz, handle, td), td
+
     def test_y_deterministic_and_wellformed(self):
-        puz = RepeatedPuzzle(6, 3)
-        handle, _ = puz.keygen(Rng(3))
-        ys1, xs1 = classical_reply_y(handle, tape_seed=7)
-        ys2, xs2 = classical_reply_y(handle, tape_seed=7)
-        assert ys1 == ys2 and xs1 == xs2
-        assert all(len(y) == 6 for y in ys1)
-        assert all(handle.parts[i].eval("0", xs1[i]) == ys1[i] for i in range(3))
+        env, _ = self._env(3, 3)
+        prover = ClassicalProver()
+        y_bytes, tape = prover.reply_y(env, 7)
+        assert prover.reply_y(env, 7) == (y_bytes, tape)
+        ys = decode_obligations(y_bytes)
+        # the committed preimages come back as the challenge-0 answers
+        xs = [a.v for a in decode_answers(prover.reply_ans(env, tape, "000"))]
+        assert all(len(y) == 6 for y in ys)
+        assert all(env.handle.parts[i].eval("0", xs[i]) == ys[i] for i in range(3))
 
     def test_ans_consumes_tape_uniformly(self):
-        puz = RepeatedPuzzle(6, 3)
-        handle, _ = puz.keygen(Rng(3))
+        env, _ = self._env(3, 3)
+        prover = ClassicalProver()
         # equation guesses for a given instance do not depend on the
         # other challenge bits
-        a = classical_reply_ans(handle, "100", tape_seed=7)
-        b = classical_reply_ans(handle, "111", tape_seed=7)
+        a = decode_answers(prover.reply_ans(env, 7, "100"))
+        b = decode_answers(prover.reply_ans(env, 7, "111"))
         assert a[0] == b[0]
 
     def test_preimage_branch_always_verifies(self):
-        puz = RepeatedPuzzle(6, 2)
-        handle, td = puz.keygen(Rng(4))
-        ys, _ = classical_reply_y(handle, tape_seed=9)
-        answers = classical_reply_ans(handle, "00", tape_seed=9)
-        assert puz.verify(td, ys, "00", answers)
+        env, td = self._env(2, 4)
+        prover = ClassicalProver()
+        y_bytes, tape = prover.reply_y(env, 9)
+        answers = decode_answers(prover.reply_ans(env, tape, "00"))
+        assert env.puzzle.verify(td, decode_obligations(y_bytes), "00", answers)
+
+
+class TestMalformedInput:
+    """Bytes that do not decode raise MalformedMessage and lose the run;
+    any other error inside verification propagates."""
+
+    @pytest.mark.parametrize("decode", [decode_answers, decode_obligations])
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(),
+                             ids=MALFORMED_BODIES.keys())
+    def test_list_decoders_raise_one_type(self, decode, body):
+        with pytest.raises(MalformedMessage):
+            decode(body)
+
+    @pytest.mark.parametrize("decode, body", [
+        (unpack_bits, b""),
+        (unpack_bits, b"\x01\x00"),
+        (unpack_bits, pack_u32(64) + b"\xff"),
+        (decode_parts, b"\x01\x00"),
+        (decode_parts, pack_u32(5)),
+        (decode_message, b""),
+        (decode_message, b"Y" + pack_u32(5)),
+    ], ids=["bits_empty", "bits_short_header", "bits_length_overrun",
+            "parts_short_header", "parts_length_overrun", "message_empty",
+            "message_part_overrun"])
+    def test_framing_decoders_raise_one_type(self, decode, body):
+        with pytest.raises(MalformedMessage):
+            decode(body)
+
+    @pytest.mark.parametrize("runner", [run_prpv, run_roprpv])
+    @pytest.mark.parametrize("body", MALFORMED_BODIES.values(),
+                             ids=MALFORMED_BODIES.keys())
+    def test_hostile_pair_fails_verification(self, runner, body):
+        out = runner(ProtocolConfig(n=4, k=2), seed=41,
+                     adversaries=HostilePair(body))
+        assert out.verdict.reason is FailureReason.VER_FAIL
+
+    def test_fault_inside_verify_propagates(self, monkeypatch):
+        def broken_verify(*args):
+            raise IndexError("fault inside verify")
+
+        monkeypatch.setattr(RepeatedPuzzle, "verify", broken_verify)
+        cfg = ProtocolConfig(n=4, k=2)
+        with pytest.raises(IndexError):
+            run_prpv(cfg, seed=1, prover=HonestProver())
+        with pytest.raises(IndexError):
+            run_poq(cfg, seed=1, prover=HonestProver())

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from posverif import puzzle, qsim, stats
 from posverif.bits import dot_bits, int_to_bits, is_zero, xor_bits
-from posverif.errors import InvalidN, LengthMismatch, TagMismatch, WrongStateShape
+from posverif.errors import InvalidN, LengthMismatch, MalformedMessage, WrongStateShape
 from posverif.rng import Rng
 
 
@@ -175,20 +175,30 @@ class TestSolveVerify:
 
     def test_challenge1_rejects_wrong_image_width(self):
         p, handle, td = make_puzzle(4)
-        with pytest.raises(LengthMismatch):
-            p.verify(td, "101", "1", puzzle.Equation("0", "0001"))
+        assert not p.verify(td, "101", "1", puzzle.Equation("0", "0001"))
         y, _ = p.obligate(handle, td, Rng(4))
         for d in ("101", "000"):
-            with pytest.raises(LengthMismatch):
-                p.verify(td, y, "1", puzzle.Equation("0", d))
+            assert not p.verify(td, y, "1", puzzle.Equation("0", d))
 
     def test_tag_mismatch(self):
         p, handle, td = make_puzzle()
         y, _ = p.obligate(handle, td, Rng(4))
-        with pytest.raises(TagMismatch):
-            p.verify(td, y, "0", puzzle.Equation("0", "0001"))
-        with pytest.raises(TagMismatch):
-            p.verify(td, y, "1", puzzle.Preimage("0", "0001"))
+        assert not p.verify(td, y, "0", puzzle.Equation("0", "0001"))
+        assert not p.verify(td, y, "1", puzzle.Preimage("0", "0001"))
+
+    def test_challenge_outside_bits_raises(self):
+        """The challenge is the verifier's own input, so a bad one is a
+        fault, not a rejection."""
+        p, handle, td = make_puzzle()
+        y, _ = p.obligate(handle, td, Rng(4))
+        with pytest.raises(ValueError):
+            p.verify(td, y, "2", puzzle.Preimage("0", "0001"))
+        rp = puzzle.RepeatedPuzzle(4, 2)
+        mhandle, mtd = rp.keygen(Rng(5))
+        answers = (puzzle.Preimage("0", "0001"),) * 2
+        for challenge in ("0", "000", "0x"):
+            with pytest.raises((LengthMismatch, ValueError)):
+                rp.verify(mtd, ("0000", "0000"), challenge, answers)
 
     def test_wrong_state_shape(self):
         p, handle, td = make_puzzle(4)
@@ -199,7 +209,8 @@ class TestSolveVerify:
 
     def test_public_verify_agrees_with_trapdoor(self):
         """Public evaluation equals verify on 10^4 random challenge-0
-        answers; a preimage of width n-1 or n+1 raises on both sides."""
+        answers; a preimage of width n-1 or n+1 makes eval raise and
+        verify reject, as does a preimage that is not '0'/'1' bits."""
         n = 4
         p, handle, td = make_puzzle(n, seed=31)
         r = Rng(99)
@@ -213,8 +224,8 @@ class TestSolveVerify:
             ans = puzzle.Preimage("0", v)
             with pytest.raises(LengthMismatch):
                 handle.eval(ans.bit, ans.v)
-            with pytest.raises(LengthMismatch):
-                p.verify(td, y, "0", ans)
+            assert not p.verify(td, y, "0", ans)
+        assert not p.verify(td, y, "0", puzzle.Preimage("0", "x" * n))
 
     def test_branch_acceptance_enumerated(self):
         """Derivation of the completeness closed forms.
@@ -302,6 +313,11 @@ class TestRepetition:
         ys, states = rp.obligate(handle, td, Rng(2))
         with pytest.raises(LengthMismatch):
             rp.solve(handle, ys, states, "0", Rng(3))
+        answers = rp.solve(handle, ys, states, "011", Rng(3))
+        assert rp.verify(td, ys, "011", answers)
+        # the number of obligations and answers is the prover's to get wrong
+        assert not rp.verify(td, ys[:2], "011", answers)
+        assert not rp.verify(td, ys, "011", answers + answers[:1])
 
     def test_parallel_completeness(self):
         """Fresh challenge bits: honest rate (1 - 2^-(n+1))^k within 4 sigma."""
@@ -346,10 +362,10 @@ class TestSerialization:
         for answer in (puzzle.Preimage("0", "11"), puzzle.Equation("0", "11")):
             data = bytearray(puzzle.encode_answer(answer))
             data[1] = 7
-            with pytest.raises(ValueError):
+            with pytest.raises(MalformedMessage):
                 puzzle.decode_answer(bytes(data))
 
     def test_trailing_bytes_rejected(self):
         data = puzzle.encode_answers((puzzle.Preimage("0", "11"),)) + b"x"
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedMessage):
             puzzle.decode_answers(data)
