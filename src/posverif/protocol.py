@@ -86,6 +86,11 @@ def decode_message(payload: bytes) -> tuple[bytes, list[bytes]]:
     return payload[:1], decode_parts(payload[1:])
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True would pass as 1 and misformat."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Parameters of one protocol run.
@@ -103,12 +108,12 @@ class ProtocolConfig:
     prover_position: Coordinate = Fraction(3, 2)
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not N_MIN <= self.n <= N_MAX:
+        if not _is_int(self.n) or not N_MIN <= self.n <= N_MAX:
             raise ConfigInvalid(
                 f"puzzle width n={self.n!r} outside [{N_MIN}, {N_MAX}]")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ConfigInvalid(f"instance count k={self.k!r} must be >= 1")
-        if not isinstance(self.lam, int) or self.lam < 8:
+        if not _is_int(self.lam) or self.lam < 8:
             raise ConfigInvalid(f"nonce width lam={self.lam!r} must be >= 8")
         object.__setattr__(self, "prover_position", as_coord(self.prover_position))
         if not Fraction(1) <= self.prover_position < Fraction(2):

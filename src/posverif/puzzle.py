@@ -3,7 +3,9 @@
 The family: f_{key,b}(x) = P_seed(x xor b*s), where P_seed is a keyed
 4-round Feistel bijection on n-bit strings and s is a nonzero secret shift.
 Claws are exactly the pairs (x, x xor s), so the trapdoor can invert both
-branches while the public side can only evaluate forward.
+branches while the public side can only evaluate forward. The round keys
+derive from the public seed alone, once per key at keygen; the public
+eval and the trapdoor's inversion share that one tuple.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
@@ -40,7 +42,7 @@ _ROUNDS = 4
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _feistel_rounds(seed: int, n: int, x: int, inverse: bool) -> int:
+def _feistel_rounds(round_keys: tuple[int, ...], n: int, x: int, inverse: bool) -> int:
     """Keyed bijection on n-bit integers: alternating-half XOR rounds."""
     wl = n // 2
     wr = n - wl
@@ -48,7 +50,7 @@ def _feistel_rounds(seed: int, n: int, x: int, inverse: bool) -> int:
     right = x & ((1 << wr) - 1)
     order = range(_ROUNDS - 1, -1, -1) if inverse else range(_ROUNDS)
     for r in order:
-        f = mix64(mix64(seed + (r + 1) * _GOLDEN) ^ (right if r % 2 == 0 else left))
+        f = mix64(round_keys[r] ^ (right if r % 2 == 0 else left))
         if r % 2 == 0:
             left ^= f & ((1 << wl) - 1)
         else:
@@ -89,6 +91,15 @@ def _check_bit(b: str, what: str = "challenge"):
         raise ValueError(f"{what} must be '0' or '1', got {b!r}")
 
 
+def _check_bits(s: str, width: int, what: str):
+    """Raise unless s is exactly width '0'/'1' characters: LengthMismatch
+    for the wrong width, ValueError for any other character."""
+    if len(s) != width:
+        raise LengthMismatch(f"{what} width {len(s)} != {width}")
+    if s.strip("01"):
+        raise ValueError(f"{what} must be '0'/'1' bits, got {s!r}")
+
+
 def _is_bits(s, n: int) -> bool:
     """Whether s is an n-bit string of '0'/'1' characters."""
     return isinstance(s, str) and len(s) == n and not s.strip("01")
@@ -106,8 +117,7 @@ class PublicHandle:
 
     def eval(self, b: str, x: str) -> str:
         _check_bit(b, "branch")
-        if len(x) != self.n:
-            raise LengthMismatch(f"preimage width {len(x)} != n={self.n}")
+        _check_bits(x, self.n, "preimage")
         return self._eval(b, x)
 
     def __repr__(self):
@@ -115,13 +125,15 @@ class PublicHandle:
 
 
 class Trapdoor:
-    """Inversion capability: the full key, and its public handle's eval."""
+    """Inversion capability: the full key, its round keys, and its public
+    handle's eval."""
 
-    __slots__ = ("key", "eval")
+    __slots__ = ("key", "eval", "_round_keys")
 
-    def __init__(self, key: PuzzleKey, handle: PublicHandle):
+    def __init__(self, key: PuzzleKey, handle: PublicHandle, round_keys: tuple[int, ...]):
         self.key = key
         self.eval = handle.eval
+        self._round_keys = round_keys
 
     @property
     def n(self) -> int:
@@ -129,19 +141,18 @@ class Trapdoor:
 
     def inv(self, b: str, y: str) -> str:
         _check_bit(b, "branch")
-        if len(y) != self.key.n:
-            raise LengthMismatch(f"image width {len(y)} != n={self.key.n}")
-        x = _feistel_rounds(self.key.seed, self.key.n, int(y, 2), inverse=True)
+        _check_bits(y, self.key.n, "image")
+        x = _feistel_rounds(self._round_keys, self.key.n, int(y, 2), inverse=True)
         pre = int_to_bits(x, self.key.n)
         return xor_bits(pre, self.key.s) if b == "1" else pre
 
 
-def _make_eval(key: PuzzleKey):
-    n, seed, s_int = key.n, key.seed, int(key.s, 2)
+def _make_eval(key: PuzzleKey, round_keys: tuple[int, ...]):
+    n, s_int = key.n, int(key.s, 2)
 
     def eval_fn(b: str, x: str) -> str:
         arg = int(x, 2) ^ s_int if b == "1" else int(x, 2)
-        return int_to_bits(_feistel_rounds(seed, n, arg, inverse=False), n)
+        return int_to_bits(_feistel_rounds(round_keys, n, arg, inverse=False), n)
 
     return eval_fn
 
@@ -162,14 +173,21 @@ class BasePuzzle:
         return rng.bits(1)
 
     def keygen(self, rng) -> tuple[PublicHandle, Trapdoor]:
+        """Draw a key: the public seed, then a nonzero shift s.
+
+        The Feistel round keys are derived from the seed here, once per
+        key, and shared by the handle's eval and the trapdoor's inv. They
+        follow from the seed in key_id, so the handle learns nothing of s.
+        """
         seed = rng.next_u64()
         s = rng.bits(self.n)
         while is_zero(s):  # s = 0 would merge the two branches
             s = rng.bits(self.n)
         key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
-        handle = PublicHandle(self.n, key_id, _make_eval(key))
-        return handle, Trapdoor(key, handle)
+        round_keys = tuple(mix64(seed + (r + 1) * _GOLDEN) for r in range(_ROUNDS))
+        handle = PublicHandle(self.n, key_id, _make_eval(key, round_keys))
+        return handle, Trapdoor(key, handle, round_keys)
 
     def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
         """Sample an obligation y and the claw superposition behind it.
@@ -317,23 +335,17 @@ class RepeatedPuzzle:
                              for h, t in zip(handle.parts, env.parts)))
         return ys, qsim.prepare_claw_state(x0s, x1s)
 
-    def _check_challenge(self, challenge: str):
-        if len(challenge) != self.k:
-            raise LengthMismatch(f"challenge width {len(challenge)} != k={self.k}")
-        if challenge.strip("01"):
-            raise ValueError(f"challenge must be '0'/'1' bits, got {challenge!r}")
-
     def solve(self, handle: MultiHandle, ys, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
         """Solve all k instances over their stacked claw states; answers
         and rng draws equal k base-puzzle solves in instance order."""
-        self._check_challenge(challenge)
+        _check_bits(challenge, self.k, "challenge")
         self.base._check_state(state, (self.k,))
         return _solve_rows(state, challenge, rng)
 
     def verify(self, env: MultiTrapdoor, ys, challenge: str, answers) -> bool:
         """AND of the base verdicts; the wrong number of obligations or
         answers rejects, a malformed challenge raises."""
-        self._check_challenge(challenge)
+        _check_bits(challenge, self.k, "challenge")
         if len(ys) != self.k or len(answers) != self.k:
             return False
         return all(

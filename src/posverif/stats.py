@@ -19,7 +19,6 @@ has d = 0, which carries weight 2^-n. Averaging the challenge bit gives
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Hashable
@@ -70,6 +69,9 @@ def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
     if len(starts) == 1:
         return _tally_chunk(one_trial, seed, 0, trials)
     stops = [min(lo + step, trials) for lo in starts]
+    # imported here: loading the pool machinery costs every serial caller
+    # (every `import posverif.cli`) about 1 MB of resident memory
+    from concurrent.futures import ProcessPoolExecutor
     counts = Counter()
     with ProcessPoolExecutor(max_workers=len(starts)) as pool:
         for part in pool.map(_tally_chunk, repeat(one_trial), repeat(seed),

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import concurrent.futures
+
 import pytest
 
 from posverif import stats
@@ -11,12 +13,12 @@ def pool_sizes(monkeypatch):
     pool it starts, so a test can check that trials really left the
     calling process."""
     sizes = []
-    real_pool = stats.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         sizes.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
     return sizes

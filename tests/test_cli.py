@@ -102,7 +102,7 @@ class TestWorkers:
                 chunks.append(len(parts))
                 return parts
 
-        monkeypatch.setattr(stats, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
         one_trial = lambda seed: seed % 3
         serial = tally(one_trial, 100, 7)
@@ -357,15 +357,31 @@ class TestModuleEntryPoint:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv, **env):
-    """`python -m posverif.cli` in a child process that imports the
-    package from src/, as the test process does."""
+def run_python(*argv, **env):
+    """`python *argv` in a child process that imports the package from
+    src/, as the test process does."""
     path = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "posverif.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def run_module(*argv, **env):
+    """`python -m posverif.cli` in a child process."""
+    return run_python("-m", "posverif.cli", *argv, **env)
+
+
+def test_import_loads_no_process_pool():
+    """Importing the CLI leaves the process-pool machinery unloaded; only
+    a tally with more than one worker imports it."""
+    proc = run_python("-c", (
+        "import sys, posverif.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestOneResolutionPath:

@@ -156,7 +156,8 @@ class TestConfig:
                                      dict(lam=7),
                                      dict(prover_position=Fraction(1, 2)),
                                      dict(prover_position=Fraction(2)),
-                                     dict(prover_position=Fraction(5, 2))])
+                                     dict(prover_position=Fraction(5, 2)),
+                                     dict(k=True)])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ConfigInvalid):
             ProtocolConfig(**bad)

@@ -64,6 +64,24 @@ class TestFamily:
         # challenge-1 verify reads key.s in place of these two inversions
         assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
 
+    # each is 3 characters that int(_, 2) reads as a number
+    @pytest.mark.parametrize("bad", ["1_0", " 10", "10\n", "+10", "-10", "0b1",
+                                     "\u0661\u0660\u0660"])
+    def test_eval_and_inv_reject_non_bits(self, bad):
+        """A preimage or image must be exactly n '0'/'1' characters: other
+        characters raise ValueError, a wrong width LengthMismatch."""
+        p, handle, td = make_puzzle(3)
+        for b in ("0", "1"):
+            with pytest.raises(ValueError, match="'0'/'1' bits"):
+                handle.eval(b, bad)
+            with pytest.raises(ValueError, match="'0'/'1' bits"):
+                td.inv(b, bad)
+            for wrong in ("10", "1010", "1_10"):
+                with pytest.raises(LengthMismatch):
+                    handle.eval(b, wrong)
+                with pytest.raises(LengthMismatch):
+                    td.inv(b, wrong)
+
     def test_keygen_rejects_zero_shift(self):
         """No key with s = 0 in 10^4 generations (the branches must differ)."""
         p = puzzle.BasePuzzle(2)
