@@ -3,8 +3,10 @@
 An attack pair places one device next to each verifier.  Devices talk
 only through the simulated channel: the left device handles the key
 announcement (u1, given the announced key's handle) and the right-to-left
-message (u4), the right device handles the challenge (u2, given its bits)
-and the left-to-right message (u3).  Handler slots draw from independent
+message (u4), the right device handles V1's broadcast (u2, at t=1) and
+the left-to-right message (u3).  u2, u3 and u4 also get the challenge as
+their own device has heard it, which is None in u2 under hashing (nonce0
+reaches the right device at t=3).  Handler slots draw from independent
 seeded streams so a compiled replay of a handler sees exactly the bytes
 the original would have produced.
 
@@ -29,11 +31,6 @@ from .rng import Rng, child_seed
 from .stats import classical_prover_rate, guessing_rate, teleport_rate
 
 FORWARD_COMPILER_MAX_K = 8
-
-
-def _challenge_of(body: bytes) -> str:
-    bits, _ = unpack_bits(decode_parts(body)[0])
-    return bits
 
 
 class GuessingPair:
@@ -71,14 +68,14 @@ class _GuessingTrial:
         self._committed = ans_bytes
         return y_bytes, encode_parts(y_bytes, ans_bytes)
 
-    def u2(self, challenge: str) -> bytes:
+    def u2(self, challenge: str | None) -> bytes:
         return b""
 
-    def u3(self, m_body: bytes):
+    def u3(self, m_body: bytes, challenge: str):
         y_bytes, ans_bytes = decode_parts(m_body)
         return y_bytes, ans_bytes
 
-    def u4(self, n_body: bytes) -> bytes:
+    def u4(self, n_body: bytes, challenge: str) -> bytes:
         return self._committed
 
 
@@ -86,8 +83,8 @@ class ClassicalForwardPair:
     """Classical devices sharing a response tape.
 
     Both sides deterministically recompute the classical prover's
-    replies from the shared tape, the actor seed; the right device
-    forwards the challenge so the left one can answer it too.
+    replies from the shared tape, the actor seed, and answer the
+    challenge each device hears; u2 forwards what the right one knows.
     """
 
     name = "classical_forward"
@@ -104,23 +101,21 @@ class _ClassicalForwardTrial:
         self.env = env
         self.tape = tape
         self.device = ClassicalProver()
-        self._challenge: str | None = None  # right-device memory
 
     def u1(self, handle):
         y_bytes, _ = self.device.reply_y(self.env, self.tape)
         return y_bytes, handle.key_id.encode()
 
-    def u2(self, challenge: str) -> bytes:
-        self._challenge = challenge
-        return encode_parts(pack_bits(challenge))
+    def u2(self, challenge: str | None) -> bytes:
+        return encode_parts(pack_bits(challenge or ""))
 
-    def u3(self, m_body: bytes):
+    def u3(self, m_body: bytes, challenge: str):
         self.env.resolve(m_body.decode())
         y_bytes, _ = self.device.reply_y(self.env, self.tape)
-        return y_bytes, self.device.reply_ans(self.env, self.tape, self._challenge)
+        return y_bytes, self.device.reply_ans(self.env, self.tape, challenge)
 
-    def u4(self, n_body: bytes) -> bytes:
-        return self.device.reply_ans(self.env, self.tape, _challenge_of(n_body))
+    def u4(self, n_body: bytes, challenge: str) -> bytes:
+        return self.device.reply_ans(self.env, self.tape, challenge)
 
 
 class ForwardingPair:
@@ -131,9 +126,9 @@ class ForwardingPair:
     it.  A real left device would precompute that reply for all 2^k
     challenges to answer in time (FORWARD_COMPILER_MAX_K bounds that
     table); simulated handlers take no time, so one replica replays the
-    forwarded challenge instead.  Trials are deterministic in (env, actor
-    seed, key body), so the replay equals the selected table entry and
-    per seed the compiled pair reproduces the original verdict bit for bit.
+    challenge the left device hears.  Trials are deterministic in (env,
+    actor seed, key body), so the replay equals the selected table entry
+    and per seed the compiled pair reproduces the original verdict bit for bit.
     """
 
     klass = "RF"
@@ -172,18 +167,16 @@ class _ForwardingTrial:
         self._replica.u1(handle)
         return self.original.u1(handle)
 
-    def u2(self, challenge: str) -> bytes:
+    def u2(self, challenge: str | None) -> bytes:
         # keep the right device's own state faithful, then forward
         self.original.u2(challenge)
-        return encode_parts(pack_bits(challenge))
+        return encode_parts(pack_bits(challenge or ""))
 
-    def u3(self, m_body: bytes):
-        return self.original.u3(m_body)
+    def u3(self, m_body: bytes, challenge: str):
+        return self.original.u3(m_body, challenge)
 
-    def u4(self, n_body: bytes) -> bytes:
-        # the left device learns the challenge only from the forwarded body
-        challenge = _challenge_of(n_body)
-        return self.original.u4(self._replica.u2(challenge))
+    def u4(self, n_body: bytes, challenge: str) -> bytes:
+        return self.original.u4(self._replica.u2(challenge), challenge)
 
 
 class TeleportPair:
@@ -278,7 +271,6 @@ class _TeleportTrial:
         self._remote: qsim.StateVector | None = None  # right-device rows
         self._k0s: list[str] = []
         self._k1s: list[str] = []
-        self._challenge: str | None = None
         self._raws: list[str] | None = None
 
     def u1(self, handle):
@@ -299,25 +291,22 @@ class _TeleportTrial:
         if ones:
             remote = qsim.apply_hadamard(remote, "rem", ones)
         records, _ = qsim.measure(remote, "rem", self.right_rng)
-        raws = [record.outcome for record in records]
-        self._challenge = challenge
-        self._raws = raws
-        return encode_parts(pack_bits(challenge), pack_bits("".join(raws)))
+        self._raws = [record.outcome for record in records]
+        return encode_parts(pack_bits(challenge), pack_bits("".join(self._raws)))
 
     def _split_keys(self, packed: str) -> list[str]:
         return [packed[i * self.width:(i + 1) * self.width]
                 for i in range(len(packed) // self.width)]
 
-    def u3(self, m_body: bytes):
+    def u3(self, m_body: bytes, challenge: str):
         y_bytes, k0_packed, k1_packed = decode_parts(m_body)
         k0s = self._split_keys(unpack_bits(k0_packed)[0])
         k1s = self._split_keys(unpack_bits(k1_packed)[0])
-        answers = _corrected_answers(self._challenge, self._raws, k0s, k1s)
+        answers = _corrected_answers(challenge, self._raws, k0s, k1s)
         return y_bytes, encode_answers(answers)
 
-    def u4(self, n_body: bytes) -> bytes:
-        challenge_packed, raw_packed = decode_parts(n_body)
-        challenge, _ = unpack_bits(challenge_packed)
+    def u4(self, n_body: bytes, challenge: str) -> bytes:
+        _, raw_packed = decode_parts(n_body)
         raws = self._split_keys(unpack_bits(raw_packed)[0])
         answers = _corrected_answers(challenge, raws, self._k0s, self._k1s)
         return encode_answers(answers)

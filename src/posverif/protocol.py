@@ -293,45 +293,62 @@ class ClassicalProver:
         return encode_answers(answers)
 
 
+def _challenge(oracle: RandomOracle | None, v1_bits, nonce0) -> str | None:
+    """The run's challenge from V1's broadcast bits and V0's nonce, or
+    None while it is not yet fixed.  Plain variant (no oracle): V1's B
+    bits.  Hashed variant: the oracle at nonce0 XOR nonce1, V1's X bits."""
+    if oracle is None or v1_bits is None:
+        return v1_bits
+    return None if nonce0 is None else oracle.query(xor_bits(nonce0, v1_bits))
+
+
+class _ChallengeListener:
+    """What one device knows of the challenge, read from the verifier
+    broadcasts among the messages it hears; None until they fix it."""
+
+    def __init__(self, oracle: RandomOracle | None):
+        self.oracle = oracle
+        self.v1_bits = self.nonce0 = self.challenge = None
+
+    def hear(self, payload: bytes) -> None:
+        kind = payload[:1]
+        if kind == KIND_KEY and self.oracle is not None:
+            self.nonce0, _ = unpack_bits(decode_message(payload)[1][1])
+        elif kind in (KIND_CHALLENGE, KIND_NONCE):
+            self.v1_bits, _ = unpack_bits(decode_message(payload)[1][0])
+        if self.challenge is None:
+            self.challenge = _challenge(self.oracle, self.v1_bits, self.nonce0)
+
+
 class _ProverBehavior(PartyBehavior):
     """Places a prover on the line.
 
-    Arrival order of key and challenge depends on the position, so both
-    are buffered and each reply is emitted as soon as its inputs exist.
+    Arrival order of key and challenge depends on the position, so the
+    listener gathers the challenge and each reply is emitted as soon as
+    its inputs exist.
     """
 
     def __init__(self, prover, env: TrialEnv, actor_seed: int):
         self.prover = prover
         self.env = env
         self.actor_seed = actor_seed
-        self._challenge: str | None = None
-        self._nonce0: str | None = None
-        self._nonce1: str | None = None
+        self._listener = _ChallengeListener(env.oracle)
         self._obligated = False
         self._answered = False
         self._memo = None
 
     def on_receive(self, time, message):
-        kind, parts = decode_message(message.payload)
+        self._listener.hear(message.payload)
         out = []
-        if kind == KIND_KEY and not self._obligated:
-            self.env.resolve(parts[0].decode())
-            if len(parts) > 1:
-                self._nonce0, _ = unpack_bits(parts[1])
+        if message.payload[:1] == KIND_KEY and not self._obligated:
+            self.env.resolve(decode_message(message.payload)[1][0].decode())
             self._obligated = True
             y_bytes, self._memo = self.prover.reply_y(self.env, self.actor_seed)
             out.append(Emission(encode_message(KIND_OBLIGATION, y_bytes)))
-        elif kind == KIND_CHALLENGE:
-            self._challenge, _ = unpack_bits(parts[0])
-        elif kind == KIND_NONCE:
-            self._nonce1, _ = unpack_bits(parts[0])
-        if (self._challenge is None and self._nonce0 is not None
-                and self._nonce1 is not None):
-            self._challenge = self.env.oracle.query(xor_bits(self._nonce0, self._nonce1))
-        if self._obligated and self._challenge is not None and not self._answered:
+        challenge = self._listener.challenge
+        if self._obligated and challenge is not None and not self._answered:
             self._answered = True
-            ans_bytes = self.prover.reply_ans(self.env, self._memo,
-                                              self._challenge)
+            ans_bytes = self.prover.reply_ans(self.env, self._memo, challenge)
             out.append(Emission(encode_message(KIND_ANSWER, ans_bytes)))
         return out
 
@@ -344,9 +361,16 @@ class _LeftAdversaryBehavior(PartyBehavior):
         self.env = env
         self.v0_pid = v0_pid
         self.a1_pid: int | None = None
+        self._listener = _ChallengeListener(env.oracle)
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
+        if kind == KIND_RIGHT:
+            ans_bytes = self.trial.u4(message.payload[1:],
+                                      self._listener.challenge)
+            return (Emission(encode_message(KIND_ANSWER, ans_bytes),
+                             target=self.v0_pid),)
+        self._listener.hear(message.payload)
         if kind == KIND_KEY:
             key_id = decode_message(message.payload)[1][0].decode()
             y_bytes, m_bytes = self.trial.u1(self.env.resolve(key_id))
@@ -355,36 +379,33 @@ class _LeftAdversaryBehavior(PartyBehavior):
                          target=self.v0_pid),
                 Emission(KIND_LEFT + m_bytes, target=self.a1_pid),
             )
-        if kind == KIND_RIGHT:
-            ans_bytes = self.trial.u4(message.payload[1:])
-            return (Emission(encode_message(KIND_ANSWER, ans_bytes),
-                             target=self.v0_pid),)
         return ()
 
 
 class _RightAdversaryBehavior(PartyBehavior):
     """Adapter placing adversary handlers u2/u3 at verifier 1's position."""
 
-    def __init__(self, trial, v1_pid: int):
+    def __init__(self, trial, env: TrialEnv, v1_pid: int):
         self.trial = trial
         self.v1_pid = v1_pid
         self.a0_pid: int | None = None
+        self._listener = _ChallengeListener(env.oracle)
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
-        if kind in (KIND_CHALLENGE, KIND_NONCE):
-            # known defect: an X nonce reaches u2 as if it were the challenge
-            bits, _ = unpack_bits(decode_message(message.payload)[1][0])
-            n_bytes = self.trial.u2(bits)
-            return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid),)
         if kind == KIND_LEFT:
-            y_bytes, ans_bytes = self.trial.u3(message.payload[1:])
+            y_bytes, ans_bytes = self.trial.u3(message.payload[1:],
+                                               self._listener.challenge)
             return (
                 Emission(encode_message(KIND_OBLIGATION, y_bytes),
                          target=self.v1_pid),
                 Emission(encode_message(KIND_ANSWER, ans_bytes),
                          target=self.v1_pid),
             )
+        self._listener.hear(message.payload)
+        if kind in (KIND_CHALLENGE, KIND_NONCE):
+            n_bytes = self.trial.u2(self._listener.challenge)
+            return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid),)
         return ()
 
 
@@ -464,15 +485,14 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
 
     key_id = handle.key_id.encode()
     if hashed:
-        nonce0 = v0_rng.bits(config.lam)
-        nonce1 = v1_rng.bits(config.lam)
-        challenge = oracle.query(xor_bits(nonce0, nonce1))
+        nonce0, v1_bits = v0_rng.bits(config.lam), v1_rng.bits(config.lam)
         key_msg = encode_message(KIND_KEY, key_id, pack_bits(nonce0))
-        challenge_msg = encode_message(KIND_NONCE, pack_bits(nonce1))
+        challenge_msg = encode_message(KIND_NONCE, pack_bits(v1_bits))
     else:
-        challenge = puzzle.sample_challenge(v1_rng)
+        nonce0, v1_bits = None, puzzle.sample_challenge(v1_rng)
         key_msg = encode_message(KIND_KEY, key_id)
-        challenge_msg = encode_message(KIND_CHALLENGE, pack_bits(challenge))
+        challenge_msg = encode_message(KIND_CHALLENGE, pack_bits(v1_bits))
+    challenge = _challenge(oracle, v1_bits, nonce0)
 
     sim = Simulation(record_trace=record_trace)
     v0 = _Verifier(alarm_time=Fraction(0), payload=key_msg)
@@ -488,7 +508,7 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
     else:
         trial = adversaries.new_trial(env, actor_seed)
         left = _LeftAdversaryBehavior(trial, env, v0_pid)
-        right = _RightAdversaryBehavior(trial, v1_pid)
+        right = _RightAdversaryBehavior(trial, env, v1_pid)
         right.a0_pid = sim.add_party(V0_POSITION, left)
         left.a1_pid = sim.add_party(V1_POSITION, right)
 

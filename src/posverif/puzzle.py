@@ -315,8 +315,8 @@ class RepeatedPuzzle:
     """
 
     def __init__(self, n: int, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be >= 1, got {k!r}")
         self.base = BasePuzzle(n)
         self.n = n
         self.k = k

@@ -32,8 +32,9 @@ def as_coord(value) -> Fraction:
     """Exact coordinate from an int, Fraction, or 'num/den' string."""
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing float coordinate {value!r}; pass Fraction or 'num/den'")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} coordinate {value!r}; "
+                        "pass int, Fraction or 'num/den'")
     return Fraction(value)
 
 

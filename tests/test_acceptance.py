@@ -229,9 +229,9 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     trial = pair.new_trial(env, actor_seed=_seed(6, 2))
     y_bytes, m = trial.u1(handle)
     n_msg = trial.u2("1")
-    y1_bytes, ans1 = trial.u3(m)
+    y1_bytes, ans1 = trial.u3(m, "1")
     assert trial.pairs_used == 9
-    assert y_bytes == y1_bytes and trial.u4(n_msg) == ans1
+    assert y_bytes == y1_bytes and trial.u4(n_msg, "1") == ans1
 
     # teleport-then-correct commutes with measuring: every Bell branch, exactly
     claw = qsim.prepare_claw_state("010", "110")

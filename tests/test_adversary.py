@@ -1,6 +1,8 @@
 """Attack-pair tests: acceptance rates against theory, compiler replay
 equality, entanglement budget accounting, and registry guards."""
 
+from functools import partial
+
 import pytest
 
 from posverif.adversary import (
@@ -161,8 +163,8 @@ class TestTeleportAttack:
         y_bytes, m = trial.u1(handle)
         assert trial.pairs_used == pair.entanglement_budget == k * (n + 1)
         n_msg = trial.u2("1" * k)
-        y1_bytes, ans1 = trial.u3(m)
-        ans0 = trial.u4(n_msg)
+        y1_bytes, ans1 = trial.u3(m, "1" * k)
+        ans0 = trial.u4(n_msg, "1" * k)
         assert y_bytes == y1_bytes
         assert ans0 == ans1
 
@@ -174,8 +176,8 @@ class TestTeleportAttack:
             trial = TeleportPair(6, 1).new_trial(env, actor_seed=78)
             _, m = trial.u1(handle)
             n_msg = trial.u2(challenge)
-            _, ans1 = trial.u3(m)
-            assert trial.u4(n_msg) == ans1
+            _, ans1 = trial.u3(m, challenge)
+            assert trial.u4(n_msg, challenge) == ans1
 
     def test_mismatched_run_parameters_rejected(self):
         cfg = ProtocolConfig(n=8, k=2)
@@ -254,3 +256,24 @@ class TestRegistry:
     def test_compiled_rate_is_the_inner_rate(self, n, k):
         inner = ClassicalForwardPair()
         assert ForwardingPair(inner).rate(n, k) == inner.rate(n, k)
+
+
+@pytest.mark.parametrize("runner", [run_prpv, run_roprpv],
+                         ids=["plain", "hashed"])
+@pytest.mark.parametrize("name", ATTACK_NAMES)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_catalog_rate_in_both_variants(runner, name, k):
+    """Every attack pair runs to its closed-form rate under both the
+    plain and the hashed challenge, or is rejected with a typed error:
+    teleport under hashing, whose outcomes would miss ans0's deadline."""
+    cfg = ProtocolConfig(n=6, k=k)
+    pair = make_attack(name, cfg)
+    estimate = partial(estimate_acceptance, cfg, trials=400, seed=1000 + k,
+                       runner=runner, adversaries=pair)
+    if runner is run_roprpv and name == "teleport":
+        with pytest.raises(ConfigInvalid):
+            estimate()
+        return
+    tally = estimate()
+    assert tally.ci_low <= pair.rate(6, k) <= tally.ci_high, (
+        f"CI [{tally.ci_low:.4f}, {tally.ci_high:.4f}] misses {pair.rate(6, k):.4f}")

@@ -207,6 +207,17 @@ class TestTrace:
         assert "error:" in err
         assert out == ""
 
+    def test_hashed_classical_forward_wide_challenge(self, capsys):
+        """Each device derives the 9-bit challenge from the nonces it
+        hears, so no 8-bit nonce is read as the challenge."""
+        code, out, err = run_cli(capsys, "trace", "--name", "classical_forward",
+                                 "--hashed", "--k", "9", "--lambda", "8",
+                                 "--n", "4")
+        assert code == 0, err
+        events = [json.loads(line) for line in out.strip().split("\n")]
+        assert events and all(e["kind"] in {"alarm", "emit", "recv"}
+                              for e in events)
+
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "trace", "--seed", "9")
         _, second, _ = run_cli(capsys, "trace", "--seed", "9")

@@ -127,6 +127,9 @@ def _entries():
         for k in KS:
             entries[f"timed/plain/{name}/k{k}"] = (
                 lambda a=name, k=k: _timed(False, a, k))
+            if name != "teleport":  # rejected under hashing
+                entries[f"timed/hashed/{name}/k{k}"] = (
+                    lambda a=name, k=k: _timed(True, a, k))
     provers = {
         "honest": HonestProver(),
         "classical_default_tape": ClassicalProver(),

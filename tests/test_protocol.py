@@ -82,25 +82,20 @@ class StubForwardPair:
         device = ClassicalProver()
 
         class Trial:
-            def __init__(self):
-                self.challenge = None
-
             def u1(self, handle):
                 y_bytes, _ = device.reply_y(env, tape0)
                 return y_bytes, handle.key_id.encode()
 
             def u2(self, challenge):
-                self.challenge = challenge
                 return encode_parts(pack_bits(challenge))
 
-            def u3(self, m_body):
+            def u3(self, m_body, challenge):
                 env.resolve(m_body.decode())
                 y_bytes, _ = device.reply_y(env, tape1)
-                ans = device.reply_ans(env, tape1, self.challenge)
+                ans = device.reply_ans(env, tape1, challenge)
                 return y_bytes, b"\xff" if pair.garble_ans else ans
 
-            def u4(self, n_body):
-                challenge, _ = unpack_bits(n_body[4:])
+            def u4(self, n_body, challenge):
                 ans = device.reply_ans(env, tape0, challenge)
                 return b"\xff" if pair.garble_ans else ans
 
@@ -139,10 +134,10 @@ class HostilePair:
     def u2(self, challenge):
         return b""
 
-    def u3(self, m_body):
+    def u3(self, m_body, challenge):
         return self.body, self.body
 
-    def u4(self, n_body):
+    def u4(self, n_body, challenge):
         return self.body
 
 
@@ -165,6 +160,10 @@ class TestConfig:
     def test_rejects_float_position(self):
         with pytest.raises(TypeError):
             ProtocolConfig(prover_position=1.5)
+        with pytest.raises(TypeError):
+            ProtocolConfig(prover_position=True)
+        with pytest.raises(TypeError):
+            HonestProver(position=True)
 
     def test_exactly_one_actor(self):
         cfg = ProtocolConfig()

@@ -324,6 +324,12 @@ class TestRepetition:
             base_td, ys[0], "1", ans[0]
         )
 
+    @pytest.mark.parametrize("k", [0, True])
+    def test_rejects_bad_k(self, k):
+        """A bool k would pass as 1 and misformat its challenges."""
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            puzzle.RepeatedPuzzle(4, k)
+
     def test_challenge_widths(self):
         assert len(puzzle.RepeatedPuzzle(4, 5).sample_challenge(Rng(0))) == 5
         rp = puzzle.RepeatedPuzzle(4, 3)
