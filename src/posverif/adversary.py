@@ -18,7 +18,7 @@ Each pair's rate(n, k) is the closed-form acceptance rate it reaches.
 from __future__ import annotations
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import ConfigInvalid, KTooLarge, NotClassicalTape, UnknownAttack
+from .errors import ConfigInvalid
 from .protocol import ClassicalProver, ProtocolConfig, TrialEnv
 from .puzzle import (
     Equation,
@@ -136,7 +136,7 @@ class ForwardingPair:
 
     def __init__(self, inner):
         if getattr(inner, "klass", None) != "R0":
-            raise NotClassicalTape(
+            raise ConfigInvalid(
                 f"cannot compile {getattr(inner, 'name', inner)!r}: "
                 "forwarding compilation needs an unentangled classical-tape pair"
             )
@@ -148,7 +148,7 @@ class ForwardingPair:
 
     def new_trial(self, env: TrialEnv, actor_seed: int) -> "_ForwardingTrial":
         if env.puzzle.k > FORWARD_COMPILER_MAX_K:
-            raise KTooLarge(
+            raise ConfigInvalid(
                 f"challenge width {env.puzzle.k} exceeds the compiler cap "
                 f"{FORWARD_COMPILER_MAX_K}"
             )
@@ -322,9 +322,8 @@ ATTACK_NAMES = tuple(ATTACKS)
 
 
 def make_attack(name: str, config: ProtocolConfig):
-    """Attack registry for experiment drivers."""
-    try:
-        build = ATTACKS[name]
-    except KeyError:
-        raise UnknownAttack(f"unknown attack {name!r}; known: {ATTACK_NAMES}") from None
-    return build(config)
+    """Attack registry for experiment drivers: the pair named name, built
+    for config's n and k. An unknown name raises ConfigInvalid."""
+    if name not in ATTACKS:
+        raise ConfigInvalid(f"unknown attack {name!r}; known: {ATTACK_NAMES}")
+    return ATTACKS[name](config)

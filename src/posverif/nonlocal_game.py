@@ -20,7 +20,7 @@ from functools import partial
 from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
-from .errors import UnknownStrategy
+from .errors import ConfigInvalid
 from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
 from .qsim import ScopedState, SharedState, measure
 from .rng import Rng
@@ -201,7 +201,7 @@ class BruteForce:
     win_rate = reduced_rate = staticmethod(lambda n: 1.0)
 
     def __init__(self, n: int):
-        self.n = n
+        self.n = BasePuzzle(n).n  # the puzzle's rule for n
 
     def stage_a(self, handle, env, rng):
         x0 = rng.bits(self.n)
@@ -252,10 +252,9 @@ STRATEGIES = {
 
 
 def make_strategy(name: str, n: int):
-    try:
-        factory = STRATEGIES[name]
-    except KeyError:
-        raise UnknownStrategy(
-            f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}"
-        ) from None
-    return factory(n)
+    """The strategy named name at width n. An unknown name, or an n the
+    puzzle rejects, raises ConfigInvalid."""
+    if name not in STRATEGIES:
+        raise ConfigInvalid(
+            f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}")
+    return STRATEGIES[name](n)

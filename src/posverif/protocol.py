@@ -26,10 +26,8 @@ from fractions import Fraction
 from functools import partial
 
 from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import ConfigInvalid, LengthMismatch, MalformedMessage
+from .errors import ConfigInvalid, LengthMismatch, MalformedMessage, check_int
 from .puzzle import (
-    N_MAX,
-    N_MIN,
     Equation,
     MultiHandle,
     MultiTrapdoor,
@@ -86,11 +84,6 @@ def decode_message(payload: bytes) -> tuple[bytes, list[bytes]]:
     return payload[:1], decode_parts(payload[1:])
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool: True would pass as 1 and misformat."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Parameters of one protocol run.
@@ -99,7 +92,9 @@ class ProtocolConfig:
     nonce width of the hash-challenge variant, and prover_position the
     location an honest prover occupies.  Placement must fall inside
     [1, 2): a prover in that window receives the key before the
-    challenge and can meet all four response deadlines.
+    challenge and can meet all four response deadlines.  A bad field
+    raises ConfigInvalid; n and k are checked by the RepeatedPuzzle that
+    owns them.
     """
 
     n: int = 8
@@ -108,13 +103,8 @@ class ProtocolConfig:
     prover_position: Coordinate = Fraction(3, 2)
 
     def __post_init__(self):
-        if not _is_int(self.n) or not N_MIN <= self.n <= N_MAX:
-            raise ConfigInvalid(
-                f"puzzle width n={self.n!r} outside [{N_MIN}, {N_MAX}]")
-        if not _is_int(self.k) or self.k < 1:
-            raise ConfigInvalid(f"instance count k={self.k!r} must be >= 1")
-        if not _is_int(self.lam) or self.lam < 8:
-            raise ConfigInvalid(f"nonce width lam={self.lam!r} must be >= 8")
+        RepeatedPuzzle(self.n, self.k)  # the puzzle owns n and k
+        check_int(self.lam, "lam", 8)
         object.__setattr__(self, "prover_position", as_coord(self.prover_position))
         if not Fraction(1) <= self.prover_position < Fraction(2):
             raise ConfigInvalid(

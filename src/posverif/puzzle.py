@@ -32,7 +32,7 @@ from .bits import (
     unpack_bits,
     xor_bits,
 )
-from .errors import InvalidN, LengthMismatch, MalformedMessage, WrongStateShape
+from .errors import LengthMismatch, MalformedMessage, WrongStateShape, check_int
 from .rng import Uniforms, mix64
 
 N_MIN = 2
@@ -162,12 +162,11 @@ def public_key_bytes(n: int, seed: int) -> bytes:
 
 
 class BasePuzzle:
-    """The 1-of-2 puzzle: one key, one challenge bit."""
+    """The 1-of-2 puzzle: one key, one challenge bit. It owns the width
+    n, an int in [N_MIN, N_MAX]; any other n raises ConfigInvalid."""
 
     def __init__(self, n: int):
-        if not (N_MIN <= n <= N_MAX):
-            raise InvalidN(f"n must be in [{N_MIN}, {N_MAX}], got {n}")
-        self.n = n
+        self.n = check_int(n, "n", N_MIN, N_MAX)
 
     def sample_challenge(self, rng) -> str:
         return rng.bits(1)
@@ -311,15 +310,14 @@ class RepeatedPuzzle:
     The k claw states travel as one qsim stack, row i holding instance i;
     obligate builds it and solve measures it in one pass per register.
     Obligations, answers and rng draws equal those of k base puzzles run
-    one after another.
+    one after another. It owns k, an int >= 1; any other k raises
+    ConfigInvalid, a ValueError.
     """
 
     def __init__(self, n: int, k: int):
-        if isinstance(k, bool) or k < 1:
-            raise ValueError(f"k must be >= 1, got {k!r}")
         self.base = BasePuzzle(n)
         self.n = n
-        self.k = k
+        self.k = check_int(k, "k", 1)
 
     def sample_challenge(self, rng) -> str:
         return rng.bits(self.k)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Hashable
 
-from .errors import ConfigInvalid, InvalidTrials
+from .errors import check_int
 from .rng import child_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -58,12 +58,11 @@ def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
     Trials split into one contiguous chunk per process, and there are at
     most min(workers, cores) processes.  With more than one process,
     one_trial must pickle: a module-level function, or a
-    functools.partial of one over picklable arguments.
+    functools.partial of one over picklable arguments.  trials and
+    workers must each be an int >= 1, else ConfigInvalid.
     """
-    if trials < 1:
-        raise InvalidTrials(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
+    check_int(trials, "trials", 1)
+    check_int(workers, "workers", 1)
     step = -(-trials // min(workers, os.cpu_count() or 1))
     starts = range(0, trials, step)
     if len(starts) == 1:

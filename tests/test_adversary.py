@@ -13,12 +13,7 @@ from posverif.adversary import (
     TeleportPair,
     make_attack,
 )
-from posverif.errors import (
-    ConfigInvalid,
-    KTooLarge,
-    NotClassicalTape,
-    UnknownAttack,
-)
+from posverif.errors import ConfigInvalid
 from posverif.protocol import (
     ClassicalProver,
     FailureReason,
@@ -124,16 +119,18 @@ class TestForwardingCompiler:
         assert tally.ci_low <= theory <= tally.ci_high
 
     def test_rejects_entangled_pair(self):
-        with pytest.raises(NotClassicalTape):
+        with pytest.raises(ConfigInvalid, match="cannot compile 'teleport'"):
             ForwardingPair(TeleportPair(8, 1))
 
     def test_rejects_double_compilation(self):
-        with pytest.raises(NotClassicalTape):
+        with pytest.raises(ConfigInvalid,
+                           match="cannot compile 'forward_compiled_guess'"):
             ForwardingPair(ForwardingPair(GuessingPair()))
 
     def test_wide_challenge_rejected_before_running(self):
         cfg = ProtocolConfig(n=4, k=9)
-        with pytest.raises(KTooLarge):
+        with pytest.raises(ConfigInvalid,
+                           match="challenge width 9 exceeds the compiler cap 8"):
             run_prpv(cfg, seed=402,
                      adversaries=ForwardingPair(GuessingPair()))
 
@@ -237,7 +234,8 @@ class TestRegistry:
         assert fwd.klass == "RF"
 
     def test_unknown_rejected(self):
-        with pytest.raises(UnknownAttack):
+        with pytest.raises(ConfigInvalid,
+                           match="unknown attack 'entangle_everything'"):
             make_attack("entangle_everything", ProtocolConfig())
 
     @pytest.mark.parametrize("n, k", [(6, 1), (8, 2), (8, 4)])

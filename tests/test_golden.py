@@ -13,6 +13,9 @@ A digest changes only on purpose.  To re-pin after a deliberate change,
 run this module as a script and record the reason in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the name of each entry whose digest moved (an added or
+dropped entry counts as moved), or "no digest moved".
 """
 
 import contextlib
@@ -183,5 +186,9 @@ def test_digest(golden, name):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     pinned = {name: digest(name) for name in sorted(ENTRIES)}
+    moved = sorted(name for name in old.keys() | pinned.keys()
+                   if old.get(name) != pinned.get(name))
+    print("\n".join(moved) or "no digest moved")
     GOLDEN.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from posverif import puzzle, qsim, stats
-from posverif.errors import InvalidTrials, RegisterViolation, UnknownStrategy
+from posverif.errors import ConfigInvalid, RegisterViolation
 from posverif.nonlocal_game import (
     AlwaysFail,
     BruteForce,
@@ -110,7 +110,7 @@ class TestPlay:
         assert not any(r.accept_b or r.accept_c for r in results)
 
     def test_estimate_requires_trials(self):
-        with pytest.raises(InvalidTrials):
+        with pytest.raises(ConfigInvalid, match="trials must be >= 1, got 0"):
             estimate_win_rate(puzzle.BasePuzzle(4), AlwaysFail(4), 0, 1)
 
     def test_registry(self):
@@ -121,7 +121,7 @@ class TestPlay:
             "always_fail",
         }
         assert make_strategy("brute_force", 4).n == 4
-        with pytest.raises(UnknownStrategy):
+        with pytest.raises(ConfigInvalid, match="unknown strategy 'nope'"):
             make_strategy("nope", 4)
 
     @pytest.mark.parametrize("n", [4, 8, 12])

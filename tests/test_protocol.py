@@ -17,7 +17,6 @@ from posverif.bits import (
 )
 from posverif.errors import (
     ConfigInvalid,
-    InvalidTrials,
     LengthMismatch,
     MalformedMessage,
 )
@@ -320,7 +319,7 @@ class TestAcceptanceRates:
         assert tally.ci_low <= theory <= tally.ci_high
 
     def test_trials_validated(self):
-        with pytest.raises(InvalidTrials):
+        with pytest.raises(ConfigInvalid, match="trials must be >= 1, got 0"):
             estimate_acceptance(ProtocolConfig(), trials=0, seed=1,
                                 prover=HonestProver())
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from posverif import puzzle, qsim, stats
 from posverif.bits import dot_bits, int_to_bits, is_zero, xor_bits
-from posverif.errors import InvalidN, LengthMismatch, MalformedMessage, WrongStateShape
+from posverif.errors import ConfigInvalid, LengthMismatch, MalformedMessage, WrongStateShape
 from posverif.rng import Rng
 
 
@@ -91,9 +91,9 @@ class TestFamily:
             assert not is_zero(td.key.s)
 
     def test_n_bounds(self):
-        with pytest.raises(InvalidN):
+        with pytest.raises(ConfigInvalid, match=r"n must be in \[2, 12\], got 1"):
             puzzle.BasePuzzle(1)
-        with pytest.raises(InvalidN):
+        with pytest.raises(ConfigInvalid, match=r"n must be in \[2, 12\], got 13"):
             puzzle.BasePuzzle(13)
         puzzle.BasePuzzle(2)
         puzzle.BasePuzzle(12)
