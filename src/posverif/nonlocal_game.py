@@ -194,7 +194,9 @@ class BruteForce:
     """Recover the shift with 2^n public eval queries, then answer anything.
 
     The capability-scoping caveat made concrete: claw-freeness is only as
-    strong as the cost of exhausting eval, so small n gives rate 1.
+    strong as the cost of exhausting eval, so small n gives rate 1. The
+    search runs over the handle's images("1") as ints, stopping at the
+    first image that equals y, after the one eval call that publishes y.
     """
 
     name = "brute_force"
@@ -206,12 +208,10 @@ class BruteForce:
     def stage_a(self, handle, env, rng):
         x0 = rng.bits(self.n)
         y = handle.eval("0", x0)
-        x1 = next(
-            int_to_bits(x, self.n)
-            for x in range(1 << self.n)
-            if handle.eval("1", int_to_bits(x, self.n)) == y
-        )
-        return make_prep(y, tape={"x0": x0, "shift": xor_bits(x0, x1)})
+        target = int(y, 2)
+        x1 = next(x for x, image in enumerate(handle.images("1")) if image == target)
+        shift = xor_bits(x0, int_to_bits(x1, self.n))
+        return make_prep(y, tape={"x0": x0, "shift": shift})
 
     def answer_b(self, view, tape, challenge, rng):
         if challenge == "0":

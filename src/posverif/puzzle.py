@@ -10,7 +10,9 @@ eval and the trapdoor's inversion share that one tuple.
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
 search over eval queries recovers s in 2^n steps (and a test demonstrates
-that deliberately). n is capped at 12 to keep that honest.
+that deliberately). Its images(b) is the public route for that search: it
+yields all 2^n images of one branch as ints, the same capability as 2^n
+eval queries. n is capped at 12 to keep that honest.
 
 Challenge bits and preimages are '0'/'1' strings throughout (see bits.py);
 a challenge of a k-fold puzzle is a k-bit string.
@@ -18,6 +20,7 @@ a challenge of a k-fold puzzle is a k-bit string.
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,23 +41,36 @@ from .rng import Uniforms, mix64
 N_MIN = 2
 N_MAX = 12
 
-_ROUNDS = 4
+_FORWARD = (0, 1, 2, 3)  # round order of eval; inv runs it backwards
+_INVERSE = _FORWARD[::-1]
+_ROUNDS = len(_FORWARD)
 _GOLDEN = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 def _feistel_rounds(round_keys: tuple[int, ...], n: int, x: int, inverse: bool) -> int:
-    """Keyed bijection on n-bit integers: alternating-half XOR rounds."""
-    wl = n // 2
-    wr = n - wl
+    """Keyed bijection on n-bit integers: alternating-half XOR rounds.
+
+    Even rounds mix the right half into the left, odd rounds the left
+    into the right. The round function is the splitmix64 finalizer,
+    written out as the same formula as rng.mix64 to spare a call per
+    round; its entry mask is dropped because a 64-bit round key XOR a
+    half of at most 6 bits is already 64-bit.
+    """
+    wr = n - n // 2
+    mask_l = (1 << (n // 2)) - 1
+    mask_r = (1 << wr) - 1
     left = x >> wr
-    right = x & ((1 << wr) - 1)
-    order = range(_ROUNDS - 1, -1, -1) if inverse else range(_ROUNDS)
-    for r in order:
-        f = mix64(round_keys[r] ^ (right if r % 2 == 0 else left))
-        if r % 2 == 0:
-            left ^= f & ((1 << wl) - 1)
+    right = x & mask_r
+    for r in _INVERSE if inverse else _FORWARD:
+        z = round_keys[r] ^ (left if r & 1 else right)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        if r & 1:
+            right ^= z & mask_r
         else:
-            right ^= f & ((1 << wr) - 1)
+            left ^= z & mask_l
     return (left << wr) | right
 
 
@@ -108,17 +124,25 @@ def _is_bits(s, n: int) -> bool:
 class PublicHandle:
     """Evaluation capability for one key; exposes no read of the shift."""
 
-    __slots__ = ("n", "key_id", "_eval")
+    __slots__ = ("n", "key_id", "_eval", "_images")
 
-    def __init__(self, n: int, key_id: str, eval_fn):
+    def __init__(self, n: int, key_id: str, eval_fn, images_fn):
         self.n = n
         self.key_id = key_id
         self._eval = eval_fn
+        self._images = images_fn
 
     def eval(self, b: str, x: str) -> str:
         _check_bit(b, "branch")
         _check_bits(x, self.n, "preimage")
         return self._eval(b, x)
+
+    def images(self, b: str):
+        """Lazily yield f_b(x) as an int for x = 0, 1, ..., 2^n - 1 in
+        order: the same capability as 2^n eval queries, without the
+        bitstring round trip. A bad branch bit raises at the call."""
+        _check_bit(b, "branch")
+        return self._images(b)
 
     def __repr__(self):
         return f"PublicHandle(n={self.n}, key_id={self.key_id})"
@@ -148,13 +172,19 @@ class Trapdoor:
 
 
 def _make_eval(key: PuzzleKey, round_keys: tuple[int, ...]):
+    """The public handle's eval and images closures; s stays inside them."""
     n, s_int = key.n, int(key.s, 2)
 
     def eval_fn(b: str, x: str) -> str:
         arg = int(x, 2) ^ s_int if b == "1" else int(x, 2)
         return int_to_bits(_feistel_rounds(round_keys, n, arg, inverse=False), n)
 
-    return eval_fn
+    def images_fn(b: str):
+        shift = s_int if b == "1" else 0
+        for x in range(1 << n):
+            yield _feistel_rounds(round_keys, n, x ^ shift, inverse=False)
+
+    return eval_fn, images_fn
 
 
 def public_key_bytes(n: int, seed: int) -> bytes:
@@ -185,7 +215,7 @@ class BasePuzzle:
         key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
         round_keys = tuple(mix64(seed + (r + 1) * _GOLDEN) for r in range(_ROUNDS))
-        handle = PublicHandle(self.n, key_id, _make_eval(key, round_keys))
+        handle = PublicHandle(self.n, key_id, *_make_eval(key, round_keys))
         return handle, Trapdoor(key, handle, round_keys)
 
     def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
@@ -267,10 +297,8 @@ def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
     state = qsim.new_state([("bit", 1), ("preimage", n), ("image", n)])
     state = qsim.apply_hadamard(state, "bit")
     state = qsim.apply_hadamard(state, "preimage")
-    f_val = np.empty(1 << (n + 1), dtype=np.int64)
-    for b in ("0", "1"):
-        for xi in range(1 << n):
-            f_val[(int(b) << n) | xi] = int(handle.eval(b, int_to_bits(xi, n)), 2)
+    f_val = np.fromiter(chain(handle.images("0"), handle.images("1")),
+                        dtype=np.int64, count=1 << (n + 1))
     bx = np.arange(1 << (2 * n + 1)) >> n
     e = np.arange(1 << (2 * n + 1)) & ((1 << n) - 1)
     perm = (bx << n) | (e ^ f_val[bx])

@@ -103,6 +103,31 @@ class TestPlay:
         strat = BruteForce(5)
         assert all(play_nonlocal(p, strat, Rng(s)).win for s in range(200))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_brute_force_tape_holds_the_shift(self, n):
+        p = puzzle.BasePuzzle(n)
+        strat = BruteForce(n)
+        for seed in range(8):
+            rng = Rng(seed)
+            handle, td = p.keygen(rng)
+            assert strat.stage_a(handle, td, rng).tape["shift"] == td.key.s
+
+    def test_brute_force_stage_a_evals_once(self, monkeypatch):
+        """The search runs over images("1"), not 2^n bitstring evals:
+        stage A's only eval call is the one that publishes y."""
+        calls = []
+        real_eval = puzzle.PublicHandle.eval
+
+        def counting_eval(handle, b, x):
+            calls.append(b)
+            return real_eval(handle, b, x)
+
+        monkeypatch.setattr(puzzle.PublicHandle, "eval", counting_eval)
+        handle, td = puzzle.BasePuzzle(8).keygen(Rng(3))
+        prep = BruteForce(8).stage_a(handle, td, Rng(4))
+        assert calls == ["0"]
+        assert prep.tape["shift"] == td.key.s
+
     def test_always_fail_never_wins(self):
         p = puzzle.BasePuzzle(4)
         strat = AlwaysFail(4)

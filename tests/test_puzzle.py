@@ -14,13 +14,26 @@ from hypothesis import strategies as st
 from posverif import puzzle, qsim, stats
 from posverif.bits import dot_bits, int_to_bits, is_zero, xor_bits
 from posverif.errors import ConfigInvalid, LengthMismatch, MalformedMessage, WrongStateShape
-from posverif.rng import Rng
+from posverif.rng import Rng, mix64
 
 
 def make_puzzle(n=4, seed=7):
     p = puzzle.BasePuzzle(n)
     handle, td = p.keygen(Rng(seed))
     return p, handle, td
+
+
+def reference_feistel(round_keys, n, x, inverse):
+    """The Feistel rounds written with one rng.mix64 call per round."""
+    wl = n // 2
+    wr = n - wl
+    left, right = x >> wr, x & ((1 << wr) - 1)
+    for r in (3, 2, 1, 0) if inverse else (0, 1, 2, 3):
+        if r % 2 == 0:
+            left ^= mix64(round_keys[r] ^ right) & ((1 << wl) - 1)
+        else:
+            right ^= mix64(round_keys[r] ^ left) & ((1 << wr) - 1)
+    return (left << wr) | right
 
 
 class TestFamily:
@@ -63,6 +76,40 @@ class TestFamily:
             assert handle.eval(b, td.inv(b, y)) == y
         # challenge-1 verify reads key.s in place of these two inversions
         assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
+
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 12), st.integers(0, 2**12 - 1))
+    @settings(max_examples=300, derandomize=True)
+    def test_kernel_matches_mix64_reference(self, seed, n, x):
+        """The kernel's inline splitmix64 finalizer is rng.mix64: both
+        directions equal the reference, and each inverts the other."""
+        r = Rng(seed)
+        round_keys = tuple(r.next_u64() for _ in range(4))
+        x &= (1 << n) - 1
+        for inverse in (False, True):
+            assert (puzzle._feistel_rounds(round_keys, n, x, inverse)
+                    == reference_feistel(round_keys, n, x, inverse))
+        y = puzzle._feistel_rounds(round_keys, n, x, False)
+        assert puzzle._feistel_rounds(round_keys, n, y, True) == x
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12])
+    def test_images_are_eval_as_ints(self, n):
+        """images(b) yields int(eval(b, x), 2) for x = 0 .. 2^n - 1 in
+        order, on both branches, and inv inverts every image."""
+        p = puzzle.BasePuzzle(n)
+        handle, td = p.keygen(Rng(200 + n))
+        preimages = [int_to_bits(x, n) for x in range(1 << n)]
+        for b in ("0", "1"):
+            images = list(handle.images(b))
+            assert images == [int(handle.eval(b, x), 2) for x in preimages]
+            assert [td.inv(b, int_to_bits(y, n)) for y in images] == preimages
+
+    def test_images_rejects_bad_branch_as_eval_does(self):
+        p, handle, td = make_puzzle(3)
+        for bad in ("2", "", "01"):
+            with pytest.raises(ValueError, match="branch must be '0' or '1'"):
+                handle.images(bad)
+            with pytest.raises(ValueError, match="branch must be '0' or '1'"):
+                handle.eval(bad, "010")
 
     # each is 3 characters that int(_, 2) reads as a number
     @pytest.mark.parametrize("bad", ["1_0", " 10", "10\n", "+10", "-10", "0b1",
