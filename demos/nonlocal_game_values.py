@@ -26,9 +26,8 @@ puz = BasePuzzle(n)
 print(f"game win rates at n = {n}, {trials} trials each")
 print("strategy            rate     95% interval        theory")
 for name in ("measure_and_guess", "honest_to_B", "brute_force", "always_fail"):
-    runs = 1000 if name == "brute_force" else trials
     strategy = make_strategy(name, n)
-    est = estimate_win_rate(puz, strategy, runs, seed=500)
+    est = estimate_win_rate(puz, strategy, trials, seed=500)
     print(f"{name:<18}  {est.rate:.4f}   [{est.ci_low:.4f}, {est.ci_high:.4f}]"
           f"    {strategy.win_rate(n):.4f}")
 
