@@ -43,7 +43,6 @@ N_MAX = 12
 
 _FORWARD = (0, 1, 2, 3)  # round order of eval; inv runs it backwards
 _INVERSE = _FORWARD[::-1]
-_ROUNDS = len(_FORWARD)
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -214,7 +213,7 @@ class BasePuzzle:
             s = rng.bits(self.n)
         key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
-        round_keys = tuple(mix64(seed + (r + 1) * _GOLDEN) for r in range(_ROUNDS))
+        round_keys = tuple(mix64(seed + (r + 1) * _GOLDEN) for r in _FORWARD)
         handle = PublicHandle(self.n, key_id, *_make_eval(key, round_keys))
         return handle, Trapdoor(key, handle, round_keys)
 
