@@ -9,13 +9,16 @@ travel at unit speed, an honest prover at position p in [1, 2) meets
 every deadline with slack while a single device outside the segment
 cannot.
 
+Any prover strategy is a set of devices at fixed positions, each mapping
+what it hears to what it sends; a prover is one device, an attack pair two.
+
 The module also provides a hash-challenge variant where the challenge is
 derived from a public random function applied to two verifier nonces,
 and a timing-free interactive protocol reusing the same message flow as
-a test of quantum capability.  Both run the same provers: HonestProver
-and ClassicalProver answer through reply_y/reply_ans whether or not a
-clock is attached, so dropping the timing layer from a position prover
-leaves exactly a proof-of-quantumness prover.
+a test of quantum capability.  Both run the same provers on the same
+seed split: HonestProver and ClassicalProver answer through reply_y and
+reply_ans whether or not a clock is attached, so dropping the timing
+layer from a position prover leaves exactly a proof-of-quantumness prover.
 """
 
 from __future__ import annotations
@@ -292,15 +295,23 @@ def _challenge(oracle: RandomOracle | None, v1_bits, nonce0) -> str | None:
     return None if nonce0 is None else oracle.query(xor_bits(nonce0, v1_bits))
 
 
-class _ChallengeListener:
-    """What one device knows of the challenge, read from the verifier
-    broadcasts among the messages it hears; None until they fix it."""
+class _Device(PartyBehavior):
+    """One device of a prover strategy, at a fixed position.
 
-    def __init__(self, oracle: RandomOracle | None):
+    On every message it first updates what it knows of the challenge
+    from the verifier broadcasts, then calls its handler for the message
+    kind, if any, with the body after the kind byte and the challenge as
+    this device knows it (None until fixed).  The handler returns the
+    Emissions to send.
+    """
+
+    def __init__(self, oracle: RandomOracle | None, handlers: dict):
         self.oracle = oracle
+        self.handlers = handlers
         self.v1_bits = self.nonce0 = self.challenge = None
 
-    def hear(self, payload: bytes) -> None:
+    def on_receive(self, time, message):
+        payload = message.payload
         kind = payload[:1]
         if kind == KIND_KEY and self.oracle is not None:
             self.nonce0, _ = unpack_bits(decode_message(payload)[1][1])
@@ -308,95 +319,61 @@ class _ChallengeListener:
             self.v1_bits, _ = unpack_bits(decode_message(payload)[1][0])
         if self.challenge is None:
             self.challenge = _challenge(self.oracle, self.v1_bits, self.nonce0)
+        handler = self.handlers.get(kind)
+        return () if handler is None else handler(payload[1:], self.challenge)
 
 
-class _ProverBehavior(PartyBehavior):
-    """Places a prover on the line.
+def _prover_device(prover, env: TrialEnv, actor_seed: int) -> _Device:
+    """The honest or classical prover as one device: obligate on the
+    key, answer once both the obligations and the challenge exist, so
+    either arrival order works."""
+    memo = []  # reply_y's memo, once obligated
 
-    Arrival order of key and challenge depends on the position, so the
-    listener gathers the challenge and each reply is emitted as soon as
-    its inputs exist.
-    """
+    def answer(body, challenge):
+        if not memo or challenge is None:
+            return ()
+        ans_bytes = prover.reply_ans(env, memo[0], challenge)
+        return (Emission(encode_message(KIND_ANSWER, ans_bytes)),)
 
-    def __init__(self, prover, env: TrialEnv, actor_seed: int):
-        self.prover = prover
-        self.env = env
-        self.actor_seed = actor_seed
-        self._listener = _ChallengeListener(env.oracle)
-        self._obligated = False
-        self._answered = False
-        self._memo = None
+    def obligate(body, challenge):
+        env.resolve(decode_parts(body)[0].decode())
+        y_bytes, m = prover.reply_y(env, actor_seed)
+        memo.append(m)
+        return (Emission(encode_message(KIND_OBLIGATION, y_bytes)),
+                *answer(body, challenge))
 
-    def on_receive(self, time, message):
-        self._listener.hear(message.payload)
-        out = []
-        if message.payload[:1] == KIND_KEY and not self._obligated:
-            self.env.resolve(decode_message(message.payload)[1][0].decode())
-            self._obligated = True
-            y_bytes, self._memo = self.prover.reply_y(self.env, self.actor_seed)
-            out.append(Emission(encode_message(KIND_OBLIGATION, y_bytes)))
-        challenge = self._listener.challenge
-        if self._obligated and challenge is not None and not self._answered:
-            self._answered = True
-            ans_bytes = self.prover.reply_ans(self.env, self._memo, challenge)
-            out.append(Emission(encode_message(KIND_ANSWER, ans_bytes)))
-        return out
+    return _Device(env.oracle, {KIND_KEY: obligate, KIND_CHALLENGE: answer,
+                                KIND_NONCE: answer})
 
 
-class _LeftAdversaryBehavior(PartyBehavior):
-    """Adapter placing adversary handlers u1/u4 at verifier 0's position."""
+def _add_attack_pair(sim: Simulation, trial, env: TrialEnv, v0_pid: int,
+                     v1_pid: int) -> None:
+    """Place an attack trial's two devices: the left one, at V0, runs u1
+    on the key and u4 on the right device's N message; the right one, at
+    V1, runs u2 on V1's broadcast (with the challenge still None under
+    hashing) and u3 on the left device's M message."""
 
-    def __init__(self, trial, env: TrialEnv, v0_pid: int):
-        self.trial = trial
-        self.env = env
-        self.v0_pid = v0_pid
-        self.a1_pid: int | None = None
-        self._listener = _ChallengeListener(env.oracle)
+    def u1(body, challenge):
+        y_bytes, m_bytes = trial.u1(env.resolve(decode_parts(body)[0].decode()))
+        return (Emission(encode_message(KIND_OBLIGATION, y_bytes), v0_pid),
+                Emission(KIND_LEFT + m_bytes, right_pid))
 
-    def on_receive(self, time, message):
-        kind = message.payload[:1]
-        if kind == KIND_RIGHT:
-            ans_bytes = self.trial.u4(message.payload[1:],
-                                      self._listener.challenge)
-            return (Emission(encode_message(KIND_ANSWER, ans_bytes),
-                             target=self.v0_pid),)
-        self._listener.hear(message.payload)
-        if kind == KIND_KEY:
-            key_id = decode_message(message.payload)[1][0].decode()
-            y_bytes, m_bytes = self.trial.u1(self.env.resolve(key_id))
-            return (
-                Emission(encode_message(KIND_OBLIGATION, y_bytes),
-                         target=self.v0_pid),
-                Emission(KIND_LEFT + m_bytes, target=self.a1_pid),
-            )
-        return ()
+    def u4(body, challenge):
+        return (Emission(encode_message(KIND_ANSWER, trial.u4(body, challenge)),
+                         v0_pid),)
 
+    def u2(body, challenge):
+        return (Emission(KIND_RIGHT + trial.u2(challenge), left_pid),)
 
-class _RightAdversaryBehavior(PartyBehavior):
-    """Adapter placing adversary handlers u2/u3 at verifier 1's position."""
+    def u3(body, challenge):
+        y_bytes, ans_bytes = trial.u3(body, challenge)
+        return (Emission(encode_message(KIND_OBLIGATION, y_bytes), v1_pid),
+                Emission(encode_message(KIND_ANSWER, ans_bytes), v1_pid))
 
-    def __init__(self, trial, env: TrialEnv, v1_pid: int):
-        self.trial = trial
-        self.v1_pid = v1_pid
-        self.a0_pid: int | None = None
-        self._listener = _ChallengeListener(env.oracle)
-
-    def on_receive(self, time, message):
-        kind = message.payload[:1]
-        if kind == KIND_LEFT:
-            y_bytes, ans_bytes = self.trial.u3(message.payload[1:],
-                                               self._listener.challenge)
-            return (
-                Emission(encode_message(KIND_OBLIGATION, y_bytes),
-                         target=self.v1_pid),
-                Emission(encode_message(KIND_ANSWER, ans_bytes),
-                         target=self.v1_pid),
-            )
-        self._listener.hear(message.payload)
-        if kind in (KIND_CHALLENGE, KIND_NONCE):
-            n_bytes = self.trial.u2(self._listener.challenge)
-            return (Emission(KIND_RIGHT + n_bytes, target=self.a0_pid),)
-        return ()
+    left_pid = sim.add_party(V0_POSITION, _Device(
+        env.oracle, {KIND_KEY: u1, KIND_RIGHT: u4}))
+    right_pid = sim.add_party(V1_POSITION, _Device(
+        env.oracle, {KIND_CHALLENGE: u2, KIND_NONCE: u2, KIND_LEFT: u3}))
 
 
 # ---------------------------------------------------------------------------
@@ -458,31 +435,36 @@ def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,
     )
 
 
+def _setup(config: ProtocolConfig, seed: int, hashed: bool):
+    """(env, trapdoor, nonce0, v1_bits, actor_seed) from the seed split
+    every run shares: child stream 0 is V0's (keygen, then nonce0 if
+    hashed), child 1 V1's (the challenge, or nonce1 if hashed), child 2
+    the prover's or attack pair's actor seed, child 3 the oracle's."""
+    puzzle = RepeatedPuzzle(config.n, config.k)
+    v0_rng, v1_rng = Rng(child_seed(seed, 0)), Rng(child_seed(seed, 1))
+    handle, trapdoor = puzzle.keygen(v0_rng)
+    if hashed:
+        oracle = RandomOracle(child_seed(seed, 3), config.lam, config.k)
+        nonce0, v1_bits = v0_rng.bits(config.lam), v1_rng.bits(config.lam)
+    else:
+        oracle, nonce0, v1_bits = None, None, puzzle.sample_challenge(v1_rng)
+    env = TrialEnv(puzzle, handle, trapdoor, oracle)
+    return env, trapdoor, nonce0, v1_bits, child_seed(seed, 2)
+
+
 def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
                record_trace: bool, hashed: bool) -> PRPVOutcome:
     """Common driver for the plain and hash-challenge protocols."""
     if (prover is None) == (adversaries is None):
         raise ConfigInvalid("supply exactly one of prover or adversaries")
 
-    puzzle = RepeatedPuzzle(config.n, config.k)
-    v0_rng = Rng(child_seed(seed, 0))
-    v1_rng = Rng(child_seed(seed, 1))
-    actor_seed = child_seed(seed, 2)
-    oracle = RandomOracle(child_seed(seed, 3), config.lam, config.k) if hashed else None
-
-    handle, trapdoor = puzzle.keygen(v0_rng)
-    env = TrialEnv(puzzle, handle, trapdoor, oracle)
-
-    key_id = handle.key_id.encode()
+    env, trapdoor, nonce0, v1_bits, actor_seed = _setup(config, seed, hashed)
+    key_parts = [env.handle.key_id.encode()]
     if hashed:
-        nonce0, v1_bits = v0_rng.bits(config.lam), v1_rng.bits(config.lam)
-        key_msg = encode_message(KIND_KEY, key_id, pack_bits(nonce0))
-        challenge_msg = encode_message(KIND_NONCE, pack_bits(v1_bits))
-    else:
-        nonce0, v1_bits = None, puzzle.sample_challenge(v1_rng)
-        key_msg = encode_message(KIND_KEY, key_id)
-        challenge_msg = encode_message(KIND_CHALLENGE, pack_bits(v1_bits))
-    challenge = _challenge(oracle, v1_bits, nonce0)
+        key_parts.append(pack_bits(nonce0))
+    key_msg = encode_message(KIND_KEY, *key_parts)
+    challenge_msg = encode_message(KIND_NONCE if hashed else KIND_CHALLENGE,
+                                   pack_bits(v1_bits))
 
     sim = Simulation(record_trace=record_trace)
     v0 = _Verifier(alarm_time=Fraction(0), payload=key_msg)
@@ -494,16 +476,14 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         position = prover.position
         if position is None:
             position = config.prover_position
-        sim.add_party(position, _ProverBehavior(prover, env, actor_seed))
+        sim.add_party(position, _prover_device(prover, env, actor_seed))
     else:
-        trial = adversaries.new_trial(env, actor_seed)
-        left = _LeftAdversaryBehavior(trial, env, v0_pid)
-        right = _RightAdversaryBehavior(trial, env, v1_pid)
-        right.a0_pid = sim.add_party(V0_POSITION, left)
-        left.a1_pid = sim.add_party(V1_POSITION, right)
+        _add_attack_pair(sim, adversaries.new_trial(env, actor_seed), env,
+                         v0_pid, v1_pid)
 
     trace = sim.run(RUN_UNTIL)
-    verdict = _assemble_verdict(puzzle, trapdoor, v0, v1, challenge)
+    verdict = _assemble_verdict(env.puzzle, trapdoor, v0, v1,
+                                _challenge(env.oracle, v1_bits, nonce0))
     return PRPVOutcome(verdict=verdict, trace=trace)
 
 
@@ -547,20 +527,16 @@ def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
     seeded like a timed run.  Acceptance uses the same verification as
     the timed runs, so quantum and classical success rates carry over
     unchanged."""
-    puzzle = RepeatedPuzzle(config.n, config.k)
-    handle, trapdoor = puzzle.keygen(Rng(child_seed(seed, 0)))
-    env = TrialEnv(puzzle, handle, trapdoor)
-
-    y_bytes, memo = prover.reply_y(env, child_seed(seed, 2))
-    challenge = puzzle.sample_challenge(Rng(child_seed(seed, 1)))
+    env, trapdoor, _, challenge, actor_seed = _setup(config, seed, hashed=False)
+    y_bytes, memo = prover.reply_y(env, actor_seed)
     ans_bytes = prover.reply_ans(env, memo, challenge)
     transcript = (
-        ("pk", handle.key_id.encode()),
+        ("pk", env.handle.key_id.encode()),
         ("y", y_bytes),
         ("b", pack_bits(challenge)),
         ("ans", ans_bytes),
     )
-    accept = _verifies(puzzle, trapdoor, y_bytes, challenge, ans_bytes)
+    accept = _verifies(env.puzzle, trapdoor, y_bytes, challenge, ans_bytes)
     return PoQResult(accept=accept, transcript=transcript)
 
 

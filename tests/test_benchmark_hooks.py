@@ -33,7 +33,7 @@ def test_instrumentation_wraps_and_restores():
                                    posverif.adversary)
     # the puzzle.verify span rests on the two verify methods alone; the
     # adversary.* spans and the replica count on the trial handlers and
-    # the adapters that call them
+    # the device that calls them
     trials = (adversary._GuessingTrial, adversary._ClassicalForwardTrial,
               adversary._ForwardingTrial, adversary._TeleportTrial)
     methods = {(cls, name): vars(cls)[name] for cls, name in (
@@ -41,8 +41,7 @@ def test_instrumentation_wraps_and_restores():
         (posverif.spacetime.Simulation, "add_party"),
         (puzzle.BasePuzzle, "verify"),
         (puzzle.RepeatedPuzzle, "verify"),
-        (protocol._LeftAdversaryBehavior, "on_receive"),
-        (protocol._RightAdversaryBehavior, "on_receive"),
+        (protocol._Device, "on_receive"),
         *((cls, u) for cls in trials for u in ("u1", "u2", "u3", "u4")),
     )}
     with spans.Instrumentation(posverif, spans.Recorder()):

@@ -5,6 +5,8 @@ transform."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posverif.adversary import make_attack
 from posverif.bits import (
@@ -33,6 +35,7 @@ from posverif.protocol import (
     Verdict,
     Y0_DEADLINE,
     Y1_DEADLINE,
+    _verifies,
     decode_message,
     encode_message,
     estimate_acceptance,
@@ -47,6 +50,7 @@ from posverif.puzzle import (
     decode_answers,
     decode_obligations,
     encode_answers,
+    encode_obligations,
 )
 from posverif.rng import Rng, child_seed
 from posverif.stats import classical_prover_rate, honest_completeness
@@ -138,6 +142,59 @@ class HostilePair:
 
     def u4(self, n_body, challenge):
         return self.body
+
+
+class RecordingPair:
+    """Records which handler runs and the challenge it gets; every
+    message it sends is empty."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def new_trial(self, env, actor_seed):
+        return self
+
+    def u1(self, handle):
+        self.calls.append(("u1", None))
+        return b"", b""
+
+    def u2(self, challenge):
+        self.calls.append(("u2", challenge))
+        return b""
+
+    def u3(self, m_body, challenge):
+        self.calls.append(("u3", challenge))
+        return b"", b""
+
+    def u4(self, n_body, challenge):
+        self.calls.append(("u4", challenge))
+        return b""
+
+
+class BytesPair:
+    """Sends six given bodies: u1's Y and M, u2's N, u3's Y and A, u4's A."""
+
+    name = "bytes"
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+
+    def new_trial(self, env, actor_seed):
+        return self
+
+    def u1(self, handle):
+        return self.bodies[0], self.bodies[1]
+
+    def u2(self, challenge):
+        return self.bodies[2]
+
+    def u3(self, m_body, challenge):
+        return self.bodies[3], self.bodies[4]
+
+    def u4(self, n_body, challenge):
+        return self.bodies[5]
 
 
 class TestConfig:
@@ -276,6 +333,47 @@ class TestVerdictChecks:
         assert ok.verdict.transcript_bytes() != bad.verdict.transcript_bytes()
         again = run_prpv(ProtocolConfig(), seed=33, prover=HonestProver())
         assert ok.verdict.transcript_bytes() == again.verdict.transcript_bytes()
+
+
+class TestDeviceContract:
+    """Each device calls its handler for every message kind it hears,
+    with the challenge as that device knows it."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_attack_handlers_run_once_in_order(self, k):
+        pair = RecordingPair()
+        verdict = run_prpv(ProtocolConfig(n=4, k=k), seed=60 + k,
+                           adversaries=pair).verdict
+        assert len(verdict.challenge) == k
+        assert pair.calls == [("u1", None)] + [
+            (u, verdict.challenge) for u in ("u2", "u3", "u4")]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_hashed_right_device_answers_v1_before_the_challenge(self, k):
+        """Under hashing the right device hears nonce0 only at t=3, so u2
+        runs on V1's broadcast at t=1 without the challenge."""
+        pair = RecordingPair()
+        verdict = run_roprpv(ProtocolConfig(n=4, k=k), seed=60 + k,
+                             adversaries=pair).verdict
+        assert len(verdict.challenge) == k
+        assert pair.calls == [("u1", None), ("u2", None),
+                              ("u3", verdict.challenge),
+                              ("u4", verdict.challenge)]
+
+    @pytest.mark.parametrize("runner", [run_prpv, run_roprpv])
+    @pytest.mark.parametrize("pos", [Fraction(5, 4), Fraction(3, 2),
+                                     Fraction(7, 4), Fraction(2),
+                                     Fraction(9, 4)])
+    def test_prover_sends_one_obligation_and_one_answer(self, runner, pos):
+        """The key reaches the prover at p and V1's broadcast at 4 - p:
+        key first inside the segment, both at once at 2, broadcast first
+        at 9/4.  Obligations go out on the key, answers once both are
+        in."""
+        out = runner(ProtocolConfig(n=4, k=2), seed=62,
+                     prover=HonestProver(position=pos), record_trace=True)
+        sent = [(e.time, e.payload[:1]) for e in out.trace.events
+                if e.kind == "emit" and e.party == 2]
+        assert sent == [(pos, b"Y"), (max(pos, 4 - pos), b"A")]
 
 
 class TestDeterminism:
@@ -426,6 +524,23 @@ class TestProofOfQuantumness:
         # the gap to the quantum rate is the capability signal
         assert est.ci_high < honest_completeness(8, 1)
 
+    @pytest.mark.parametrize("n, k", [(4, 1), (4, 3), (8, 2)])
+    @pytest.mark.parametrize("prover", [HonestProver(), ClassicalProver()],
+                             ids=["honest", "classical"])
+    def test_timed_run_without_the_clock(self, n, k, prover):
+        """The necessity direction: on the same seed, the timing-free run
+        sees the bytes the timed run's V0 sees, and decides alike."""
+        cfg = ProtocolConfig(n=n, k=k)
+        for seed in range(100):
+            poq = run_poq(cfg, seed, prover=prover)
+            verdict = run_prpv(cfg, seed, prover=prover).verdict
+            body = {label: decode_message(verdict.transcript[label])[1][0]
+                    for label in ("pk", "y0", "ans0")}
+            assert dict(poq.transcript) == {
+                "pk": body["pk"], "y": body["y0"],
+                "b": pack_bits(verdict.challenge), "ans": body["ans0"]}
+            assert poq.accept == verdict.accept
+
     def test_workers_do_not_change_estimate(self, pool_sizes):
         """Two worker processes give the serial Estimate."""
         cfg = ProtocolConfig(n=6, k=2)
@@ -517,3 +632,53 @@ class TestMalformedInput:
             run_prpv(cfg, seed=1, prover=HonestProver())
         with pytest.raises(IndexError):
             run_poq(cfg, seed=1, prover=HonestProver())
+
+
+# Arbitrary bytes, plus bytes shaped like the wire formats so that the
+# decoders get past their headers: framed parts, one kind byte before
+# framed parts, and well-formed obligation lists.
+WIRE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    st.lists(st.binary(max_size=12), max_size=4).map(lambda ps: encode_parts(*ps)),
+    st.tuples(st.binary(min_size=1, max_size=1),
+              st.lists(st.binary(max_size=12), max_size=3)).map(
+        lambda t: t[0] + encode_parts(*t[1])),
+    st.lists(st.text("01", max_size=6), max_size=3).map(encode_obligations),
+    st.sampled_from(list(MALFORMED_BODIES.values())),
+)
+# Six pair bodies, either all drawn apart or with both verifiers sent the
+# same Y and A, so that the run gets past the mismatch check.
+PAIR_BODIES = st.lists(WIRE_BYTES, min_size=6, max_size=6) | st.lists(
+    WIRE_BYTES, min_size=4, max_size=4).map(
+        lambda b: [b[0], b[1], b[2], b[0], b[3], b[3]])
+_PUZZLE = RepeatedPuzzle(4, 2)
+_HANDLE, _TRAPDOOR = _PUZZLE.keygen(Rng(44))
+
+
+class TestArbitraryBytes:
+    """No byte string crashes the wire decoders, the verifiers' decision
+    or a run."""
+
+    @given(WIRE_BYTES)
+    @settings(max_examples=300, derandomize=True)
+    def test_decoders_raise_only_malformed(self, data):
+        for decode in (decode_obligations, decode_answers, decode_parts,
+                       unpack_bits, decode_message):
+            try:
+                decode(data)
+            except MalformedMessage:
+                pass
+
+    @given(WIRE_BYTES, WIRE_BYTES, st.text("01", min_size=2, max_size=2))
+    @settings(max_examples=200, derandomize=True)
+    def test_verifies_returns_bool(self, y_bytes, ans_bytes, challenge):
+        verdict = _verifies(_PUZZLE, _TRAPDOOR, y_bytes, challenge, ans_bytes)
+        assert isinstance(verdict, bool)
+
+    @given(PAIR_BODIES)
+    @settings(max_examples=100, derandomize=True)
+    def test_arbitrary_pair_gets_a_reason(self, bodies):
+        for runner in (run_prpv, run_roprpv):
+            out = runner(ProtocolConfig(n=4, k=2), seed=45,
+                         adversaries=BytesPair(bodies))
+            assert isinstance(out.verdict.reason, FailureReason)
