@@ -384,10 +384,6 @@ def _first(arrivals: list[tuple[Fraction, bytes]]):
     return arrivals[0] if arrivals else (None, None)
 
 
-def _has_conflict(arrivals: list[tuple[Fraction, bytes]]) -> bool:
-    return any(payload != arrivals[0][1] for _, payload in arrivals[1:])
-
-
 def _verifies(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor, y_bytes: bytes,
               challenge: str, ans_bytes: bytes) -> bool:
     """The verifiers' decision on encoded obligations and answers: bytes
@@ -419,9 +415,8 @@ def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,
         reason = FailureReason.TIMING_ANS0
     elif ans1_time is None or not ans1_time <= ANS1_DEADLINE:
         reason = FailureReason.TIMING_ANS1
-    elif (y0 != y1 or ans0 != ans1 or _has_conflict(v0.y_msgs)
-          or _has_conflict(v1.y_msgs) or _has_conflict(v0.ans_msgs)
-          or _has_conflict(v1.ans_msgs)):
+    elif (len({body for _, body in v0.y_msgs + v1.y_msgs}) > 1
+          or len({body for _, body in v0.ans_msgs + v1.ans_msgs}) > 1):
         reason = FailureReason.MISMATCH
     elif not _verifies(puzzle, trapdoor, decode_message(y0)[1][0], challenge,
                        decode_message(ans0)[1][0]):
