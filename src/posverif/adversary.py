@@ -10,8 +10,10 @@ reaches the right device at t=3).  Handler slots draw from independent
 seeded streams so a compiled replay of a handler sees exactly the bytes
 the original would have produced.
 
-Resource classes: R0 pairs share no entanglement, RF pairs additionally
-forward the challenge verbatim, RL pairs consume pre-shared EPR pairs.
+Resource classes: R0 pairs share no entanglement, RF pairs compile an R0
+pair into one whose left device answers the challenge it hears itself (N
+carries only what the R0 pair's right device sends), RL pairs consume
+pre-shared EPR pairs.
 Each pair's rate(n, k) is the closed-form acceptance rate it reaches.
 """
 
@@ -84,7 +86,7 @@ class ClassicalForwardPair:
 
     Both sides deterministically recompute the classical prover's
     replies from the shared tape, the actor seed, and answer the
-    challenge each device hears; u2 forwards what the right one knows.
+    challenge each device hears, so u2 sends nothing.
     """
 
     name = "classical_forward"
@@ -107,7 +109,7 @@ class _ClassicalForwardTrial:
         return y_bytes, handle.key_id.encode()
 
     def u2(self, challenge: str | None) -> bytes:
-        return encode_parts(pack_bits(challenge or ""))
+        return b""
 
     def u3(self, m_body: bytes, challenge: str):
         self.env.resolve(m_body.decode())
@@ -121,14 +123,17 @@ class _ClassicalForwardTrial:
 class ForwardingPair:
     """Compile an unentangled attack into challenge-forwarding shape.
 
-    The right device only forwards the challenge; the left device answers
-    with the message the original right device would send after seeing
-    it.  A real left device would precompute that reply for all 2^k
-    challenges to answer in time (FORWARD_COMPILER_MAX_K bounds that
-    table); simulated handlers take no time, so one replica replays the
-    challenge the left device hears.  Trials are deterministic in (env,
-    actor seed, key body), so the replay equals the selected table entry
-    and per seed the compiled pair reproduces the original verdict bit for bit.
+    The left device answers with the message the original right device
+    would send after seeing the challenge.  A real left device would
+    precompute that reply for all 2^k challenges to answer in time
+    (FORWARD_COMPILER_MAX_K bounds that table) and take the entry the
+    forwarded challenge selects.  It hears V1's broadcast at t=4, with
+    the N message, so N carries only the original right device's u2
+    message, unread.  Simulated handlers take no time, so one replica
+    replays the challenge the left device hears.  Trials are
+    deterministic in (env, actor seed, key body), so the replay equals
+    the selected table entry and per seed the compiled pair reproduces
+    the original verdict bit for bit.
     """
 
     klass = "RF"
@@ -168,9 +173,7 @@ class _ForwardingTrial:
         return self.original.u1(handle)
 
     def u2(self, challenge: str | None) -> bytes:
-        # keep the right device's own state faithful, then forward
-        self.original.u2(challenge)
-        return encode_parts(pack_bits(challenge or ""))
+        return self.original.u2(challenge)
 
     def u3(self, m_body: bytes, challenge: str):
         return self.original.u3(m_body, challenge)
@@ -292,7 +295,7 @@ class _TeleportTrial:
             remote = qsim.apply_hadamard(remote, "rem", ones)
         records, _ = qsim.measure(remote, "rem", self.right_rng)
         self._raws = [record.outcome for record in records]
-        return encode_parts(pack_bits(challenge), pack_bits("".join(self._raws)))
+        return pack_bits("".join(self._raws))
 
     def _split_keys(self, packed: str) -> list[str]:
         return [packed[i * self.width:(i + 1) * self.width]
@@ -306,8 +309,7 @@ class _TeleportTrial:
         return y_bytes, encode_answers(answers)
 
     def u4(self, n_body: bytes, challenge: str) -> bytes:
-        _, raw_packed = decode_parts(n_body)
-        raws = self._split_keys(unpack_bits(raw_packed)[0])
+        raws = self._split_keys(unpack_bits(n_body)[0])
         answers = _corrected_answers(challenge, raws, self._k0s, self._k1s)
         return encode_answers(answers)
 
