@@ -10,10 +10,9 @@ reaches the right device at t=3).  Handler slots draw from independent
 seeded streams so a compiled replay of a handler sees exactly the bytes
 the original would have produced.
 
-Resource classes: R0 pairs share no entanglement, RF pairs compile an R0
-pair into one whose left device answers the challenge it hears itself (N
-carries only what the R0 pair's right device sends), RL pairs consume
-pre-shared EPR pairs.
+Resource classes: R0 pairs share no entanglement, RF pairs answer at
+the left device for the challenge it hears (N carries only the R0 right
+device's message), RL pairs consume pre-shared EPR pairs.
 Each pair's rate(n, k) is the closed-form acceptance rate it reaches.
 """
 
@@ -126,14 +125,13 @@ class ForwardingPair:
     The left device answers with the message the original right device
     would send after seeing the challenge.  A real left device would
     precompute that reply for all 2^k challenges to answer in time
-    (FORWARD_COMPILER_MAX_K bounds that table) and take the entry the
-    forwarded challenge selects.  It hears V1's broadcast at t=4, with
-    the N message, so N carries only the original right device's u2
-    message, unread.  Simulated handlers take no time, so one replica
-    replays the challenge the left device hears.  Trials are
-    deterministic in (env, actor seed, key body), so the replay equals
-    the selected table entry and per seed the compiled pair reproduces
-    the original verdict bit for bit.
+    (FORWARD_COMPILER_MAX_K bounds that table).  It hears the challenge
+    at t=4, with N, so N carries only the original right device's u2
+    message, unread; simulated handlers take no time, so one replica
+    replays that challenge.  Trials are deterministic in (env, actor
+    seed, key body), so the replay equals the selected table entry and
+    per seed the compiled pair reproduces the original verdict bit for
+    bit.
     """
 
     klass = "RF"

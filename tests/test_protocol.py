@@ -1,6 +1,6 @@
 """Timed-protocol tests: exact arrival algebra, verdict precedence,
-acceptance rates, the hash-challenge variant, and the timing-free
-transform."""
+acceptance rates, the hash-challenge variant, the timing-free
+transform, the device contract, and arbitrary wire bytes."""
 
 from fractions import Fraction
 
@@ -45,6 +45,7 @@ from posverif.protocol import (
     run_roprpv,
 )
 from posverif.puzzle import (
+    Equation,
     Preimage,
     RepeatedPuzzle,
     decode_answers,
@@ -119,31 +120,6 @@ MALFORMED_BODIES = {
 }
 
 
-class HostilePair:
-    """Both devices send one fixed body as obligations and as answers, in
-    time and identically, so only verification can fail the run."""
-
-    name = "hostile"
-
-    def __init__(self, body: bytes):
-        self.body = body
-
-    def new_trial(self, env, actor_seed):
-        return self
-
-    def u1(self, handle):
-        return self.body, b""
-
-    def u2(self, challenge):
-        return b""
-
-    def u3(self, m_body, challenge):
-        return self.body, self.body
-
-    def u4(self, n_body, challenge):
-        return self.body
-
-
 class RecordingPair:
     """Records which handler runs and the challenge it gets; every
     message it sends is empty."""
@@ -195,6 +171,12 @@ class BytesPair:
 
     def u4(self, n_body, challenge):
         return self.bodies[5]
+
+
+def hostile_pair(body: bytes) -> BytesPair:
+    """Both devices send one fixed body as obligations and as answers, in
+    time and identically, so only verification can fail the run."""
+    return BytesPair([body, b"", b"", body, body, body])
 
 
 class TestConfig:
@@ -619,7 +601,7 @@ class TestMalformedInput:
                              ids=MALFORMED_BODIES.keys())
     def test_hostile_pair_fails_verification(self, runner, body):
         out = runner(ProtocolConfig(n=4, k=2), seed=41,
-                     adversaries=HostilePair(body))
+                     adversaries=hostile_pair(body))
         assert out.verdict.reason is FailureReason.VER_FAIL
 
     def test_fault_inside_verify_propagates(self, monkeypatch):
@@ -636,14 +618,18 @@ class TestMalformedInput:
 
 # Arbitrary bytes, plus bytes shaped like the wire formats so that the
 # decoders get past their headers: framed parts, one kind byte before
-# framed parts, and well-formed obligation lists.
+# framed parts, and well-formed obligation and answer lists of any width.
+BITS = st.text("01", max_size=6)
 WIRE_BYTES = st.one_of(
     st.binary(max_size=40),
     st.lists(st.binary(max_size=12), max_size=4).map(lambda ps: encode_parts(*ps)),
     st.tuples(st.binary(min_size=1, max_size=1),
               st.lists(st.binary(max_size=12), max_size=3)).map(
         lambda t: t[0] + encode_parts(*t[1])),
-    st.lists(st.text("01", max_size=6), max_size=3).map(encode_obligations),
+    st.lists(BITS, max_size=3).map(encode_obligations),
+    st.lists(st.builds(Preimage, st.sampled_from("01"), BITS)
+             | st.builds(Equation, st.sampled_from("01"), BITS),
+             max_size=3).map(encode_answers),
     st.sampled_from(list(MALFORMED_BODIES.values())),
 )
 # Six pair bodies, either all drawn apart or with both verifiers sent the
@@ -652,7 +638,7 @@ PAIR_BODIES = st.lists(WIRE_BYTES, min_size=6, max_size=6) | st.lists(
     WIRE_BYTES, min_size=4, max_size=4).map(
         lambda b: [b[0], b[1], b[2], b[0], b[3], b[3]])
 _PUZZLE = RepeatedPuzzle(4, 2)
-_HANDLE, _TRAPDOOR = _PUZZLE.keygen(Rng(44))
+_, _TRAPDOOR = _PUZZLE.keygen(Rng(44))
 
 
 class TestArbitraryBytes:
