@@ -370,6 +370,7 @@ def _add_attack_pair(sim: Simulation, trial, env: TrialEnv, v0_pid: int,
         return (Emission(encode_message(KIND_OBLIGATION, y_bytes), v1_pid),
                 Emission(encode_message(KIND_ANSWER, ans_bytes), v1_pid))
 
+    # the handlers read left_pid and right_pid only once the run starts
     left_pid = sim.add_party(V0_POSITION, _Device(
         env.oracle, {KIND_KEY: u1, KIND_RIGHT: u4}))
     right_pid = sim.add_party(V1_POSITION, _Device(
