@@ -27,7 +27,6 @@ from .puzzle import (
     encode_answers,
     encode_obligations,
 )
-from . import qsim
 from .rng import Rng, child_seed
 from .stats import classical_prover_rate, guessing_rate, teleport_rate
 
@@ -192,9 +191,10 @@ class TeleportPair:
     honest answer distribution at both verifiers.  The budget is the
     k*(n+1) pairs the attack consumes.
 
-    Teleportation is simulated by its identity, not by a Bell circuit:
-    each qubit's keys (k0, k1) are two fair coins, 1 iff the uniform
-    drawn is >= 1/2, and the remote half holds X^k0 Z^k1 of the qubit.
+    Teleportation is simulated by its identity at measurement level, not
+    by the Bell circuit (the dense reference): the right device's outcome
+    in basis b is the honest outcome XOR k_b, so it answers through the
+    honest solver and XORs in the keys (see _teleport_keys).
     """
 
     name = "teleport"
@@ -221,33 +221,28 @@ class TeleportPair:
         return _TeleportTrial(env, actor_seed)
 
 
-def _teleport_register(state: qsim.StateVector, rng: Rng):
-    """Teleport every qubit of every row of a stacked state, each qubit
-    through its own EPR pair, by the teleportation identity instead of a
-    Bell circuit.
+def _teleport_keys(rows: int, width: int, rng: Rng):
+    """Keys of teleporting rows registers of width qubits, each qubit
+    through its own EPR pair, by the teleportation identity.
 
     Bell-measuring a qubit with its EPR half gives each of the four
     outcomes with probability 1/4 whatever the state, and leaves the
     remote half holding X^k0 Z^k1 of the qubit. So a row's keys are two
-    fair coins per qubit, and its remote register is the row under the
-    Pauli frame (k0, k1). The draws are those of the measured circuit:
-    row by row, then qubit by qubit, the source (k1) uniform before the
-    local (k0) one, and an outcome is 1 iff its uniform is >= 1/2, the
-    rule qsim.measure applies to two outcomes of probability 1/2.
-    bell_circuit and qsim.teleport stay the dense reference for this.
+    fair coins per qubit, and measuring the remote half in basis b gives
+    the honest outcome XOR k_b. The draws are those of the measured
+    circuit: row by row, then qubit by qubit, the source (k1) uniform
+    before the local (k0) one, and an outcome is 1 iff its uniform is
+    >= 1/2, the rule qsim.measure applies to two outcomes of probability
+    1/2. bell_circuit and qsim.teleport stay the dense reference for this.
 
-    Returns (k0s, k1s, remote stack), one k0 and k1 string per row: XOR
-    k0 into standard-basis outcomes and k1 into Hadamard-basis outcomes
-    of the remote register ("rem", in the original qubit order).
+    Returns (k0s, k1s), one string of width bits each per row.
     """
     k0s, k1s = [], []
-    for _ in range(len(state.amps)):
-        bits = ["1" if rng.random() >= 0.5 else "0" for _ in range(2 * state.q)]
+    for _ in range(rows):
+        bits = ["1" if rng.random() >= 0.5 else "0" for _ in range(2 * width)]
         k1s.append("".join(bits[0::2]))
         k0s.append("".join(bits[1::2]))
-    remote = qsim.merge_registers(state, state.names(), "rem")
-    return k0s, k1s, qsim.apply_pauli_frame(
-        remote, [int(k, 2) for k in k0s], [int(k, 2) for k in k1s])
+    return k0s, k1s
 
 
 def _corrected_answers(challenge: str, raws, k0s, k1s):
@@ -269,15 +264,16 @@ class _TeleportTrial:
         self.right_rng = Rng(child_seed(actor_seed, 2))  # u2
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
-        self._remote: qsim.StateVector | None = None  # right-device rows
+        self._claws = None  # (ys, stack) the right device measures
         self._k0s: list[str] = []
         self._k1s: list[str] = []
         self._raws: list[str] | None = None
 
     def u1(self, handle):
-        ys, state = self.env.obligate(self.left_rng)
+        ys, stack = self.env.obligate(self.left_rng)
         self.pairs_used += len(ys) * self.width
-        self._k0s, self._k1s, self._remote = _teleport_register(state, self.left_rng)
+        self._k0s, self._k1s = _teleport_keys(len(ys), self.width, self.left_rng)
+        self._claws = ys, stack
         y_bytes = encode_obligations(ys)
         m = encode_parts(
             y_bytes,
@@ -287,12 +283,12 @@ class _TeleportTrial:
         return y_bytes, m
 
     def u2(self, challenge: str) -> bytes:
-        ones = [i for i, b in enumerate(challenge) if b == "1"]
-        remote = self._remote
-        if ones:
-            remote = qsim.apply_hadamard(remote, "rem", ones)
-        records, _ = qsim.measure(remote, "rem", self.right_rng)
-        self._raws = [record.outcome for record in records]
+        ys, stack = self._claws
+        answers = self.env.puzzle.solve(self.env.handle, ys, stack, challenge,
+                                        self.right_rng)
+        self._raws = [
+            xor_bits(a.bit + a.v, k0) if b == "0" else xor_bits(a.c + a.d, k1)
+            for a, b, k0, k1 in zip(answers, challenge, self._k0s, self._k1s)]
         return pack_bits("".join(self._raws))
 
     def _split_keys(self, packed: str) -> list[str]:

@@ -23,9 +23,10 @@ and standard-basis projection map real states to real states; and the
 teleport corrections are classical bits XORed into outcomes, not gates.
 
 The teleport attack does not run the Bell circuit: by the teleportation
-identity its keys are fair coins and its remote register is the source
-under apply_pauli_frame. make_epr_pairs, bell_circuit and teleport are
-the dense reference the tests check that identity against, as
+identity its keys are fair coins, and the remote outcome in basis b is
+the honest outcome XOR k_b, so it samples at measurement level through
+the honest solver. make_epr_pairs, bell_circuit and teleport are the
+dense reference the tests check that identity against, as
 puzzle.run_obligate_circuit is for puzzle obligate.
 """
 
@@ -334,36 +335,6 @@ def teleport(state: StateVector, source: str, epr_local: str, rng):
         return rec_loc.outcome, rec_src.outcome, working
     return (tuple(r.outcome for r in rec_loc), tuple(r.outcome for r in rec_src),
             working)
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each entry, for entries below 2^Q_MAX."""
-    for shift in (16, 8, 4, 2, 1):
-        v = v ^ (v >> shift)
-    return v & 1
-
-
-def apply_pauli_frame(state: StateVector, x, z) -> StateVector:
-    """X^x Z^z on the whole state, x and z read as basis indices: X on
-    every qubit whose bit is set in x, after Z on every qubit whose bit is
-    set in z.
-
-    The result at index y is amps[y ^ x] * (-1)^popcount((y ^ x) & z). This
-    is the state a teleported register's remote halves hold, x the k0 keys
-    and z the k1 keys. On a stack, x and z give one int per row.
-    """
-    size = 1 << state.q
-    xs, zs = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
-    if xs.shape != state.amps.shape[:-1] or zs.shape != xs.shape:
-        raise LengthMismatch(
-            f"frame shapes {xs.shape} and {zs.shape} do not match the "
-            f"{state.amps.shape[:-1]} rows of {state!r}")
-    if np.any((xs < 0) | (xs >= size) | (zs < 0) | (zs >= size)):
-        raise ValueError(f"frame bits outside the {state.q} qubits of {state!r}")
-    y = np.arange(size, dtype=np.int64)
-    signed = np.where(_parity(y & zs[..., None]) == 1, -state.amps, state.amps)
-    return StateVector(state.regs, np.take_along_axis(signed, y ^ xs[..., None], -1),
-                       check=False)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

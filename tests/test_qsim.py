@@ -64,7 +64,6 @@ FLOAT64_CASES = {
     "teleport": lambda: qsim.teleport(_epr_joint(), "psi", "R", Rng(0))[2],
     "permute_basis": lambda: qsim.permute_basis(qsim.new_state([("r", 2)]),
                                                 np.array([1, 0, 3, 2])),
-    "pauli_frame": lambda: qsim.apply_pauli_frame(qsim.make_epr_pairs(1), 1, 3),
 }
 
 
@@ -296,36 +295,6 @@ class TestEprAndTeleport:
                 )
                 shifted_had = {xor_bits(out, k1): p for out, p in got_had.items()}
                 assert shifted_had == pytest.approx(base_had, abs=1e-12), label
-
-    def test_pauli_frame_is_every_bell_branch(self):
-        """apply_pauli_frame(psi, k0, k1) is the remote state of the
-        (k1, k0) branch of the dense Bell circuit, amplitude by amplitude."""
-        for label, psi in self._test_states():
-            q = psi.q
-            pre = qsim.bell_circuit(qsim.tensor(psi, qsim.make_epr_pairs(q)), "psi", "R")
-            for k1, k0 in itertools.product(range(1 << q), repeat=2):
-                _, s1 = qsim.collapse(pre, "psi", int_to_bits(k1, q))
-                _, remote = qsim.collapse(s1, "R", int_to_bits(k0, q))
-                framed = qsim.apply_pauli_frame(psi, k0, k1)
-                assert framed.regs == psi.regs
-                assert np.abs(framed.amps - remote.amps).max() < 1e-12, label
-
-    def test_pauli_frame_stack_is_its_rows(self):
-        rows = [random_state([("psi", 3)], 60 + i) for i in range(4)]
-        stacked = qsim.apply_pauli_frame(qsim.stack(rows), [0, 5, 2, 7], [3, 0, 6, 7])
-        for row, psi, x, z in zip(stacked.amps, rows, [0, 5, 2, 7], [3, 0, 6, 7]):
-            assert row.tobytes() == qsim.apply_pauli_frame(psi, x, z).amps.tobytes()
-
-    def test_pauli_frame_rejects_bad_frames(self):
-        pair = qsim.make_epr_pairs(1)
-        with pytest.raises(ValueError):
-            qsim.apply_pauli_frame(pair, 4, 0)
-        with pytest.raises(ValueError):
-            qsim.apply_pauli_frame(pair, 0, -1)
-        with pytest.raises(LengthMismatch):
-            qsim.apply_pauli_frame(pair, [0], [0])
-        with pytest.raises(LengthMismatch):
-            qsim.apply_pauli_frame(qsim.stack([pair, pair]), [0, 1], [0])
 
     def test_teleport_sampled_path(self):
         """teleport() of |0...0> leaves the remote register equal to k0."""

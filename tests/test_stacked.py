@@ -5,24 +5,27 @@ array. The oracle here is built from single-state qsim calls, instance by
 instance, in the order the per-instance code drew its randomness: answers
 and Pauli keys must match exactly, and the rng must stand at the same
 place afterwards. Stacked obligation states match byte for byte. The
-teleport attack applies the teleportation identity instead of a Bell
-circuit, so its remote amplitudes match the dense per-instance circuit to
-within 2^-52, and equal exactly an independent Kronecker product of the
-per-qubit X^k0 Z^k1 corrections. The measurement fallback and the per-row
-norm check are pinned in both the single and the stacked form.
+teleport attack draws its keys as the dense per-instance Bell circuit
+does, and its right device's raw outcomes are the per-instance honest
+answers XOR k_b, which the left device's and its own corrections undo.
+The measurement fallback and the per-row norm check are pinned in both
+the single and the stacked form.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from posverif import qsim
-from posverif.adversary import TeleportPair, _teleport_register
-from posverif.bits import decode_parts, pack_bits
+from posverif.adversary import TeleportPair, _teleport_keys
+from posverif.bits import decode_parts, pack_bits, xor_bits
 from posverif.protocol import TrialEnv
 from posverif.puzzle import (
     Equation,
     Preimage,
     RepeatedPuzzle,
+    encode_answers,
     encode_obligations,
 )
 from posverif.rng import Rng, Uniforms, child_seed
@@ -51,7 +54,8 @@ def _solve_one(state, bit: str, rng):
 
 
 def _teleport_one(state, rng):
-    """One instance's register through fresh EPR pairs, qubit by qubit."""
+    """Keys (k0, k1) of one instance's register sent through fresh EPR
+    pairs by the dense Bell circuit, qubit by qubit."""
     width = state.q
     working = qsim.merge_registers(state, state.names(), "src")
     k0, k1 = "", ""
@@ -67,7 +71,7 @@ def _teleport_one(state, rng):
         k1 += bit1
         names = ("R",) if j == 0 else ("rem", "R")
         working = qsim.merge_registers(working, names, "rem")
-    return k0, k1, working
+    return k0, k1
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -92,19 +96,6 @@ def test_obligate_and_solve_match_per_instance(k):
             assert rng.random() == ref.random()
 
 
-X = np.array([[0, 1], [1, 0]], dtype=np.float64)
-Z = np.diag([1.0, -1.0])
-
-
-def _frame_matrix(k0: str, k1: str) -> np.ndarray:
-    """The Kronecker product of X^a Z^b over the qubits, first qubit most
-    significant."""
-    m = np.ones((1, 1))
-    for a, b in zip(k0, k1):
-        m = np.kron(m, np.linalg.matrix_power(X, int(a)) @ np.linalg.matrix_power(Z, int(b)))
-    return m
-
-
 @pytest.mark.parametrize("n, k, seeds", [(N, 1, SEEDS), (N, 4, SEEDS), (8, 4, range(8)),
                                          (8, 8, range(8))])
 def test_stacked_teleport_matches_per_instance(n, k, seeds):
@@ -112,24 +103,21 @@ def test_stacked_teleport_matches_per_instance(n, k, seeds):
     handle, trapdoor = puz.keygen(Rng(950 + k))
     for seed in seeds:
         rng, ref = Rng(seed), Rng(seed)
-        _, state = puz.obligate(handle, trapdoor, rng)
+        puz.obligate(handle, trapdoor, rng)
         _, singles = zip(*(_oblige_one(h, t, ref)
                            for h, t in zip(handle.parts, trapdoor.parts)))
-        k0s, k1s, remote = _teleport_register(state, rng)
+        k0s, k1s = _teleport_keys(k, n + 1, rng)
         expected = [_teleport_one(st, ref) for st in singles]
-        assert k0s == [k0 for k0, _, _ in expected]
-        assert k1s == [k1 for _, k1, _ in expected]
-        assert remote.regs == expected[0][2].regs
-        for row, (_, _, single) in zip(remote.amps, expected):
-            assert np.abs(row - single.amps).max() <= 2**-52
-        for row, source, k0, k1 in zip(remote.amps, state.amps, k0s, k1s):
-            assert np.array_equal(row, _frame_matrix(k0, k1) @ source)
+        assert k0s == [k0 for k0, _ in expected]
+        assert k1s == [k1 for _, k1 in expected]
         assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_teleport_trial_messages_match_per_instance(k):
-    """u1's keys and u2's raw outcomes, built per instance by hand."""
+    """u1's keys and u2's raw outcomes, built per instance by hand: the
+    Bell circuit's keys, and each honest answer's bits XOR k_b. u3 and u4
+    then both recover the honest answers."""
     puz = RepeatedPuzzle(N, k)
     handle, trapdoor = puz.keygen(Rng(970 + k))
     env = TrialEnv(puz, handle, trapdoor)
@@ -143,19 +131,20 @@ def test_teleport_trial_messages_match_per_instance(k):
         left, right = Rng(child_seed(seed, 1)), Rng(child_seed(seed, 2))
         singles = [_oblige_one(h, t, left)
                    for h, t in zip(handle.parts, trapdoor.parts)]
-        teleported = [_teleport_one(st, left) for _, st in singles]
-        raws = ""
-        for b, (_, _, remote) in zip(challenge, teleported):
-            if b == "1":
-                remote = qsim.apply_hadamard(remote, "rem")
-            raws += qsim.measure(remote, "rem", right)[0].outcome
+        keys = [_teleport_one(st, left) for _, st in singles]
+        answers = tuple(_solve_one(st, b, right)
+                        for (_, st), b in zip(singles, challenge))
+        raws = "".join(xor_bits("".join(astuple(a)), key[int(b)])
+                       for a, b, key in zip(answers, challenge, keys))
         y_bytes = encode_obligations(tuple(y for y, _ in singles))
         assert decode_parts(m) == [
             y_bytes,
-            pack_bits("".join(k0 for k0, _, _ in teleported)),
-            pack_bits("".join(k1 for _, k1, _ in teleported)),
+            pack_bits("".join(k0 for k0, _ in keys)),
+            pack_bits("".join(k1 for _, k1 in keys)),
         ]
         assert n_msg == pack_bits(raws)
+        assert trial.u3(m, challenge) == (y_bytes, encode_answers(answers))
+        assert trial.u4(n_msg, challenge) == encode_answers(answers)
 
 
 class _Fixed:
