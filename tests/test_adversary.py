@@ -1,7 +1,10 @@
 """Attack-pair tests: acceptance rates against theory, compiler replay
-equality, entanglement budget accounting, and registry guards."""
+equality, entanglement budget accounting, registry guards, and the
+import rule that keeps every quantum step of a run in the puzzle."""
 
+import ast
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,8 @@ from posverif.stats import (
     honest_completeness,
     teleport_rate,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "posverif"
 
 
 class TestGuessingAttack:
@@ -188,6 +193,29 @@ class TestTeleportAttack:
         with pytest.raises(ConfigInvalid, match="deadline"):
             run_roprpv(ProtocolConfig(n=6, k=k), seed=503,
                        adversaries=TeleportPair(6, k))
+
+
+def _imported(path: Path) -> set[str]:
+    """Every module path imports, and every module.name it takes from a
+    module; a relative import keeps its leading dots."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    return imported
+
+
+@pytest.mark.parametrize("module", ["protocol.py", "adversary.py"])
+def test_protocol_and_attacks_import_nothing_from_qsim(module):
+    """The prover and every attack device reach quantum states only
+    through RepeatedPuzzle.obligate and solve, so a change to how the
+    puzzle samples its claw states covers all of them."""
+    imported = _imported(SRC / module)
+    assert sorted(m for m in imported if "qsim" in m.split(".")) == []
 
 
 class TestClassicalForward:
