@@ -4,7 +4,7 @@ Subcommands reproduce the headline numbers: completeness sweeps honest
 prover positions, attack estimates adversary acceptance, nonlocal plays
 the two-referee game and its 2-of-2 reduction, poq runs the timing-free
 protocol for quantum and classical provers, and trace dumps one run's
-event log.
+event log and verdict.
 
 Every row carries its closed-form expectation and a Wilson 95 percent
 interval; the process exits 0 when every row's interval covers its
@@ -41,6 +41,7 @@ from .protocol import (
 )
 from .puzzle import BasePuzzle
 from .rng import child_seed
+from .spacetime import coord_str
 from .stats import (
     classical_prover_rate,
     honest_completeness,
@@ -177,7 +178,9 @@ def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
 
 def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
                 attack_name: str | None, hashed: bool) -> str:
-    """Event log of one timed run of the honest prover or the named attack."""
+    """Event log of one timed run of the honest prover or the named
+    attack, one JSON line per event, then one line with its verdict: accept,
+    reason, challenge and the four arrival times (null for none)."""
     config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
     runner = run_roprpv if hashed else run_prpv
     if attack_name is None:
@@ -187,7 +190,13 @@ def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
         outcome = runner(config, seed,
                          adversaries=make_attack(attack_name, config),
                          record_trace=True)
-    return outcome.trace.to_json_lines()
+    verdict = outcome.verdict
+    times = {label: None if t is None else coord_str(t)
+             for label, t in verdict.timings.items()}
+    line = json.dumps({"kind": "verdict", "accept": verdict.accept,
+                       "reason": verdict.reason.value,
+                       "challenge": verdict.challenge, **times}, sort_keys=True)
+    return outcome.trace.to_json_lines() + line + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from posverif import stats
+from posverif import cli, stats
+from posverif.adversary import make_attack
 from posverif.cli import (
     CSV_HEADER,
     DEFAULT_SEED,
@@ -17,6 +20,7 @@ from posverif.cli import (
     main,
 )
 from posverif.errors import ConfigInvalid
+from posverif.protocol import HonestProver, ProtocolConfig, run_prpv, run_roprpv
 from posverif.stats import tally
 
 
@@ -185,14 +189,54 @@ class TestPoq:
         assert quantum > classical
 
 
+ARRIVALS = ("y0", "y1", "ans0", "ans1")
+
+
+def split_trace(out):
+    """(events, verdict): every line of a trace but the last, and the last."""
+    lines = [json.loads(line) for line in out.strip().split("\n")]
+    return lines[:-1], lines[-1]
+
+
 class TestTrace:
     def test_json_lines_schema(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--seed", "5")
         assert code == 0
-        events = [json.loads(line) for line in out.strip().split("\n")]
-        assert all(set(e) == {"time", "kind", "party", "digest"}
-                   for e in events)
+        events, verdict = split_trace(out)
+        assert events and all(set(e) == {"time", "kind", "party", "digest"}
+                              for e in events)
         assert {e["kind"] for e in events} <= {"alarm", "emit", "recv"}
+        assert set(verdict) == {"kind", "accept", "reason", "challenge", *ARRIVALS}
+        assert verdict["kind"] == "verdict"
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
+    @pytest.mark.parametrize("name", [None, "guess", "classical_forward"])
+    def test_verdict_line_is_the_runs_verdict(self, capsys, name, hashed):
+        argv = ["trace", "--seed", "5", "--n", "6", "--k", "2", "--pos", "5/4"]
+        argv += ["--name", name] if name else []
+        argv += ["--hashed"] if hashed else []
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, line = split_trace(out)
+        config = ProtocolConfig(n=6, k=2, prover_position=Fraction(5, 4))
+        party = ({"adversaries": make_attack(name, config)} if name
+                 else {"prover": HonestProver()})
+        verdict = (run_roprpv if hashed else run_prpv)(config, 5, **party).verdict
+        assert (line["accept"], line["reason"], line["challenge"]) == (
+            verdict.accept, verdict.reason.value, verdict.challenge)
+        assert {label: Fraction(line[label]) for label in ARRIVALS} == verdict.timings
+
+    def test_missing_arrival_is_null(self, capsys, monkeypatch):
+        def without_ans1(*args, **kwargs):
+            outcome = run_prpv(*args, **kwargs)
+            timings = {**outcome.verdict.timings, "ans1": None}
+            return replace(outcome, verdict=replace(outcome.verdict, timings=timings))
+
+        monkeypatch.setattr(cli, "run_prpv", without_ans1)
+        _, out, _ = run_cli(capsys, "trace", "--seed", "5")
+        _, verdict = split_trace(out)
+        assert verdict["ans1"] is None
+        assert verdict["ans0"] == "4/1"
 
     def test_attack_trace(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--seed", "5",
@@ -214,9 +258,10 @@ class TestTrace:
                                  "--hashed", "--k", "9", "--lambda", "8",
                                  "--n", "4")
         assert code == 0, err
-        events = [json.loads(line) for line in out.strip().split("\n")]
+        events, verdict = split_trace(out)
         assert events and all(e["kind"] in {"alarm", "emit", "recv"}
                               for e in events)
+        assert len(verdict["challenge"]) == 9
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "trace", "--seed", "9")
