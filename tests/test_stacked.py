@@ -7,7 +7,7 @@ and Pauli keys must match exactly, and the rng must stand at the same
 place afterwards. Stacked obligation states match byte for byte. The
 teleport attack draws its keys as the dense per-instance Bell circuit
 does, and its right device's raw outcomes are the per-instance honest
-answers XOR k_b, which the left device's and its own corrections undo.
+answers XOR k_b, which u3 and u4 both undo.
 The measurement fallback and the per-row norm check are pinned in both
 the single and the stacked form.
 """
