@@ -15,6 +15,7 @@ prepared in stage A. Answering both challenges of one obligation at once
 Each strategy states its closed forms: win_rate(n) and reduced_rate(n).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from types import MappingProxyType
@@ -194,9 +195,10 @@ class BruteForce:
     """Recover the shift with 2^n public eval queries, then answer anything.
 
     The capability-scoping caveat made concrete: claw-freeness is only as
-    strong as the cost of exhausting eval, so small n gives rate 1. The
-    search runs over the handle's images("1") as ints, stopping at the
-    first image that equals y, after the one eval call that publishes y.
+    strong as the cost of exhausting eval, so small n gives rate 1. After
+    the one eval call that publishes y, operator.indexOf runs the search
+    over the handle's images("1"), the key's forward map over the shifted
+    preimages as ints, and stops at the first image that equals y.
     """
 
     name = "brute_force"
@@ -209,7 +211,7 @@ class BruteForce:
         x0 = rng.bits(self.n)
         y = handle.eval("0", x0)
         target = int(y, 2)
-        x1 = next(x for x, image in enumerate(handle.images("1")) if image == target)
+        x1 = operator.indexOf(handle.images("1"), target)
         shift = xor_bits(x0, int_to_bits(x1, self.n))
         return make_prep(y, tape={"x0": x0, "shift": shift})
 

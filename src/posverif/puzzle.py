@@ -3,16 +3,18 @@
 The family: f_{key,b}(x) = P_seed(x xor b*s), where P_seed is a keyed
 4-round Feistel bijection on n-bit strings and s is a nonzero secret shift.
 Claws are exactly the pairs (x, x xor s), so the trapdoor can invert both
-branches while the public side can only evaluate forward. The round keys
-derive from the public seed alone, once per key at keygen; the public
-eval and the trapdoor's inversion share that one tuple.
+branches while the public side can only evaluate forward. keygen builds
+each key's forward and inverse maps once, as closures over round keys
+derived from the public seed alone: the public eval calls the forward
+map, the trapdoor's inversion the inverse map.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
 search over eval queries recovers s in 2^n steps (and a test demonstrates
 that deliberately). Its images(b) is the public route for that search: it
-yields all 2^n images of one branch as ints, the same capability as 2^n
-eval queries. n is capped at 12 to keep that honest.
+maps the forward map over all 2^n preimages of one branch, lazily, as
+ints, the same capability as 2^n eval queries. n is capped at 12 to keep
+that honest.
 
 Challenge bits and preimages are '0'/'1' strings throughout (see bits.py);
 a challenge of a k-fold puzzle is a k-bit string.
@@ -41,36 +43,68 @@ from .rng import Uniforms, mix64
 N_MIN = 2
 N_MAX = 12
 
-_FORWARD = (0, 1, 2, 3)  # round order of eval; inv runs it backwards
-_INVERSE = _FORWARD[::-1]
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+_C1 = 0xBF58476D1CE4E5B9  # the splitmix64 finalizer's multipliers (rng.mix64)
+_C2 = 0x94D049BB133111EB
 
 
-def _feistel_rounds(round_keys: tuple[int, ...], n: int, x: int, inverse: bool) -> int:
-    """Keyed bijection on n-bit integers: alternating-half XOR rounds.
+def _feistel_maps(seed: int, n: int):
+    """The forward and inverse maps of the key with this public seed:
+    P_seed and its inverse on n-bit ints.
 
     Even rounds mix the right half into the left, odd rounds the left
-    into the right. The round function is the splitmix64 finalizer,
-    written out as the same formula as rng.mix64 to spare a call per
-    round; its entry mask is dropped because a 64-bit round key XOR a
-    half of at most 6 bits is already 64-bit.
+    into the right. Round r XORs in mix64(round key r XOR the other
+    half), masked to the half's width; the round keys are
+    mix64(seed + (r + 1) * _GOLDEN). mix64 is written out, with two
+    exact shortcuts that hold because a half has at most 6 bits (n <= 12):
+    - Its first step z ^ (z >> 30), on z = key ^ half, equals
+      (key ^ (key >> 30)) ^ half, so that term is folded into the
+      stored round key.
+    - Only bits 0-5 and 31-36 of its second product are read (the half
+      mask after z ^ (z >> 31)). The low bits of a product depend only on
+      the low bits of its factors, so those read only bits 0-36 of
+      z ^ (z >> 27), which read only bits 0-63 of the first product.
+      So neither product is reduced mod 2^64.
+    The forward map, which images runs 2^n times, has its four rounds
+    written out; the inverse map loops over them backwards.
     """
+    keys = [mix64(seed + r * _GOLDEN) for r in (1, 2, 3, 4)]
+    k0, k1, k2, k3 = keys = [k ^ (k >> 30) for k in keys]
     wr = n - n // 2
     mask_l = (1 << (n // 2)) - 1
     mask_r = (1 << wr) - 1
-    left = x >> wr
-    right = x & mask_r
-    for r in _INVERSE if inverse else _FORWARD:
-        z = round_keys[r] ^ (left if r & 1 else right)
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        if r & 1:
-            right ^= z & mask_r
-        else:
-            left ^= z & mask_l
-    return (left << wr) | right
+
+    def forward(x: int) -> int:
+        left = x >> wr
+        right = x & mask_r
+        z = (k0 ^ right) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        left ^= (z ^ (z >> 31)) & mask_l
+        z = (k1 ^ left) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        right ^= (z ^ (z >> 31)) & mask_r
+        z = (k2 ^ right) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        left ^= (z ^ (z >> 31)) & mask_l
+        z = (k3 ^ left) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        right ^= (z ^ (z >> 31)) & mask_r
+        return (left << wr) | right
+
+    def inverse(y: int) -> int:
+        left = y >> wr
+        right = y & mask_r
+        for r in (3, 2, 1, 0):
+            z = (keys[r] ^ (left if r & 1 else right)) * _C1
+            z = (z ^ (z >> 27)) * _C2
+            z ^= z >> 31
+            if r & 1:
+                right ^= z & mask_r
+            else:
+                left ^= z & mask_l
+        return (left << wr) | right
+
+    return forward, inverse
 
 
 @dataclass(frozen=True)
@@ -137,8 +171,8 @@ class PublicHandle:
         return self._eval(b, x)
 
     def images(self, b: str):
-        """Lazily yield f_b(x) as an int for x = 0, 1, ..., 2^n - 1 in
-        order: the same capability as 2^n eval queries, without the
+        """A lazy map giving f_b(x) as an int for x = 0, 1, ..., 2^n - 1
+        in order: the same capability as 2^n eval queries, without the
         bitstring round trip. A bad branch bit raises at the call."""
         _check_bit(b, "branch")
         return self._images(b)
@@ -148,15 +182,15 @@ class PublicHandle:
 
 
 class Trapdoor:
-    """Inversion capability: the full key, its round keys, and its public
-    handle's eval."""
+    """Inversion capability: the full key, its key's inverse Feistel map,
+    and its public handle's eval."""
 
-    __slots__ = ("key", "eval", "_round_keys")
+    __slots__ = ("key", "eval", "_inverse")
 
-    def __init__(self, key: PuzzleKey, handle: PublicHandle, round_keys: tuple[int, ...]):
+    def __init__(self, key: PuzzleKey, handle: PublicHandle, inverse):
         self.key = key
         self.eval = handle.eval
-        self._round_keys = round_keys
+        self._inverse = inverse
 
     @property
     def n(self) -> int:
@@ -165,23 +199,23 @@ class Trapdoor:
     def inv(self, b: str, y: str) -> str:
         _check_bit(b, "branch")
         _check_bits(y, self.key.n, "image")
-        x = _feistel_rounds(self._round_keys, self.key.n, int(y, 2), inverse=True)
-        pre = int_to_bits(x, self.key.n)
+        pre = int_to_bits(self._inverse(int(y, 2)), self.key.n)
         return xor_bits(pre, self.key.s) if b == "1" else pre
 
 
-def _make_eval(key: PuzzleKey, round_keys: tuple[int, ...]):
-    """The public handle's eval and images closures; s stays inside them."""
+def _make_eval(key: PuzzleKey, forward):
+    """The public handle's eval and images closures over the key's forward
+    map; s stays inside them."""
     n, s_int = key.n, int(key.s, 2)
 
     def eval_fn(b: str, x: str) -> str:
         arg = int(x, 2) ^ s_int if b == "1" else int(x, 2)
-        return int_to_bits(_feistel_rounds(round_keys, n, arg, inverse=False), n)
+        return int_to_bits(forward(arg), n)
 
     def images_fn(b: str):
-        shift = s_int if b == "1" else 0
-        for x in range(1 << n):
-            yield _feistel_rounds(round_keys, n, x ^ shift, inverse=False)
+        if b == "1":
+            return map(forward, map(s_int.__xor__, range(1 << n)))
+        return map(forward, range(1 << n))
 
     return eval_fn, images_fn
 
@@ -203,9 +237,10 @@ class BasePuzzle:
     def keygen(self, rng) -> tuple[PublicHandle, Trapdoor]:
         """Draw a key: the public seed, then a nonzero shift s.
 
-        The Feistel round keys are derived from the seed here, once per
-        key, and shared by the handle's eval and the trapdoor's inv. They
-        follow from the seed in key_id, so the handle learns nothing of s.
+        The key's forward and inverse Feistel maps are built here, once
+        per key: the handle's eval and images call the forward map, the
+        trapdoor's inv the inverse map. Their round keys follow from the
+        seed in key_id, so the handle learns nothing of s.
         """
         seed = rng.next_u64()
         s = rng.bits(self.n)
@@ -213,9 +248,9 @@ class BasePuzzle:
             s = rng.bits(self.n)
         key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
-        round_keys = tuple(mix64(seed + (r + 1) * _GOLDEN) for r in _FORWARD)
-        handle = PublicHandle(self.n, key_id, *_make_eval(key, round_keys))
-        return handle, Trapdoor(key, handle, round_keys)
+        forward, inverse = _feistel_maps(seed, self.n)
+        handle = PublicHandle(self.n, key_id, *_make_eval(key, forward))
+        return handle, Trapdoor(key, handle, inverse)
 
     def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
         """Sample an obligation y and the claw superposition behind it.

@@ -440,6 +440,18 @@ def test_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_binds_every_module_the_benchmark_reads():
+    """perfbench imports posverif.cli alone and then reads these modules
+    as attributes of the package, so each must be bound by that import."""
+    proc = run_python("-c", (
+        "import posverif, posverif.cli\n"
+        "print([m for m in ('cli', 'protocol', 'stats', 'adversary',"
+        " 'nonlocal_game', 'puzzle', 'rng', 'qsim', 'spacetime')"
+        " if not hasattr(posverif, m)])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestOneResolutionPath:
     """A bad value from the config file or $POSVERIF_SEED is a usage
     error, exactly like the same bad flag."""

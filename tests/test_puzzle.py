@@ -80,16 +80,21 @@ class TestFamily:
     @given(st.integers(0, 2**64 - 1), st.integers(2, 12), st.integers(0, 2**12 - 1))
     @settings(max_examples=300, derandomize=True)
     def test_kernel_matches_mix64_reference(self, seed, n, x):
-        """The kernel's inline splitmix64 finalizer is rng.mix64: both
+        """The maps keygen builds, with their inline splitmix64 finalizer
+        and folded round keys, are the rounds over rng.mix64: both
         directions equal the reference, and each inverts the other."""
-        r = Rng(seed)
-        round_keys = tuple(r.next_u64() for _ in range(4))
+        handle, td = puzzle.BasePuzzle(n).keygen(Rng(seed))
+        forward, inverse = puzzle._feistel_maps(td.key.seed, n)
+        round_keys = tuple(mix64(td.key.seed + r * 0x9E3779B97F4A7C15)
+                           for r in (1, 2, 3, 4))
         x &= (1 << n) - 1
-        for inverse in (False, True):
-            assert (puzzle._feistel_rounds(round_keys, n, x, inverse)
-                    == reference_feistel(round_keys, n, x, inverse))
-        y = puzzle._feistel_rounds(round_keys, n, x, False)
-        assert puzzle._feistel_rounds(round_keys, n, y, True) == x
+        xs = int_to_bits(x, n)
+        assert forward(x) == reference_feistel(round_keys, n, x, False)
+        assert inverse(x) == reference_feistel(round_keys, n, x, True)
+        # the handle's eval and the trapdoor's inv call these maps
+        assert int(handle.eval("0", xs), 2) == forward(x)
+        assert int(td.inv("0", xs), 2) == inverse(x)
+        assert inverse(forward(x)) == x and forward(inverse(x)) == x
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 12])
     def test_images_are_eval_as_ints(self, n):
