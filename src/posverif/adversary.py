@@ -124,13 +124,15 @@ class ForwardingPair:
     The left device answers with the message the original right device
     would send after seeing the challenge.  A real left device would
     precompute that reply for all 2^k challenges to answer in time
-    (FORWARD_COMPILER_MAX_K bounds that table).  It hears the challenge
-    at t=4, with N, so N carries only the original right device's u2
-    message, unread; simulated handlers take no time, so one replica
-    replays that challenge.  Trials are deterministic in (env, actor
-    seed, key body), so the replay equals the selected table entry and
-    per seed the compiled pair reproduces the original verdict bit for
-    bit.
+    (FORWARD_COMPILER_MAX_K bounds that table).  Each table entry is a
+    right-device reply: at t=1 that device has heard only V1's
+    broadcast, so its u2 message is a function of the actor seed and
+    the challenge alone.  The left device hears the challenge at t=4,
+    with N, so N carries only the original right device's u2 message,
+    unread; simulated handlers take no time, so one replica, built from
+    the actor seed, runs u2 on that challenge and nothing else.  The
+    replay equals the selected table entry, and per seed the compiled
+    pair reproduces the original verdict bit for bit.
     """
 
     klass = "RF"
@@ -158,15 +160,17 @@ class ForwardingPair:
 
 
 class _ForwardingTrial:
+    """The original trial runs u1-u4; a replica of its right device,
+    built at key time from the same actor seed, answers the one table
+    lookup in u4 with its u2 and runs no other handler."""
+
     def __init__(self, inner_pair, env: TrialEnv, actor_seed: int):
         self._make_replica = lambda: inner_pair.new_trial(env, actor_seed)
         self.original = inner_pair.new_trial(env, actor_seed)
         self._replica = None
 
     def u1(self, handle):
-        # every table entry starts from the same replica state
         self._replica = self._make_replica()
-        self._replica.u1(handle)
         return self.original.u1(handle)
 
     def u2(self, challenge: str | None) -> bytes:

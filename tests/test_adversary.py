@@ -21,6 +21,7 @@ from posverif.protocol import (
     ClassicalProver,
     FailureReason,
     ProtocolConfig,
+    RandomOracle,
     TrialEnv,
     estimate_acceptance,
     run_prpv,
@@ -115,6 +116,50 @@ class TestForwardingCompiler:
             # the original trial and the one replica replayed in u4
             assert len(built) == 2
             assert built[0] == built[1]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_one_obligate_and_solve_per_run(self, k, monkeypatch):
+        """The replica runs only u2, so a compiled guess run obligates
+        and solves its claw states once, in the original trial's u1."""
+        calls = {"obligate": 0, "solve": 0}
+
+        def counting(name, method):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(RepeatedPuzzle, name,
+                                counting(name, getattr(RepeatedPuzzle, name)))
+        run_prpv(ProtocolConfig(n=6, k=k), child_seed(404, k),
+                 adversaries=ForwardingPair(GuessingPair()))
+        assert calls == {"obligate": 1, "solve": 1}
+
+    @pytest.mark.parametrize("make_pair", [GuessingPair, ClassicalForwardPair],
+                             ids=["guess", "classical_forward"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
+    def test_right_device_reply_needs_only_seed_and_challenge(
+            self, make_pair, k, hashed):
+        """The device separation the compiler's one replay rests on: a
+        trial's u2 reply, for every challenge the right device can hear,
+        is the same whether or not its u1 ran first."""
+        pair = make_pair()
+        puz = RepeatedPuzzle(6, k)
+        heard = [format(c, f"0{k}b") for c in range(2 ** k)]
+        if hashed:
+            heard.append(None)  # u2 under hashing: nonce0 is still in flight
+        for s in range(20):
+            seed = child_seed(405 + k, s)
+            handle, trapdoor = puz.keygen(Rng(seed))
+            oracle = RandomOracle(child_seed(seed, 3), 16, k) if hashed else None
+            env = TrialEnv(puz, handle, trapdoor, oracle)
+            for challenge in heard:
+                original = pair.new_trial(env, seed)
+                original.u1(handle)
+                fresh = pair.new_trial(env, seed)
+                assert fresh.u2(challenge) == original.u2(challenge)
 
     def test_rate_survives_compilation(self):
         cfg = ProtocolConfig(n=8, k=2)
