@@ -38,22 +38,29 @@ def is_zero(s: str) -> bool:
     return "1" not in s
 
 
-pack_u32 = struct.Struct("<I").pack
+_U32 = struct.Struct("<I")
+pack_u32 = _U32.pack
+_unpack_u32 = _U32.unpack_from
+
+
+def _overrun(size: int, offset: int, data: bytes) -> MalformedMessage:
+    return MalformedMessage(
+        f"{size} bytes at offset {offset} overrun a {len(data)}-byte message")
 
 
 def _read(data: bytes, offset: int, size: int) -> tuple[bytes, int]:
     """The size bytes at offset, and the offset after them."""
     end = offset + size
     if end > len(data):
-        raise MalformedMessage(
-            f"{size} bytes at offset {offset} overrun a {len(data)}-byte message")
+        raise _overrun(size, offset, data)
     return data[offset:end], end
 
 
 def read_u32(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode one u32 little-endian; returns (value, next offset)."""
-    chunk, end = _read(data, offset, 4)
-    return int.from_bytes(chunk, "little"), end
+    if offset + 4 > len(data):
+        raise _overrun(4, offset, data)
+    return _unpack_u32(data, offset)[0], offset + 4
 
 
 def pack_bits(s: str) -> bytes:
@@ -78,9 +85,14 @@ def encode_parts(*parts: bytes) -> bytes:
 
 
 def decode_parts(data: bytes) -> list[bytes]:
-    parts, offset = [], 0
-    while offset < len(data):
-        length, offset = read_u32(data, offset)
-        part, offset = _read(data, offset, length)
-        parts.append(part)
+    """Split encode_parts output back into its parts."""
+    parts, offset, size = [], 0, len(data)
+    while offset < size:
+        if offset + 4 > size:
+            raise _overrun(4, offset, data)
+        end = offset + 4 + _unpack_u32(data, offset)[0]
+        if end > size:
+            raise _overrun(end - offset - 4, offset + 4, data)
+        parts.append(data[offset + 4:end])
+        offset = end
     return parts

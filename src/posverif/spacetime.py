@@ -8,7 +8,10 @@ Handlers run instantaneously (zero local computation time).
 run() keeps times as integer ticks of 1/scale, scale being the LCM of the
 denominators of every position, alarm and `until`. Each event time is an
 alarm plus position differences, a whole number of ticks, so integer order
-and sums are exact. Handlers, messages and the trace get exact Fractions.
+and sums are exact. Handlers, messages and the trace get exact Fractions:
+each distinct (tick, scale) time is one Fraction, built once and shared
+across runs through a bounded cache. Trace events are built only while a
+trace is being recorded.
 
 Determinism: events are processed in (time, sequence) order, where sequence
 numbers increase in creation order and broadcast deliveries are created in
@@ -22,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import SimulationStarted
 
@@ -42,8 +47,7 @@ def coord_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """What a handler hands back to the simulator for sending.
 
     target=None means broadcast; a PartyId delivers to that party alone.
@@ -53,8 +57,7 @@ class Emission:
     target: int | None = None
 
 
-@dataclass(frozen=True)
-class SpacetimeMessage:
+class SpacetimeMessage(NamedTuple):
     payload: bytes
     sender: int
     emit_time: Fraction
@@ -109,6 +112,13 @@ def payload_digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:_DIGEST_LEN]
 
 
+@lru_cache(maxsize=1024)
+def _event_time(tick: int, scale: int) -> Fraction:
+    """The exact time of tick at scale ticks per unit; a run visits a
+    few distinct times, and runs at one geometry visit the same ones."""
+    return Fraction(tick, scale)
+
+
 class Simulation:
     def __init__(self, record_trace: bool = True):
         # Fractions until run() turns them into ticks; an event is
@@ -136,17 +146,16 @@ class Simulation:
         return pid
 
     def _note(self, time: Fraction, kind: str, party: int, payload: bytes):
-        if self._record:
-            self._trace.append(
-                TraceEvent(time, kind, party, payload_digest(payload), payload)
-            )
+        self._trace.append(
+            TraceEvent(time, kind, party, payload_digest(payload), payload))
 
     def _emit(self, sender: int, tick: int, time: Fraction, emission: Emission):
-        msg = SpacetimeMessage(payload=emission.payload, sender=sender,
-                               emit_time=time)
-        self._note(time, "emit", sender, msg.payload)
-        if emission.target is not None:
-            recipients = (emission.target,)
+        payload, target = emission
+        msg = SpacetimeMessage(payload, sender, time)
+        if self._record:
+            self._note(time, "emit", sender, payload)
+        if target is not None:
+            recipients = (target,)
         else:
             recipients = range(len(self._positions))
         origin = self._positions[sender]
@@ -175,17 +184,17 @@ class Simulation:
                                  for t, seq, pid, _ in self._events]
         heapq.heapify(events)
         limit = ticks(until)
-        times: dict[int, Fraction] = {}
+        record = self._record
         while events and events[0][0] <= limit:
             tick, _, pid, msg = heapq.heappop(events)
-            time = times.get(tick)
-            if time is None:
-                time = times[tick] = Fraction(tick, scale)
+            time = _event_time(tick, scale)
             if msg is None:
-                self._note(time, "alarm", pid, b"")
+                if record:
+                    self._note(time, "alarm", pid, b"")
                 out = self._behaviors[pid].on_alarm(time)
             else:
-                self._note(time, "recv", pid, msg.payload)
+                if record:
+                    self._note(time, "recv", pid, msg.payload)
                 out = self._behaviors[pid].on_receive(time, msg)
             for emission in out:
                 self._emit(pid, tick, time, emission)

@@ -5,13 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posverif.bits import (
+    decode_parts,
     dot_bits,
+    encode_parts,
     int_to_bits,
     is_zero,
     pack_bits,
+    read_u32,
     unpack_bits,
     xor_bits,
 )
+from posverif.errors import MalformedMessage
 from posverif.rng import Rng, child_seed, mix64
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=80)
@@ -108,3 +112,39 @@ class TestBits:
         assert pack_bits("") == b"\x00\x00\x00\x00"
         assert pack_bits("10000001") == b"\x08\x00\x00\x00\x81"
         assert pack_bits("1") == b"\x01\x00\x00\x00\x80"
+
+    def test_parts_cut_at_every_length(self):
+        """Each prefix of a 3-part message either decodes to its leading
+        parts (a cut on a part boundary) or raises MalformedMessage
+        naming the field it cuts: a length prefix or a part body."""
+        parts = [b"key-17", b"", b"\x00\xff\x10"]
+        data = encode_parts(*parts)
+        for cut in range(len(data) + 1):
+            prefix, offset, whole, error = data[:cut], 0, [], None
+            for part in parts:
+                if cut == offset:
+                    break
+                if cut < offset + 4:
+                    error = f"4 bytes at offset {offset} overrun a {cut}-byte message"
+                    break
+                if cut < offset + 4 + len(part):
+                    error = (f"{len(part)} bytes at offset {offset + 4} "
+                             f"overrun a {cut}-byte message")
+                    break
+                whole.append(part)
+                offset += 4 + len(part)
+            if error is None:
+                assert decode_parts(prefix) == whole, cut
+            else:
+                with pytest.raises(MalformedMessage) as info:
+                    decode_parts(prefix)
+                assert str(info.value) == error, cut
+
+    def test_read_u32_at_and_past_the_end(self):
+        data = encode_parts(b"ab", b"cde")
+        assert read_u32(data, len(data) - 7) == (3, len(data) - 3)
+        for offset in range(len(data) - 3, len(data) + 3):
+            with pytest.raises(MalformedMessage) as info:
+                read_u32(data, offset)
+            assert str(info.value) == (
+                f"4 bytes at offset {offset} overrun a {len(data)}-byte message")
