@@ -90,9 +90,11 @@ def decode_parts(data: bytes) -> list[bytes]:
     while offset < size:
         if offset + 4 > size:
             raise _overrun(4, offset, data)
-        end = offset + 4 + _unpack_u32(data, offset)[0]
+        length = _unpack_u32(data, offset)[0]
+        offset += 4
+        end = offset + length
         if end > size:
-            raise _overrun(end - offset - 4, offset + 4, data)
-        parts.append(data[offset + 4:end])
+            raise _overrun(length, offset, data)
+        parts.append(data[offset:end])
         offset = end
     return parts
