@@ -4,12 +4,13 @@ Subcommands reproduce the headline numbers: completeness sweeps honest
 prover positions, attack estimates adversary acceptance, nonlocal plays
 the two-referee game and its 2-of-2 reduction, poq runs the timing-free
 protocol for quantum and classical provers, and trace dumps one run's
-event log and verdict.
+event log and verdict.  Each is one function of the parsed options.
 
 Every row carries its closed-form expectation and a Wilson 95 percent
 interval; the process exits 0 when every row's interval covers its
-expectation, 1 when any row misses, and 2 on configuration errors.
-Outputs are deterministic for a fixed configuration and seed.
+expectation, 1 when any row misses, and 2 on configuration errors, such
+as a seed outside [0, 2^64).  Outputs are deterministic for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 
 from .adversary import ATTACK_NAMES, make_attack
-from .errors import ConfigInvalid, PosverifError
+from .errors import ConfigInvalid, PosverifError, check_int
 from .nonlocal_game import (
     STRATEGIES,
     estimate_2of2_rate,
@@ -61,11 +62,13 @@ SWEEP_POSITIONS = (
     Fraction(199, 100),
 )
 
-CSV_HEADER = "experiment,n,k,trials,successes,rate,ci_low,ci_high,theory,pass"
+FIELDS = ("experiment", "n", "k", "trials", "successes", "rate", "ci_low",
+          "ci_high", "theory", "pass")
+CSV_HEADER = ",".join(FIELDS)
 
 
 @dataclass(frozen=True)
-class Row:
+class Row:  # FIELDS in order, passed as "pass"
     experiment: str
     n: int
     k: int
@@ -86,73 +89,64 @@ def coverage_row(experiment: str, n: int, k: int, successes: int,
                low, high, theory, passed)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+def _fmt(value) -> str:
+    """One CSV cell: a bool as true/false, a float to 12 digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
 def format_csv(rows: list[Row]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            r.experiment, str(r.n), str(r.k), str(r.trials), str(r.successes),
-            _fmt(r.rate), _fmt(r.ci_low), _fmt(r.ci_high), _fmt(r.theory),
-            "true" if r.passed else "false",
-        ]))
+    lines = [CSV_HEADER, *(",".join(map(_fmt, astuple(r))) for r in rows)]
     return "\n".join(lines) + "\n"
 
 
 def format_json(rows: list[Row]) -> str:
-    payload = [
-        {
-            "experiment": r.experiment, "n": r.n, "k": r.k,
-            "trials": r.trials, "successes": r.successes, "rate": r.rate,
-            "ci_low": r.ci_low, "ci_high": r.ci_high, "theory": r.theory,
-            "pass": r.passed,
-        }
-        for r in rows
-    ]
+    payload = [dict(zip(FIELDS, astuple(r))) for r in rows]
     return json.dumps({"rows": payload}, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Subcommands, each a function of the parsed options
 
 
-def completeness_rows(n: int, k: int, lam: int, trials: int, seed: int,
-                      positions, workers: int, hashed: bool) -> list[Row]:
-    theory = honest_completeness(n, k)
-    runner = run_roprpv if hashed else run_prpv
+def completeness_rows(args) -> list[Row]:
+    positions = (SWEEP_POSITIONS if args.pos is None
+                 else (_to_position(args.pos, "pos"),))
+    runner = run_roprpv if _to_bool(args.hashed, "hashed") else run_prpv
     rows = []
     for index, position in enumerate(positions):
-        config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-        est = estimate_acceptance(config, trials, child_seed(seed, index),
-                                  runner=runner, prover=HonestProver(),
-                                  workers=workers)
-        label = f"completeness@{position}"
-        rows.append(coverage_row(label, n, k, est.successes, trials, theory))
+        # the config checks n and k before the closed form reads them
+        config = ProtocolConfig(n=args.n, k=args.k, lam=args.lam,
+                                prover_position=position)
+        est = estimate_acceptance(config, args.trials,
+                                  child_seed(args.seed, index), runner=runner,
+                                  prover=HonestProver(), workers=args.workers)
+        rows.append(coverage_row(f"completeness@{position}", args.n, args.k,
+                                 est.successes, args.trials,
+                                 honest_completeness(args.n, args.k)))
     return rows
 
 
-def attack_rows(name: str, n: int, k: int, trials: int, seed: int,
-                workers: int) -> list[Row]:
-    config = ProtocolConfig(n=n, k=k)
-    pair = make_attack(name, config)
-    est = estimate_acceptance(config, trials, seed, adversaries=pair,
-                              workers=workers)
-    return [coverage_row(f"attack_{name}", n, k, est.successes, trials,
-                         pair.rate(n, k))]
+def attack_rows(args) -> list[Row]:
+    config = ProtocolConfig(n=args.n, k=args.k)
+    pair = make_attack(args.name, config)
+    est = estimate_acceptance(config, args.trials, args.seed, adversaries=pair,
+                              workers=args.workers)
+    return [coverage_row(f"attack_{args.name}", args.n, args.k, est.successes,
+                         args.trials, pair.rate(args.n, args.k))]
 
 
-def nonlocal_rows(name: str, n: int, trials: int, seed: int,
-                  workers: int) -> list[Row]:
+def nonlocal_rows(args) -> list[Row]:
+    name, n, trials, seed = args.name, args.n, args.trials, args.seed
     strategy = make_strategy(name, n)
     puz = BasePuzzle(n)
     est = estimate_win_rate(puz, strategy, trials, child_seed(seed, 0),
-                            workers)
+                            args.workers)
     tau = coverage_row(f"game_{name}", n, 1, est.successes, trials,
                        strategy.win_rate(n))
     est = estimate_2of2_rate(puz, reduce_to_2of2(strategy), trials,
-                             child_seed(seed, 1), workers)
+                             child_seed(seed, 1), args.workers)
     reduced = coverage_row(f"reduced_{name}", n, 1, est.successes, trials,
                            strategy.reduced_rate(n))
     sigma = reduction_slack(reduced.rate, trials, tau.rate, trials)
@@ -162,12 +156,13 @@ def nonlocal_rows(name: str, n: int, trials: int, seed: int,
                     theory=bound, passed=reduced.rate >= bound)]
 
 
-def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
+def poq_rows(args) -> list[Row]:
+    n, k, trials = args.n, args.k, args.trials
     config = ProtocolConfig(n=n, k=k)
-    quantum = estimate_poq(config, trials, child_seed(seed, 0),
-                           prover=HonestProver(), workers=workers)
-    classical = estimate_poq(config, trials, child_seed(seed, 1),
-                             prover=ClassicalProver(), workers=workers)
+    quantum = estimate_poq(config, trials, child_seed(args.seed, 0),
+                           prover=HonestProver(), workers=args.workers)
+    classical = estimate_poq(config, trials, child_seed(args.seed, 1),
+                             prover=ClassicalProver(), workers=args.workers)
     return [
         coverage_row("poq_quantum", n, k, quantum.successes, trials,
                      honest_completeness(n, k)),
@@ -176,20 +171,17 @@ def poq_rows(n: int, k: int, trials: int, seed: int, workers: int) -> list[Row]:
     ]
 
 
-def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
-                attack_name: str | None, hashed: bool) -> str:
+def trace_lines(args) -> str:
     """Event log of one timed run of the honest prover or the named
     attack, one JSON line per event, then one line with its verdict: accept,
     reason, challenge and the four arrival times (null for none)."""
-    config = ProtocolConfig(n=n, k=k, lam=lam, prover_position=position)
-    runner = run_roprpv if hashed else run_prpv
-    if attack_name is None:
-        outcome = runner(config, seed, prover=HonestProver(),
-                         record_trace=True)
-    else:
-        outcome = runner(config, seed,
-                         adversaries=make_attack(attack_name, config),
-                         record_trace=True)
+    position = _to_position(args.pos, "pos")
+    runner = run_roprpv if _to_bool(args.hashed, "hashed") else run_prpv
+    config = ProtocolConfig(n=args.n, k=args.k, lam=args.lam,
+                            prover_position=position)
+    actor = ({"prover": HonestProver()} if args.name is None
+             else {"adversaries": make_attack(args.name, config)})
+    outcome = runner(config, args.seed, record_trace=True, **actor)
     verdict = outcome.verdict
     times = {label: None if t is None else coord_str(t)
              for label, t in verdict.timings.items()}
@@ -197,6 +189,10 @@ def trace_lines(n: int, k: int, lam: int, seed: int, position: Fraction,
                        "reason": verdict.reason.value,
                        "challenge": verdict.challenge, **times}, sort_keys=True)
     return outcome.trace.to_json_lines() + line + "\n"
+
+
+_ROW_COMMANDS = {"completeness": completeness_rows, "attack": attack_rows,
+                 "nonlocal": nonlocal_rows, "poq": poq_rows}
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +249,16 @@ def _build_parser():
     base.add_argument("--n", type=int, default=8,
                       help="puzzle width (default %(default)s)")
     base.add_argument("--seed", type=int, default=None,
-                      help=f"master seed (default ${ENV_SEED} or {DEFAULT_SEED})")
+                      help=f"master seed in [0, 2^64) "
+                           f"(default ${ENV_SEED} or {DEFAULT_SEED})")
     base.add_argument("--config", default=None,
                       help="key=value file supplying defaults for any flag")
     base.add_argument("--out", default=None,
                       help="write output to this file instead of stdout")
     width.add_argument("--k", type=int, default=1,
                        help="parallel instances (default %(default)s)")
+    nonce.add_argument("--hashed", action="store_true",
+                       help="use the hash-challenge variant")
     nonce.add_argument("--lambda", dest="lam", type=int, default=16,
                        help="nonce width for the hash-challenge variant")
     rows.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
@@ -281,8 +280,6 @@ def _build_parser():
     completeness.add_argument("--pos", default=None,
                               help="single prover position (rational), "
                                    "default sweeps the segment")
-    completeness.add_argument("--hashed", action="store_true",
-                              help="use the hash-challenge variant")
 
     attack = sub.add_parser("attack", parents=[base, width, rows],
                             help="two-device attack acceptance")
@@ -303,8 +300,6 @@ def _build_parser():
                        help="prover position (rational, default %(default)s)")
     trace.add_argument("--name", default=None,
                        help="trace an attack pair instead of the honest prover")
-    trace.add_argument("--hashed", action="store_true",
-                       help="use the hash-challenge variant")
 
     return parser, sub
 
@@ -337,34 +332,17 @@ def main(argv=None) -> int:
             defaults["seed"] = os.environ.get(ENV_SEED, DEFAULT_SEED)
         commands.choices[args.command].set_defaults(**defaults)
         args = parser.parse_args(argv)
+        # child_seed masks its input, so an out-of-range seed would alias
+        check_int(args.seed, "seed", 0, 2**64 - 1)
 
         if args.command == "trace":
-            text = trace_lines(args.n, args.k, args.lam, args.seed,
-                               _to_position(args.pos, "pos"), args.name,
-                               _to_bool(args.hashed, "hashed"))
-            _emit(text, args.out)
+            _emit(trace_lines(args), args.out)
             return 0
         if args.format not in ("csv", "json"):
             raise ConfigInvalid(f"format must be csv or json, got {args.format!r}")
         if args.command in ("attack", "nonlocal") and args.name is None:
             raise ConfigInvalid(f"{args.command} requires --name")
-
-        if args.command == "completeness":
-            positions = (SWEEP_POSITIONS if args.pos is None
-                         else (_to_position(args.pos, "pos"),))
-            rows = completeness_rows(args.n, args.k, args.lam, args.trials,
-                                     args.seed, positions, args.workers,
-                                     _to_bool(args.hashed, "hashed"))
-        elif args.command == "attack":
-            rows = attack_rows(args.name, args.n, args.k, args.trials,
-                               args.seed, args.workers)
-        elif args.command == "nonlocal":
-            rows = nonlocal_rows(args.name, args.n, args.trials, args.seed,
-                                 args.workers)
-        else:
-            rows = poq_rows(args.n, args.k, args.trials, args.seed,
-                            args.workers)
-
+        rows = _ROW_COMMANDS[args.command](args)
         text = format_json(rows) if args.format == "json" else format_csv(rows)
         _emit(text, args.out)
         return 0 if all(r.passed for r in rows) else 1

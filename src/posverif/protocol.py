@@ -54,6 +54,8 @@ from .stats import Estimate, tally
 
 V0_POSITION = Fraction(0)
 V1_POSITION = Fraction(3)
+V0_ALARM = Fraction(0)
+V1_ALARM = Fraction(1)
 
 # Verifier deadlines, in the same units as positions (speed of signal = 1).
 Y0_DEADLINE = Fraction(4)    # obligations at V0: strictly earlier
@@ -436,6 +438,7 @@ def _setup(config: ProtocolConfig, seed: int, hashed: bool):
     every run shares: child stream 0 is V0's (keygen, then nonce0 if
     hashed), child 1 V1's (the challenge, or nonce1 if hashed), child 2
     the prover's or attack pair's actor seed, child 3 the oracle's."""
+    check_int(seed, "seed", 0, 2**64 - 1)
     puzzle = RepeatedPuzzle(config.n, config.k)
     v0_rng, v1_rng = Rng(child_seed(seed, 0)), Rng(child_seed(seed, 1))
     handle, trapdoor = puzzle.keygen(v0_rng)
@@ -463,8 +466,8 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
                                    pack_bits(v1_bits))
 
     sim = Simulation(record_trace=record_trace)
-    v0 = _Verifier(alarm_time=Fraction(0), payload=key_msg)
-    v1 = _Verifier(alarm_time=Fraction(1), payload=challenge_msg)
+    v0 = _Verifier(alarm_time=V0_ALARM, payload=key_msg)
+    v1 = _Verifier(alarm_time=V1_ALARM, payload=challenge_msg)
     v0_pid = sim.add_party(V0_POSITION, v0)
     v1_pid = sim.add_party(V1_POSITION, v1)
 

@@ -59,10 +59,12 @@ def tally(one_trial: Callable[[int], Hashable], trials: int, seed: int,
     most min(workers, cores) processes.  With more than one process,
     one_trial must pickle: a module-level function, or a
     functools.partial of one over picklable arguments.  trials and
-    workers must each be an int >= 1, else ConfigInvalid.
+    workers must each be an int >= 1 and seed an int in [0, 2^64), else
+    ConfigInvalid.
     """
     check_int(trials, "trials", 1)
     check_int(workers, "workers", 1)
+    check_int(seed, "seed", 0, 2**64 - 1)
     step = -(-trials // min(workers, os.cpu_count() or 1))
     starts = range(0, trials, step)
     if len(starts) == 1:

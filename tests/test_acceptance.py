@@ -4,7 +4,8 @@ Each test certifies one headline property of the package at its stated
 tolerance, so `pytest tests/test_acceptance.py -v` reads as a checklist:
 
   c01  honest completeness across the position sweep, CI covers theory
-  c02  arrival times are exact rationals matching the position algebra
+  c02  arrival times are exact rationals matching the position algebra,
+       at the sweep and as a light-cone property at any exact position
   c03  nonlocal game values: measure-and-guess ~3/4, honest-to-B ~1/4
   c04  reduction inequality p' >= 2*tau - 1 - 5*sigma for every strategy
   c05  guessing attack soundness and forwarding-compiler equivalence
@@ -28,6 +29,9 @@ import os
 import time
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from posverif import qsim
 from posverif.adversary import (
     ClassicalForwardPair,
@@ -44,6 +48,7 @@ from posverif.nonlocal_game import (
     reduce_to_2of2,
 )
 from posverif.protocol import (
+    RUN_UNTIL,
     ClassicalProver,
     FailureReason,
     HonestProver,
@@ -134,6 +139,22 @@ def test_c02_arrival_times_exact_rationals():
                        prover=HonestProver(position=Fraction(5, 2))).verdict
     assert farther.reason is FailureReason.TIMING_Y0
     assert farther.timings["y0"] == Fraction(5)
+
+
+@given(st.fractions(min_value=-2, max_value=6, max_denominator=10**30))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_c02_light_cone_at_any_exact_position(p):
+    """An honest prover at any exact p sees the key at |p| and the
+    challenge at 1 + |3 - p|, and answers once it holds both; every
+    arrival is that light-cone time, or None past RUN_UNTIL."""
+    near, far = abs(p), abs(3 - p)
+    answer = max(near, 1 + far)
+    want = {"y0": 2 * near, "y1": near + far,
+            "ans0": answer + near, "ans1": answer + far}
+    verdict = run_prpv(ProtocolConfig(n=4, k=1), seed=_seed(2, 5),
+                       prover=HonestProver(position=p)).verdict
+    assert verdict.timings == {label: None if at > RUN_UNTIL else at
+                               for label, at in want.items()}
 
 
 def test_c03_nonlocal_game_values():

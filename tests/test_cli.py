@@ -1,18 +1,22 @@
 """Command line tests: row output, option precedence, exit codes, and
 byte-identical reruns."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posverif import cli, stats
-from posverif.adversary import make_attack
+from posverif.adversary import ATTACK_NAMES, make_attack
 from posverif.cli import (
     CSV_HEADER,
     DEFAULT_SEED,
@@ -20,6 +24,7 @@ from posverif.cli import (
     main,
 )
 from posverif.errors import ConfigInvalid
+from posverif.nonlocal_game import STRATEGIES
 from posverif.protocol import HonestProver, ProtocolConfig, run_prpv, run_roprpv
 from posverif.stats import tally
 
@@ -478,3 +483,98 @@ class TestOneResolutionPath:
                              POSVERIF_SEED="abc")
         assert by_flag.returncode == by_file.returncode == 0
         assert by_flag.stdout == by_file.stdout
+
+
+
+# (valid or edge values, invalid values) per option; None leaves the
+# option out.  --workers, --out and --config are left out, as they start
+# process pools or touch files; the tests above cover them.
+SWEEP_VALUES = {
+    "--n": ((None, "2", "4", "9"), ("-1", "0", "1", "13", "x")),
+    "--k": ((None, "1", "2", "9"), ("-1", "0", "x")),
+    "--lambda": ((None, "8", "16", "64"), ("-1", "7", "x")),
+    "--pos": ((None, "1", "3/2", "199/100"), ("2", "0", "-1", "1/0", "x")),
+    "--seed": ((None, "0", "5", str(2**64 - 1)), ("-1", str(2**64), "1.5")),
+    "--name": ((*ATTACK_NAMES, *sorted(STRATEGIES)), (None, "nope")),
+    "--trials": (("1", "3"), ("0", "-1")),
+    "--format": ((None, "csv", "json"), ("yaml",)),
+    "--hashed": ((False, True), ()),
+}
+SWEEP_TAKES = {
+    "completeness": ("--n", "--k", "--lambda", "--pos", "--seed", "--trials",
+                     "--format", "--hashed"),
+    "attack": ("--n", "--k", "--seed", "--name", "--trials", "--format"),
+    "nonlocal": ("--n", "--seed", "--name", "--trials", "--format"),
+    "poq": ("--n", "--k", "--seed", "--trials", "--format"),
+    "trace": ("--n", "--k", "--lambda", "--pos", "--seed", "--name",
+              "--hashed"),
+}
+
+
+@st.composite
+def sweep_options(draw):
+    """(subcommand, {option: value}): up to two of the options it takes
+    get an invalid value, the rest a valid or edge one."""
+    command = draw(st.sampled_from(sorted(SWEEP_TAKES)))
+    takes = SWEEP_TAKES[command]
+    broken = draw(st.sets(
+        st.sampled_from([o for o in takes if SWEEP_VALUES[o][1]]), max_size=2))
+    options = {o: draw(st.sampled_from(SWEEP_VALUES[o][o in broken]))
+               for o in takes}
+    return command, {o: v for o, v in options.items() if v not in (None, False)}
+
+
+def sweep_argv(command, options):
+    argv = [command]
+    for option, value in options.items():
+        argv += [option] if value is True else [option, value]
+    return argv
+
+
+class TestInputSweep:
+    """Every argv ends in exit 0, 1 or 2, with a typed error or argparse's
+    usage error, never an escaped exception."""
+
+    def test_closed_form_after_config_check(self):
+        # the theory column read 0.0 ** -1 before n and k were checked,
+        # and the process ended in a ZeroDivisionError traceback
+        proc = run_module("completeness", "--n", "-1", "--k", "-1",
+                          "--trials", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        # child_seed masks its input, so -1 ran as seed 2^64 - 1
+        code, out, err = run_cli(capsys, "poq", "--trials", "1",
+                                 "--seed", seed)
+        assert (code, out) == (2, "")
+        assert err == f"error: seed must be in [0, {2**64 - 1}], got {seed}\n"
+
+    @given(sweep_options())
+    @example(("trace", {"--hashed": True, "--k": "9", "--lambda": "8"}))
+    @example(("completeness", {"--n": "-1", "--k": "-1", "--trials": "1"}))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_argv_ends_in_an_exit_code(self, drawn):
+        command, options = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(sweep_argv(command, options))
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2
+                assert err.getvalue().startswith("usage:")
+                return
+        assert code in (0, 1, 2)
+        if options.get("--seed") in ("-1", str(2**64)):
+            assert code == 2
+        if code == 2:
+            assert err.getvalue().startswith("error:")
+            assert out.getvalue() == ""
+        elif options.get("--format") == "json":
+            rows = json.loads(out.getvalue())["rows"]
+            assert rows and all(set(row) == set(CSV_HEADER.split(","))
+                                for row in rows)
+        elif command != "trace":
+            assert out.getvalue().startswith(CSV_HEADER + "\n")

@@ -11,7 +11,7 @@ import pytest
 from posverif.adversary import ForwardingPair, TeleportPair, make_attack
 from posverif.errors import ConfigInvalid
 from posverif.nonlocal_game import STRATEGIES, make_strategy
-from posverif.protocol import ProtocolConfig, run_prpv
+from posverif.protocol import HonestProver, ProtocolConfig, run_prpv
 from posverif.puzzle import N_MAX, N_MIN, BasePuzzle, RepeatedPuzzle
 from posverif.stats import tally
 
@@ -88,6 +88,12 @@ def _owner_cases():
     for value, match in _bad_values("workers", 1):
         cases.append((f"tally(workers={value!r})",
                       partial(tally, bool, 1, 0, workers=value), match))
+    for value, match in _bad_values("seed", 0, 2**64 - 1):
+        cases.append((f"tally(seed={value!r})",
+                      partial(tally, bool, 1, value), match))
+        cases.append((f"run_prpv(seed={value!r})",
+                      partial(run_prpv, ProtocolConfig(), value,
+                              prover=HonestProver()), match))
     wide = ProtocolConfig(n=4, k=9)
     cases += [
         ("make_attack('nope')", partial(make_attack, "nope", ProtocolConfig()),
