@@ -486,16 +486,17 @@ class TestOneResolutionPath:
 
 
 
-# (valid or edge values, invalid values) per option; None leaves the
-# option out.  --workers, --out and --config are left out, as they start
-# process pools or touch files; the tests above cover them.
+# per option: (values some subcommand accepts, edges included; values
+# every subcommand rejects).  None leaves the option out.  --workers,
+# --out and --config are left out, as they start process pools or touch
+# files; the tests above cover them.
 SWEEP_VALUES = {
     "--n": ((None, "2", "4", "9"), ("-1", "0", "1", "13", "x")),
     "--k": ((None, "1", "2", "9"), ("-1", "0", "x")),
     "--lambda": ((None, "8", "16", "64"), ("-1", "7", "x")),
     "--pos": ((None, "1", "3/2", "199/100"), ("2", "0", "-1", "1/0", "x")),
     "--seed": ((None, "0", "5", str(2**64 - 1)), ("-1", str(2**64), "1.5")),
-    "--name": ((*ATTACK_NAMES, *sorted(STRATEGIES)), (None, "nope")),
+    "--name": ((None, *ATTACK_NAMES, *sorted(STRATEGIES)), ("nope",)),
     "--trials": (("1", "3"), ("0", "-1")),
     "--format": ((None, "csv", "json"), ("yaml",)),
     "--hashed": ((False, True), ()),
