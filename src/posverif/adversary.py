@@ -2,7 +2,7 @@
 
 An attack pair places one device next to each verifier.  Devices talk
 only through the simulated channel: the left device handles the key
-announcement (u1, given the announced key's handle) and the right-to-left
+announcement (u1, given the announced key's handles) and the right-to-left
 message (u4), the right device handles V1's broadcast (u2, at t=1) and
 the left-to-right message (u3).  u2, u3 and u4 also get the challenge as
 their own device has heard it, which is None in u2 under hashing (nonce0
@@ -58,11 +58,11 @@ class _GuessingTrial:
         self.rng = Rng(child_seed(actor_seed, 1))
         self._committed: bytes | None = None
 
-    def u1(self, handle):
+    def u1(self, handles):
         rng = self.rng
         ys, states = self.env.obligate(rng)
         guess = rng.bits(self.env.puzzle.k)
-        answers = self.env.puzzle.solve(handle, ys, states, guess, rng)
+        answers = self.env.puzzle.solve(states, guess, rng)
         y_bytes = encode_obligations(ys)
         ans_bytes = encode_answers(answers)
         self._committed = ans_bytes
@@ -102,9 +102,9 @@ class _ClassicalForwardTrial:
         self.tape = tape
         self.device = ClassicalProver()
 
-    def u1(self, handle):
+    def u1(self, handles):
         y_bytes, _ = self.device.reply_y(self.env, self.tape)
-        return y_bytes, handle.key_id.encode()
+        return y_bytes, self.env.key_id.encode()
 
     def u2(self, challenge: str | None) -> bytes:
         return b""
@@ -169,9 +169,9 @@ class _ForwardingTrial:
         self.original = inner_pair.new_trial(env, actor_seed)
         self._replica = None
 
-    def u1(self, handle):
+    def u1(self, handles):
         self._replica = self._make_replica()
-        return self.original.u1(handle)
+        return self.original.u1(handles)
 
     def u2(self, challenge: str | None) -> bytes:
         return self.original.u2(challenge)
@@ -268,16 +268,16 @@ class _TeleportTrial:
         self.right_rng = Rng(child_seed(actor_seed, 2))  # u2
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
-        self._claws = None  # (ys, stack) the right device measures
+        self._claws = None  # the stack of claw states the right device measures
         self._k0s: list[str] = []
         self._k1s: list[str] = []
         self._raws: list[str] | None = None
 
-    def u1(self, handle):
+    def u1(self, handles):
         ys, stack = self.env.obligate(self.left_rng)
         self.pairs_used += len(ys) * self.width
         self._k0s, self._k1s = _teleport_keys(len(ys), self.width, self.left_rng)
-        self._claws = ys, stack
+        self._claws = stack
         y_bytes = encode_obligations(ys)
         m = encode_parts(
             y_bytes,
@@ -287,9 +287,7 @@ class _TeleportTrial:
         return y_bytes, m
 
     def u2(self, challenge: str) -> bytes:
-        ys, stack = self._claws
-        answers = self.env.puzzle.solve(self.env.handle, ys, stack, challenge,
-                                        self.right_rng)
+        answers = self.env.puzzle.solve(self._claws, challenge, self.right_rng)
         self._raws = [
             xor_bits(a.bit + a.v, k0) if b == "0" else xor_bits(a.c + a.d, k1)
             for a, b, k0, k1 in zip(answers, challenge, self._k0s, self._k1s)]

@@ -24,7 +24,7 @@ layer from a position prover leaves exactly a proof-of-quantumness prover.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -32,10 +32,10 @@ from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
 from .errors import ConfigInvalid, LengthMismatch, MalformedMessage, check_int
 from .puzzle import (
     Equation,
-    MultiHandle,
-    MultiTrapdoor,
     Preimage,
+    PublicHandle,
     RepeatedPuzzle,
+    Trapdoor,
     decode_answers,
     decode_obligations,
     encode_answers,
@@ -98,17 +98,18 @@ class ProtocolConfig:
     location an honest prover occupies.  Placement must fall inside
     [1, 2): a prover in that window receives the key before the
     challenge and can meet all four response deadlines.  A bad field
-    raises ConfigInvalid; n and k are checked by the RepeatedPuzzle that
-    owns them.
+    raises ConfigInvalid; n and k are checked once, by the RepeatedPuzzle
+    that owns them, which the config keeps as puzzle for every run.
     """
 
     n: int = 8
     k: int = 1
     lam: int = 16
     prover_position: Coordinate = Fraction(3, 2)
+    puzzle: RepeatedPuzzle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        RepeatedPuzzle(self.n, self.k)  # the puzzle owns n and k
+        object.__setattr__(self, "puzzle", RepeatedPuzzle(self.n, self.k))
         check_int(self.lam, "lam", 8)
         object.__setattr__(self, "prover_position", as_coord(self.prover_position))
         if not Fraction(1) <= self.prover_position < Fraction(2):
@@ -185,21 +186,23 @@ class RandomOracle:
 class TrialEnv:
     """Key material context shared by the parties of one run.
 
-    Exposes the public handle, key lookup by announced id, an obligation
-    service that mints claw states against the key, and the run's random
-    oracle (None in the plain variant).  The trapdoor itself stays with
-    the verdict logic and is not reachable through this object.
+    Exposes the public handles, the key id V0 announces (theirs joined),
+    key lookup by that id, an obligation service that mints claw states
+    against the key, and the run's random oracle (None in the plain
+    variant).  The trapdoors stay with the verdict logic and are not
+    reachable through this object.
     """
 
-    def __init__(self, puzzle: RepeatedPuzzle, handle: MultiHandle,
-                 trapdoor: MultiTrapdoor, oracle: RandomOracle | None = None):
+    def __init__(self, puzzle: RepeatedPuzzle, handle: tuple[PublicHandle, ...],
+                 trapdoor: tuple[Trapdoor, ...], oracle: RandomOracle | None = None):
         self.puzzle = puzzle
         self.handle = handle
+        self.key_id = "".join(h.key_id for h in handle)
         self._trapdoor = trapdoor
         self.oracle = oracle
 
-    def resolve(self, key_id: str) -> MultiHandle:
-        if key_id != self.handle.key_id:
+    def resolve(self, key_id: str) -> tuple[PublicHandle, ...]:
+        if key_id != self.key_id:
             raise ConfigInvalid(f"unknown key id {key_id!r}")
         return self.handle
 
@@ -254,12 +257,11 @@ class HonestProver:
     def reply_y(self, env: TrialEnv, actor_seed: int):
         rng = Rng(actor_seed)
         ys, states = env.obligate(rng)
-        return encode_obligations(ys), (ys, states, rng)
+        return encode_obligations(ys), (states, rng)
 
     def reply_ans(self, env: TrialEnv, memo, challenge: str) -> bytes:
-        ys, states, rng = memo
-        return encode_answers(
-            env.puzzle.solve(env.handle, ys, states, challenge, rng))
+        states, rng = memo
+        return encode_answers(env.puzzle.solve(states, challenge, rng))
 
 
 class ClassicalProver:
@@ -276,13 +278,13 @@ class ClassicalProver:
 
     def reply_y(self, env: TrialEnv, actor_seed: int):
         xs = Rng(child_seed(actor_seed, 0))
-        ys = [part.eval("0", xs.bits(part.n)) for part in env.handle.parts]
+        ys = [part.eval("0", xs.bits(part.n)) for part in env.handle]
         return encode_obligations(ys), actor_seed
 
     def reply_ans(self, env: TrialEnv, tape: int, challenge: str) -> bytes:
         xs, guesses = Rng(child_seed(tape, 0)), Rng(child_seed(tape, 1))
         answers = []
-        for i, part in enumerate(env.handle.parts):
+        for i, part in enumerate(env.handle):
             x, c, d = xs.bits(part.n), guesses.bits(1), guesses.bits(part.n)
             answers.append(Preimage("0", x) if challenge[i] == "0" else Equation(c, d))
         return encode_answers(answers)
@@ -387,7 +389,7 @@ def _first(arrivals: list[tuple[Fraction, bytes]]):
     return arrivals[0] if arrivals else (None, None)
 
 
-def _verifies(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor, y_bytes: bytes,
+def _verifies(puzzle: RepeatedPuzzle, trapdoor: tuple[Trapdoor, ...], y_bytes: bytes,
               challenge: str, ans_bytes: bytes) -> bool:
     """The verifiers' decision on encoded obligations and answers: bytes
     that do not decode lose, verify rejects any wrong shape, and any
@@ -399,7 +401,7 @@ def _verifies(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor, y_bytes: bytes,
     return puzzle.verify(trapdoor, ys, challenge, answers)
 
 
-def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: MultiTrapdoor,
+def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: tuple[Trapdoor, ...],
                       v0: _Verifier, v1: _Verifier,
                       challenge: str | None) -> Verdict:
     y0_time, y0 = _first(v0.y_msgs)
@@ -439,7 +441,7 @@ def _setup(config: ProtocolConfig, seed: int, hashed: bool):
     hashed), child 1 V1's (the challenge, or nonce1 if hashed), child 2
     the prover's or attack pair's actor seed, child 3 the oracle's."""
     check_int(seed, "seed", 0, 2**64 - 1)
-    puzzle = RepeatedPuzzle(config.n, config.k)
+    puzzle = config.puzzle
     v0_rng, v1_rng = Rng(child_seed(seed, 0)), Rng(child_seed(seed, 1))
     handle, trapdoor = puzzle.keygen(v0_rng)
     if hashed:
@@ -458,7 +460,7 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
         raise ConfigInvalid("supply exactly one of prover or adversaries")
 
     env, trapdoor, nonce0, v1_bits, actor_seed = _setup(config, seed, hashed)
-    key_parts = [env.handle.key_id.encode()]
+    key_parts = [env.key_id.encode()]
     if hashed:
         key_parts.append(pack_bits(nonce0))
     key_msg = encode_message(KIND_KEY, *key_parts)
@@ -530,7 +532,7 @@ def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
     y_bytes, memo = prover.reply_y(env, actor_seed)
     ans_bytes = prover.reply_ans(env, memo, challenge)
     transcript = (
-        ("pk", env.handle.key_id.encode()),
+        ("pk", env.key_id.encode()),
         ("y", y_bytes),
         ("b", pack_bits(challenge)),
         ("ans", ans_bytes),

@@ -6,7 +6,9 @@ Claws are exactly the pairs (x, x xor s), so the trapdoor can invert both
 branches while the public side can only evaluate forward. keygen builds
 each key's forward and inverse maps once, as closures over round keys
 derived from the public seed alone: the public eval calls the forward
-map, the trapdoor's inversion the inverse map.
+map, the trapdoor's inversion the inverse map. The Trapdoor is the key
+itself (n, seed, s); a k-fold key is a tuple of k handles and a tuple
+of k trapdoors, in instance order.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
@@ -108,15 +110,6 @@ def _feistel_maps(seed: int, n: int):
 
 
 @dataclass(frozen=True)
-class PuzzleKey:
-    """Full key material: only the trapdoor side ever holds this."""
-
-    n: int
-    seed: int
-    s: str  # nonzero shift; claws are (x, x xor s)
-
-
-@dataclass(frozen=True)
 class Preimage:
     """Challenge-0 answer: a claimed branch bit and preimage."""
 
@@ -182,31 +175,30 @@ class PublicHandle:
 
 
 class Trapdoor:
-    """Inversion capability: the full key, its key's inverse Feistel map,
-    and its public handle's eval."""
+    """The full key of one instance, which only the verifier side holds:
+    width n, public seed and nonzero shift s (claws are (x, x xor s)),
+    with the key's inverse Feistel map and its public handle's eval."""
 
-    __slots__ = ("key", "eval", "_inverse")
+    __slots__ = ("n", "seed", "s", "eval", "_inverse")
 
-    def __init__(self, key: PuzzleKey, handle: PublicHandle, inverse):
-        self.key = key
-        self.eval = handle.eval
+    def __init__(self, n: int, seed: int, s: str, eval_fn, inverse):
+        self.n = n
+        self.seed = seed
+        self.s = s
+        self.eval = eval_fn
         self._inverse = inverse
-
-    @property
-    def n(self) -> int:
-        return self.key.n
 
     def inv(self, b: str, y: str) -> str:
         _check_bit(b, "branch")
-        _check_bits(y, self.key.n, "image")
-        pre = int_to_bits(self._inverse(int(y, 2)), self.key.n)
-        return xor_bits(pre, self.key.s) if b == "1" else pre
+        _check_bits(y, self.n, "image")
+        pre = int_to_bits(self._inverse(int(y, 2)), self.n)
+        return xor_bits(pre, self.s) if b == "1" else pre
 
 
-def _make_eval(key: PuzzleKey, forward):
+def _make_eval(n: int, s: str, forward):
     """The public handle's eval and images closures over the key's forward
     map; s stays inside them."""
-    n, s_int = key.n, int(key.s, 2)
+    s_int = int(s, 2)
 
     def eval_fn(b: str, x: str) -> str:
         arg = int(x, 2) ^ s_int if b == "1" else int(x, 2)
@@ -246,11 +238,10 @@ class BasePuzzle:
         s = rng.bits(self.n)
         while is_zero(s):  # s = 0 would merge the two branches
             s = rng.bits(self.n)
-        key = PuzzleKey(self.n, seed, s)
         key_id = public_key_bytes(self.n, seed).hex()
         forward, inverse = _feistel_maps(seed, self.n)
-        handle = PublicHandle(self.n, key_id, *_make_eval(key, forward))
-        return handle, Trapdoor(key, handle, inverse)
+        handle = PublicHandle(self.n, key_id, *_make_eval(self.n, s, forward))
+        return handle, Trapdoor(self.n, seed, s, handle.eval, inverse)
 
     def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
         """Sample an obligation y and the claw superposition behind it.
@@ -275,7 +266,7 @@ class BasePuzzle:
                 f"expected {shape}registers bit(1), preimage({self.n}), got {state!r}"
             )
 
-    def solve(self, handle: PublicHandle, y: str, state: qsim.StateVector, challenge: str, rng) -> Answer:
+    def solve(self, state: qsim.StateVector, challenge: str, rng) -> Answer:
         """Honest quantum solver: measure straight or in the Hadamard basis."""
         _check_bit(challenge)
         self._check_state(state)
@@ -293,7 +284,7 @@ class BasePuzzle:
                     and _is_bits(answer.v, n) and env.eval(answer.bit, answer.v) == y)
         return (isinstance(answer, Equation) and _is_bits(answer.c, 1)
                 and _is_bits(answer.d, n) and _is_bits(y, n) and not is_zero(answer.d)
-                and dot_bits(answer.d, env.key.s) == int(answer.c, 2))
+                and dot_bits(answer.d, env.s) == int(answer.c, 2))
 
 
 def _solve_rows(state: qsim.StateVector, bits: str, rng) -> tuple[Answer, ...]:
@@ -346,23 +337,6 @@ def run_obligate_circuit(handle: PublicHandle, rng) -> tuple[str, qsim.StateVect
     return rec.outcome, residual
 
 
-class MultiHandle:
-    """Public side of a k-fold puzzle: one handle per instance."""
-
-    __slots__ = ("parts", "key_id")
-
-    def __init__(self, parts: tuple[PublicHandle, ...]):
-        self.parts = parts
-        self.key_id = "".join(p.key_id for p in parts)
-
-
-class MultiTrapdoor:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[Trapdoor, ...]):
-        self.parts = parts
-
-
 class RepeatedPuzzle:
     """k independent instances, each answering its own challenge bit.
 
@@ -384,25 +358,26 @@ class RepeatedPuzzle:
     def sample_challenge(self, rng) -> str:
         return rng.bits(self.k)
 
-    def keygen(self, rng) -> tuple[MultiHandle, MultiTrapdoor]:
-        pairs = [self.base.keygen(rng) for _ in range(self.k)]
-        return MultiHandle(tuple(h for h, _ in pairs)), MultiTrapdoor(tuple(t for _, t in pairs))
+    def keygen(self, rng) -> tuple[tuple[PublicHandle, ...], tuple[Trapdoor, ...]]:
+        """k base keys, drawn one after another: the tuple of their
+        handles and the tuple of their trapdoors, in instance order."""
+        return tuple(zip(*(self.base.keygen(rng) for _ in range(self.k))))
 
-    def obligate(self, handle: MultiHandle, env: MultiTrapdoor, rng):
+    def obligate(self, handles, trapdoors, rng):
         """Sample the k obligations, instance by instance as the base
         puzzle would, and the stack of their claw states, one row each."""
         ys, x0s, x1s = zip(*(self.base._claw(h, t, rng)
-                             for h, t in zip(handle.parts, env.parts)))
+                             for h, t in zip(handles, trapdoors)))
         return ys, qsim.prepare_claw_state(x0s, x1s)
 
-    def solve(self, handle: MultiHandle, ys, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
+    def solve(self, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
         """Solve all k instances over their stacked claw states; answers
         and rng draws equal k base-puzzle solves in instance order."""
         _check_bits(challenge, self.k, "challenge")
         self.base._check_state(state, (self.k,))
         return _solve_rows(state, challenge, rng)
 
-    def verify(self, env: MultiTrapdoor, ys, challenge: str, answers) -> bool:
+    def verify(self, trapdoors, ys, challenge: str, answers) -> bool:
         """AND of the base verdicts; the wrong number of obligations or
         answers rejects, a malformed challenge raises."""
         _check_bits(challenge, self.k, "challenge")
@@ -410,7 +385,7 @@ class RepeatedPuzzle:
             return False
         return all(
             self.base.verify(t, y, b, a)
-            for t, y, b, a in zip(env.parts, ys, challenge, answers)
+            for t, y, b, a in zip(trapdoors, ys, challenge, answers)
         )
 
 

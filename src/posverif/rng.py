@@ -18,6 +18,8 @@ u1 draws from child_seed(actor_seed, 1) and u2 from child_seed(actor_seed,
 original handler saw.
 """
 
+from .errors import check_int
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -38,12 +40,13 @@ def child_seed(seed: int, index: int) -> int:
 
 
 class Rng:
-    """splitmix64 generator: 64-bit state stepped by the golden gamma."""
+    """splitmix64 generator: 64-bit state stepped by the golden gamma. Its
+    seed is an int in [0, 2^64); any other raises ConfigInvalid."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = check_int(seed, "seed", 0, _MASK64)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64

@@ -10,9 +10,10 @@ import pytest
 
 from posverif.adversary import ForwardingPair, TeleportPair, make_attack
 from posverif.errors import ConfigInvalid
-from posverif.nonlocal_game import STRATEGIES, make_strategy
+from posverif.nonlocal_game import STRATEGIES, make_strategy, play_nonlocal
 from posverif.protocol import HonestProver, ProtocolConfig, run_prpv
 from posverif.puzzle import N_MAX, N_MIN, BasePuzzle, RepeatedPuzzle
+from posverif.rng import Rng
 from posverif.stats import tally
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "posverif"
@@ -89,6 +90,7 @@ def _owner_cases():
         cases.append((f"tally(workers={value!r})",
                       partial(tally, bool, 1, 0, workers=value), match))
     for value, match in _bad_values("seed", 0, 2**64 - 1):
+        cases.append((f"Rng({value!r})", partial(Rng, value), match))
         cases.append((f"tally(seed={value!r})",
                       partial(tally, bool, 1, value), match))
         cases.append((f"run_prpv(seed={value!r})",
@@ -96,6 +98,10 @@ def _owner_cases():
                               prover=HonestProver()), match))
     wide = ProtocolConfig(n=4, k=9)
     cases += [
+        ("play_nonlocal(..., Rng(-1))",
+         lambda: play_nonlocal(BasePuzzle(4), make_strategy("measure_and_guess", 4),
+                               Rng(-1)),
+         rf"seed must be in \[0, {2**64 - 1}\], got -1"),
         ("make_attack('nope')", partial(make_attack, "nope", ProtocolConfig()),
          "unknown attack 'nope'"),
         ("ForwardingPair(TeleportPair(4, 1))",

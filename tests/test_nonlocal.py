@@ -110,7 +110,7 @@ class TestPlay:
         for seed in range(8):
             rng = Rng(seed)
             handle, td = p.keygen(rng)
-            assert strat.stage_a(handle, td, rng).tape["shift"] == td.key.s
+            assert strat.stage_a(handle, td, rng).tape["shift"] == td.s
 
     def test_brute_force_stage_a_evals_once(self, monkeypatch):
         """The search runs over images("1"), not 2^n bitstring evals:
@@ -126,7 +126,7 @@ class TestPlay:
         handle, td = puzzle.BasePuzzle(8).keygen(Rng(3))
         prep = BruteForce(8).stage_a(handle, td, Rng(4))
         assert calls == ["0"]
-        assert prep.tape["shift"] == td.key.s
+        assert prep.tape["shift"] == td.s
 
     def test_always_fail_never_wins(self):
         p = puzzle.BasePuzzle(4)
@@ -239,7 +239,7 @@ class TestReduction:
         def solver(handle, env, rng):
             p = puzzle.BasePuzzle(handle.n)
             y, state = p.obligate(handle, env, rng)
-            return y, p.solve(handle, y, state, "0", rng), equation
+            return y, p.solve(state, "0", rng), equation
 
         return solver
 
@@ -265,7 +265,7 @@ class TestReduction:
         def solver(handle, env, rng):
             p = puzzle.BasePuzzle(handle.n)
             y, state = p.obligate(handle, env, rng)
-            honest = p.solve(handle, y, state, "0", rng)
+            honest = p.solve(state, "0", rng)
             return y, puzzle.Preimage("2", honest.v), puzzle.Equation("0", "1" * handle.n)
 
         assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s)) for s in range(20))

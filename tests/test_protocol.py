@@ -2,6 +2,7 @@
 acceptance rates, the hash-challenge variant, the timing-free
 transform, the device contract, and arbitrary wire bytes."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -88,7 +89,7 @@ class StubForwardPair:
         class Trial:
             def u1(self, handle):
                 y_bytes, _ = device.reply_y(env, tape0)
-                return y_bytes, handle.key_id.encode()
+                return y_bytes, env.key_id.encode()
 
             def u2(self, challenge):
                 return encode_parts(pack_bits(challenge))
@@ -202,6 +203,38 @@ class TestConfig:
             ProtocolConfig(prover_position=True)
         with pytest.raises(TypeError):
             HonestProver(position=True)
+
+    def test_one_puzzle_per_config(self, monkeypatch):
+        """A config builds its RepeatedPuzzle once, and every run on it
+        reuses that puzzle; the puzzle is no part of the config's value."""
+        cfg = ProtocolConfig(n=4, k=2)
+        built = []
+        init = RepeatedPuzzle.__init__
+
+        def counting_init(self, n, k):
+            built.append((n, k))
+            init(self, n, k)
+
+        monkeypatch.setattr(RepeatedPuzzle, "__init__", counting_init)
+        run_prpv(cfg, 1, prover=HonestProver())
+        run_roprpv(cfg, 2, prover=HonestProver())
+        run_poq(cfg, 3, prover=HonestProver())
+        assert built == []
+
+        twin = ProtocolConfig(n=4, k=2)
+        assert built == [(4, 2)] and twin.puzzle is not cfg.puzzle
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert repr(cfg) == ("ProtocolConfig(n=4, k=2, lam=16, "
+                             "prover_position=Fraction(3, 2))")
+        wider = dataclasses.replace(cfg, k=3)
+        assert (wider.puzzle.n, wider.puzzle.k) == (4, 3)
+        with pytest.raises(TypeError):
+            ProtocolConfig(puzzle=cfg.puzzle)
+
+        # the config, puzzle included, still pickles to worker processes
+        serial = estimate_acceptance(cfg, 12, 5, prover=HonestProver())
+        assert estimate_acceptance(cfg, 12, 5, prover=HonestProver(),
+                                   workers=2) == serial
 
     def test_exactly_one_actor(self):
         cfg = ProtocolConfig()
@@ -551,7 +584,7 @@ class TestClassicalReplies:
         # the committed preimages come back as the challenge-0 answers
         xs = [a.v for a in decode_answers(prover.reply_ans(env, tape, "000"))]
         assert all(len(y) == 6 for y in ys)
-        assert all(env.handle.parts[i].eval("0", xs[i]) == ys[i] for i in range(3))
+        assert all(env.handle[i].eval("0", xs[i]) == ys[i] for i in range(3))
 
     def test_ans_consumes_tape_uniformly(self):
         env, _ = self._env(3, 3)

@@ -50,7 +50,7 @@ class TestFamily:
         """Claws are exactly the pairs (x, x xor s)."""
         n = 4
         p, handle, td = make_puzzle(n)
-        s = td.key.s
+        s = td.s
         for xi in range(1 << n):
             x = int_to_bits(xi, n)
             assert handle.eval("0", x) == handle.eval("1", xor_bits(x, s))
@@ -75,7 +75,7 @@ class TestFamily:
         for b in ("0", "1"):
             assert handle.eval(b, td.inv(b, y)) == y
         # challenge-1 verify reads key.s in place of these two inversions
-        assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.key.s
+        assert xor_bits(td.inv("0", y), td.inv("1", y)) == td.s
 
     @given(st.integers(0, 2**64 - 1), st.integers(2, 12), st.integers(0, 2**12 - 1))
     @settings(max_examples=300, derandomize=True)
@@ -84,8 +84,8 @@ class TestFamily:
         and folded round keys, are the rounds over rng.mix64: both
         directions equal the reference, and each inverts the other."""
         handle, td = puzzle.BasePuzzle(n).keygen(Rng(seed))
-        forward, inverse = puzzle._feistel_maps(td.key.seed, n)
-        round_keys = tuple(mix64(td.key.seed + r * 0x9E3779B97F4A7C15)
+        forward, inverse = puzzle._feistel_maps(td.seed, n)
+        round_keys = tuple(mix64(td.seed + r * 0x9E3779B97F4A7C15)
                            for r in (1, 2, 3, 4))
         x &= (1 << n) - 1
         xs = int_to_bits(x, n)
@@ -140,7 +140,7 @@ class TestFamily:
         r = Rng(42)
         for _ in range(10_000):
             _, td = p.keygen(r)
-            assert not is_zero(td.key.s)
+            assert not is_zero(td.s)
 
     def test_n_bounds(self):
         with pytest.raises(ConfigInvalid, match=r"n must be in \[2, 12\], got 1"):
@@ -164,7 +164,7 @@ class TestFamily:
             for x in range(1 << n)
             if handle.eval("1", int_to_bits(x, n)) == y
         )
-        assert xor_bits(int_to_bits(5, n), x1) == td.key.s
+        assert xor_bits(int_to_bits(5, n), x1) == td.s
 
 
 class TestObligate:
@@ -236,7 +236,7 @@ class TestSolveVerify:
         p, handle, td = make_puzzle(n, seed=29)
         y, _ = p.obligate(handle, td, Rng(3))
         s = xor_bits(td.inv("0", y), td.inv("1", y))
-        assert s == td.key.s
+        assert s == td.s
         for ci in range(2):
             for di in range(1 << n):
                 c, d = str(ci), int_to_bits(di, n)
@@ -275,7 +275,7 @@ class TestSolveVerify:
         y, _ = p.obligate(handle, td, Rng(5))
         bad = qsim.new_state([("bit", 1), ("preimage", 3)])
         with pytest.raises(WrongStateShape):
-            p.solve(handle, y, bad, "0", Rng(0))
+            p.solve(bad, "0", Rng(0))
 
     def test_public_verify_agrees_with_trapdoor(self):
         """Public evaluation equals verify on 10^4 random challenge-0
@@ -355,7 +355,7 @@ class TestSolveVerify:
         for _ in range(trials):
             y, state = p.obligate(handle, td, r)
             b = p.sample_challenge(r)
-            ans = p.solve(handle, y, state, b, r)
+            ans = p.solve(state, b, r)
             wins += p.verify(td, y, b, ans)
         expect = stats.honest_completeness(n)
         sigma = (expect * (1 - expect) / trials) ** 0.5
@@ -367,11 +367,11 @@ class TestRepetition:
         rp = puzzle.RepeatedPuzzle(4, 1)
         handle, td = rp.keygen(Rng(55))
         base_handle, base_td = puzzle.BasePuzzle(4).keygen(Rng(55))
-        assert handle.parts[0].key_id == base_handle.key_id
+        assert handle[0].key_id == base_handle.key_id
         ys, states = rp.obligate(handle, td, Rng(56))
         y_base, _ = puzzle.BasePuzzle(4).obligate(base_handle, base_td, Rng(56))
         assert ys == (y_base,)
-        ans = rp.solve(handle, ys, states, "1", Rng(57))
+        ans = rp.solve(states, "1", Rng(57))
         assert rp.verify(td, ys, "1", ans) == puzzle.BasePuzzle(4).verify(
             base_td, ys[0], "1", ans[0]
         )
@@ -388,8 +388,8 @@ class TestRepetition:
         handle, td = rp.keygen(Rng(1))
         ys, states = rp.obligate(handle, td, Rng(2))
         with pytest.raises(LengthMismatch):
-            rp.solve(handle, ys, states, "0", Rng(3))
-        answers = rp.solve(handle, ys, states, "011", Rng(3))
+            rp.solve(states, "0", Rng(3))
+        answers = rp.solve(states, "011", Rng(3))
         assert rp.verify(td, ys, "011", answers)
         # the number of obligations and answers is the prover's to get wrong
         assert not rp.verify(td, ys[:2], "011", answers)
@@ -405,7 +405,7 @@ class TestRepetition:
         for _ in range(trials):
             ys, states = rp.obligate(handle, td, r)
             ch = rp.sample_challenge(r)
-            ans = rp.solve(handle, ys, states, ch, r)
+            ans = rp.solve(states, ch, r)
             wins += rp.verify(td, ys, ch, ans)
         expect = stats.honest_completeness(n, k)
         assert abs(wins / trials - expect) < 4 * (expect * (1 - expect) / trials) ** 0.5
@@ -432,7 +432,7 @@ class TestSerialization:
 
     def test_key_roundtrip(self):
         p, handle, td = make_puzzle(6, seed=91)
-        assert handle.key_id == puzzle.public_key_bytes(6, td.key.seed).hex()
+        assert handle.key_id == puzzle.public_key_bytes(6, td.seed).hex()
 
     def test_bit_byte_other_than_0_or_1_rejected(self):
         for answer in (puzzle.Preimage("0", "11"), puzzle.Equation("0", "11")):

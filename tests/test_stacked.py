@@ -82,10 +82,10 @@ def test_obligate_and_solve_match_per_instance(k):
         for bits in _challenges(k):
             rng, ref = Rng(seed), Rng(seed)
             ys, state = puz.obligate(handle, trapdoor, rng)
-            answers = puz.solve(handle, ys, state, bits, rng)
+            answers = puz.solve(state, bits, rng)
 
             singles = [_oblige_one(h, t, ref)
-                       for h, t in zip(handle.parts, trapdoor.parts)]
+                       for h, t in zip(handle, trapdoor)]
             expected = tuple(_solve_one(st, b, ref)
                              for (_, st), b in zip(singles, bits))
             assert ys == tuple(y for y, _ in singles)
@@ -105,7 +105,7 @@ def test_stacked_teleport_matches_per_instance(n, k, seeds):
         rng, ref = Rng(seed), Rng(seed)
         puz.obligate(handle, trapdoor, rng)
         _, singles = zip(*(_oblige_one(h, t, ref)
-                           for h, t in zip(handle.parts, trapdoor.parts)))
+                           for h, t in zip(handle, trapdoor)))
         k0s, k1s = _teleport_keys(k, n + 1, rng)
         expected = [_teleport_one(st, ref) for st in singles]
         assert k0s == [k0 for k0, _ in expected]
@@ -130,7 +130,7 @@ def test_teleport_trial_messages_match_per_instance(k):
 
         left, right = Rng(child_seed(seed, 1)), Rng(child_seed(seed, 2))
         singles = [_oblige_one(h, t, left)
-                   for h, t in zip(handle.parts, trapdoor.parts)]
+                   for h, t in zip(handle, trapdoor)]
         keys = [_teleport_one(st, left) for _, st in singles]
         answers = tuple(_solve_one(st, b, right)
                         for (_, st), b in zip(singles, challenge))
