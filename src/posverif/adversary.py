@@ -1,14 +1,14 @@
 """Two-device attacks on the timed protocol.
 
 An attack pair places one device next to each verifier.  Devices talk
-only through the simulated channel: the left device handles the key
-announcement (u1, given the announced key's handles) and the right-to-left
-message (u4), the right device handles V1's broadcast (u2, at t=1) and
-the left-to-right message (u3).  u2, u3 and u4 also get the challenge as
-their own device has heard it, which is None in u2 under hashing (nonce0
-reaches the right device at t=3).  Handler slots draw from independent
-seeded streams so a compiled replay of a handler sees exactly the bytes
-the original would have produced.
+only through the simulated channel: the left device runs u1, on the key
+announcement, and u4, on the right-to-left message; the right device
+runs u2, on V1's broadcast at t=1, and u3, on the left-to-right message.
+Key material comes from the trial's TrialEnv, so u1 takes no argument.
+u2, u3 and u4 get the challenge as their own device has heard it, which
+is None in u2 under hashing (nonce0 reaches the right device at t=3).
+Handler slots draw from independent seeded streams so a compiled replay
+of a handler sees exactly the bytes the original would have produced.
 
 Resource classes: R0 pairs share no entanglement, RF pairs answer at
 the left device for the challenge it hears (N carries only the R0 right
@@ -58,7 +58,7 @@ class _GuessingTrial:
         self.rng = Rng(child_seed(actor_seed, 1))
         self._committed: bytes | None = None
 
-    def u1(self, handles):
+    def u1(self):
         rng = self.rng
         ys, states = self.env.obligate(rng)
         guess = rng.bits(self.env.puzzle.k)
@@ -102,7 +102,7 @@ class _ClassicalForwardTrial:
         self.tape = tape
         self.device = ClassicalProver()
 
-    def u1(self, handles):
+    def u1(self):
         y_bytes, _ = self.device.reply_y(self.env, self.tape)
         return y_bytes, self.env.key_id.encode()
 
@@ -110,7 +110,6 @@ class _ClassicalForwardTrial:
         return b""
 
     def u3(self, m_body: bytes, challenge: str):
-        self.env.resolve(m_body.decode())
         y_bytes, _ = self.device.reply_y(self.env, self.tape)
         return y_bytes, self.device.reply_ans(self.env, self.tape, challenge)
 
@@ -169,9 +168,9 @@ class _ForwardingTrial:
         self.original = inner_pair.new_trial(env, actor_seed)
         self._replica = None
 
-    def u1(self, handles):
+    def u1(self):
         self._replica = self._make_replica()
-        return self.original.u1(handles)
+        return self.original.u1()
 
     def u2(self, challenge: str | None) -> bytes:
         return self.original.u2(challenge)
@@ -239,26 +238,10 @@ def _teleport_keys(rows: int, width: int, rng: Rng):
     >= 1/2, the rule qsim.measure applies to two outcomes of probability
     1/2. bell_circuit and qsim.teleport stay the dense reference for this.
 
-    Returns (k0s, k1s), one string of width bits each per row.
+    Returns (k0, k1), each of rows*width bits, row by row.
     """
-    k0s, k1s = [], []
-    for _ in range(rows):
-        bits = ["1" if rng.random() >= 0.5 else "0" for _ in range(2 * width)]
-        k1s.append("".join(bits[0::2]))
-        k0s.append("".join(bits[1::2]))
-    return k0s, k1s
-
-
-def _corrected_answers(challenge: str, raws, k0s, k1s):
-    answers = []
-    for i, b in enumerate(challenge):
-        if b == "0":
-            bits = xor_bits(raws[i], k0s[i])
-            answers.append(Preimage(bits[0], bits[1:]))
-        else:
-            bits = xor_bits(raws[i], k1s[i])
-            answers.append(Equation(bits[0], bits[1:]))
-    return tuple(answers)
+    bits = ["1" if rng.random() >= 0.5 else "0" for _ in range(2 * rows * width)]
+    return "".join(bits[1::2]), "".join(bits[0::2])
 
 
 class _TeleportTrial:
@@ -269,45 +252,45 @@ class _TeleportTrial:
         self.pairs_used = 0
         self.width = env.puzzle.n + 1
         self._claws = None  # the stack of claw states the right device measures
-        self._k0s: list[str] = []
-        self._k1s: list[str] = []
-        self._raws: list[str] | None = None
+        self._k0 = self._k1 = ""  # the keys, rows joined, from u1
+        self._raw = ""  # the right device's outcomes, from u2
 
-    def u1(self, handles):
-        ys, stack = self.env.obligate(self.left_rng)
+    def _key(self, challenge: str, k0: str, k1: str) -> str:
+        """Each row's key in its challenged basis, rows joined."""
+        w = self.width
+        return "".join((k1 if b == "1" else k0)[i * w:(i + 1) * w]
+                       for i, b in enumerate(challenge))
+
+    def _answers(self, challenge: str, bits: str) -> bytes:
+        """The encoded answers whose bits, row by row, are bits: a Preimage
+        for challenge bit 0, an Equation for 1."""
+        w = self.width
+        return encode_answers(tuple(
+            (Equation if b == "1" else Preimage)(bits[i * w], bits[i * w + 1:(i + 1) * w])
+            for i, b in enumerate(challenge)))
+
+    def u1(self):
+        ys, self._claws = self.env.obligate(self.left_rng)
         self.pairs_used += len(ys) * self.width
-        self._k0s, self._k1s = _teleport_keys(len(ys), self.width, self.left_rng)
-        self._claws = stack
+        self._k0, self._k1 = _teleport_keys(len(ys), self.width, self.left_rng)
         y_bytes = encode_obligations(ys)
-        m = encode_parts(
-            y_bytes,
-            pack_bits("".join(self._k0s)),
-            pack_bits("".join(self._k1s)),
-        )
-        return y_bytes, m
+        return y_bytes, encode_parts(y_bytes, pack_bits(self._k0), pack_bits(self._k1))
 
     def u2(self, challenge: str) -> bytes:
         answers = self.env.puzzle.solve(self._claws, challenge, self.right_rng)
-        self._raws = [
-            xor_bits(a.bit + a.v, k0) if b == "0" else xor_bits(a.c + a.d, k1)
-            for a, b, k0, k1 in zip(answers, challenge, self._k0s, self._k1s)]
-        return pack_bits("".join(self._raws))
-
-    def _split_keys(self, packed: str) -> list[str]:
-        return [packed[i * self.width:(i + 1) * self.width]
-                for i in range(len(packed) // self.width)]
+        honest = "".join(a.bit + a.v if b == "0" else a.c + a.d
+                         for a, b in zip(answers, challenge))
+        self._raw = xor_bits(honest, self._key(challenge, self._k0, self._k1))
+        return pack_bits(self._raw)
 
     def u3(self, m_body: bytes, challenge: str):
-        y_bytes, k0_packed, k1_packed = decode_parts(m_body)
-        k0s = self._split_keys(unpack_bits(k0_packed)[0])
-        k1s = self._split_keys(unpack_bits(k1_packed)[0])
-        answers = _corrected_answers(challenge, self._raws, k0s, k1s)
-        return y_bytes, encode_answers(answers)
+        y_bytes, k0, k1 = decode_parts(m_body)
+        key = self._key(challenge, unpack_bits(k0)[0], unpack_bits(k1)[0])
+        return y_bytes, self._answers(challenge, xor_bits(self._raw, key))
 
     def u4(self, n_body: bytes, challenge: str) -> bytes:
-        raws = self._split_keys(unpack_bits(n_body)[0])
-        answers = _corrected_answers(challenge, raws, self._k0s, self._k1s)
-        return encode_answers(answers)
+        key = self._key(challenge, self._k0, self._k1)
+        return self._answers(challenge, xor_bits(unpack_bits(n_body)[0], key))
 
 
 ATTACKS = {

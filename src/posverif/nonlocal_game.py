@@ -31,23 +31,21 @@ from .stats import (Estimate, honest_to_b_rate, measure_and_guess_rate, tally,
 
 @dataclass(frozen=True)
 class StagePrep:
-    """Stage-A output: the obligation plus the split resources."""
+    """Stage-A output: the obligation, each solver's view of the shared
+    quantum cell (None for both when there is no cell) and the shared
+    classical tape."""
 
     obligation: str
-    cell: SharedState | None
-    b_registers: frozenset
-    c_registers: frozenset
+    view_b: ScopedState | None
+    view_c: ScopedState | None
     tape: MappingProxyType  # shared classical data, read-only
 
 
 def make_prep(obligation, cell=None, b_registers=(), c_registers=(), tape=None):
-    return StagePrep(
-        obligation,
-        cell,
-        frozenset(b_registers),
-        frozenset(c_registers),
-        MappingProxyType(dict(tape or {})),
-    )
+    """The StagePrep that grants B b_registers and C c_registers of cell."""
+    views = (None, None) if cell is None else (
+        ScopedState(cell, b_registers), ScopedState(cell, c_registers))
+    return StagePrep(obligation, *views, MappingProxyType(dict(tape or {})))
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,13 @@ def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
     return Equation(rng.bits(1), rng.bits(n))
 
 
-def _views(prep: StagePrep):
-    if prep.cell is None:
-        return None, None
-    return ScopedState(prep.cell, prep.b_registers), ScopedState(prep.cell, prep.c_registers)
-
-
 def play_nonlocal(puz: BasePuzzle, strategy, rng) -> GameResult:
     """One round: keygen, stage A, one challenge to both isolated solvers."""
     handle, env = puz.keygen(rng)
     prep = strategy.stage_a(handle, env, rng)
     challenge = puz.sample_challenge(rng)
-    view_b, view_c = _views(prep)
-    ans_b = strategy.answer_b(view_b, prep.tape, challenge, rng)
-    ans_c = strategy.answer_c(view_c, prep.tape, challenge, rng)
+    ans_b = strategy.answer_b(prep.view_b, prep.tape, challenge, rng)
+    ans_c = strategy.answer_c(prep.view_c, prep.tape, challenge, rng)
     accept_b = puz.verify(env, prep.obligation, challenge, ans_b)
     accept_c = puz.verify(env, prep.obligation, challenge, ans_c)
     return GameResult(accept_b and accept_c, accept_b, accept_c, challenge, prep.obligation)
@@ -88,9 +79,8 @@ def play_nonlocal(puz: BasePuzzle, strategy, rng) -> GameResult:
 def _solve_2of2(strategy, handle: PublicHandle, env: Trapdoor,
                 rng) -> tuple[str, Answer, Answer]:
     prep = strategy.stage_a(handle, env, rng)
-    view_b, view_c = _views(prep)
-    ans0 = strategy.answer_b(view_b, prep.tape, "0", rng)
-    ans1 = strategy.answer_c(view_c, prep.tape, "1", rng)
+    ans0 = strategy.answer_b(prep.view_b, prep.tape, "0", rng)
+    ans1 = strategy.answer_c(prep.view_c, prep.tape, "1", rng)
     return prep.obligation, ans0, ans1
 
 

@@ -187,10 +187,10 @@ class TrialEnv:
     """Key material context shared by the parties of one run.
 
     Exposes the public handles, the key id V0 announces (theirs joined),
-    key lookup by that id, an obligation service that mints claw states
-    against the key, and the run's random oracle (None in the plain
-    variant).  The trapdoors stay with the verdict logic and are not
-    reachable through this object.
+    an obligation service that mints claw states against the key, and
+    the run's random oracle (None in the plain variant).  The trapdoors
+    stay with the verdict logic and are not reachable through this
+    object.
     """
 
     def __init__(self, puzzle: RepeatedPuzzle, handle: tuple[PublicHandle, ...],
@@ -200,11 +200,6 @@ class TrialEnv:
         self.key_id = "".join(h.key_id for h in handle)
         self._trapdoor = trapdoor
         self.oracle = oracle
-
-    def resolve(self, key_id: str) -> tuple[PublicHandle, ...]:
-        if key_id != self.key_id:
-            raise ConfigInvalid(f"unknown key id {key_id!r}")
-        return self.handle
 
     def obligate(self, rng: Rng):
         return self.puzzle.obligate(self.handle, self._trapdoor, rng)
@@ -340,7 +335,6 @@ def _prover_device(prover, env: TrialEnv, actor_seed: int) -> _Device:
         return (Emission(encode_message(KIND_ANSWER, ans_bytes)),)
 
     def obligate(body, challenge):
-        env.resolve(decode_parts(body)[0].decode())
         y_bytes, m = prover.reply_y(env, actor_seed)
         memo.append(m)
         return (Emission(encode_message(KIND_OBLIGATION, y_bytes)),
@@ -358,7 +352,7 @@ def _add_attack_pair(sim: Simulation, trial, env: TrialEnv, v0_pid: int,
     hashing) and u3 on the left device's M message."""
 
     def u1(body, challenge):
-        y_bytes, m_bytes = trial.u1(env.resolve(decode_parts(body)[0].decode()))
+        y_bytes, m_bytes = trial.u1()
         return (Emission(encode_message(KIND_OBLIGATION, y_bytes), v0_pid),
                 Emission(KIND_LEFT + m_bytes, right_pid))
 
@@ -440,7 +434,6 @@ def _setup(config: ProtocolConfig, seed: int, hashed: bool):
     every run shares: child stream 0 is V0's (keygen, then nonce0 if
     hashed), child 1 V1's (the challenge, or nonce1 if hashed), child 2
     the prover's or attack pair's actor seed, child 3 the oracle's."""
-    check_int(seed, "seed", 0, 2**64 - 1)
     puzzle = config.puzzle
     v0_rng, v1_rng = Rng(child_seed(seed, 0)), Rng(child_seed(seed, 1))
     handle, trapdoor = puzzle.keygen(v0_rng)

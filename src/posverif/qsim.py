@@ -117,7 +117,9 @@ def prepare_claw_state(x0, x1) -> StateVector:
     """(|0,x0> + |1,x1>)/sqrt(2) over registers bit(1), preimage(n).
 
     Given two equal-length sequences of preimages instead of two strings,
-    returns the stack of claw states, one row per (x0, x1) pair.
+    returns the stack of claw states, one row per (x0, x1) pair. A stack
+    counts toward the qubit cap as a whole: rows * 2^(n+1) amplitudes
+    above 2^Q_MAX raise CapacityExceeded before anything is allocated.
     """
     stacked = not isinstance(x0, str)
     x0s, x1s = (x0, x1) if stacked else ((x0,), (x1,))
@@ -127,6 +129,9 @@ def prepare_claw_state(x0, x1) -> StateVector:
     regs = (("bit", 1), ("preimage", n))
     _check_regs(regs)
     size = 2 << n
+    if len(x0s) * size > 1 << Q_MAX:
+        raise CapacityExceeded(
+            f"{len(x0s)} rows of {n + 1} qubits exceed the {Q_MAX}-qubit cap")
     amps = np.zeros(len(x0s) * size, dtype=np.float64)
     for start, a, b in zip(range(0, amps.size, size), x0s, x1s):
         if len(a) != n or len(b) != n:

@@ -33,7 +33,10 @@ def mix64(z: int) -> int:
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Derive the index-th independent child seed of a parent seed."""
+    """Derive the index-th independent child seed of a parent seed. The
+    parent is an int in [0, 2^64); any other raises ConfigInvalid, so no
+    two seeds alias."""
+    check_int(seed, "seed", 0, _MASK64)
     if index < 0:
         raise ValueError(f"child index must be nonnegative, got {index}")
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)

@@ -248,7 +248,7 @@ def test_c06_teleport_attack_budget_and_engine_exactness():
     pair = TeleportPair(8, 1)
     assert pair.entanglement_budget == 9
     trial = pair.new_trial(env, actor_seed=_seed(6, 2))
-    y_bytes, m = trial.u1(handle)
+    y_bytes, m = trial.u1()
     n_msg = trial.u2("1")
     y1_bytes, ans1 = trial.u3(m, "1")
     assert trial.pairs_used == 9

@@ -157,7 +157,7 @@ class TestForwardingCompiler:
             env = TrialEnv(puz, handle, trapdoor, oracle)
             for challenge in heard:
                 original = pair.new_trial(env, seed)
-                original.u1(handle)
+                original.u1()
                 fresh = pair.new_trial(env, seed)
                 assert fresh.u2(challenge) == original.u2(challenge)
 
@@ -207,7 +207,7 @@ class TestTeleportAttack:
         env = TrialEnv(puz, handle, trapdoor)
         pair = TeleportPair(n, k)
         trial = pair.new_trial(env, actor_seed=77)
-        y_bytes, m = trial.u1(handle)
+        y_bytes, m = trial.u1()
         assert trial.pairs_used == pair.entanglement_budget == k * (n + 1)
         n_msg = trial.u2("1" * k)
         y1_bytes, ans1 = trial.u3(m, "1" * k)
@@ -221,7 +221,7 @@ class TestTeleportAttack:
         env = TrialEnv(puz, handle, trapdoor)
         for challenge in ("0", "1"):
             trial = TeleportPair(6, 1).new_trial(env, actor_seed=78)
-            _, m = trial.u1(handle)
+            _, m = trial.u1()
             n_msg = trial.u2(challenge)
             _, ans1 = trial.u3(m, challenge)
             assert trial.u4(n_msg, challenge) == ans1

@@ -547,11 +547,19 @@ class TestInputSweep:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, capsys, seed):
-        # child_seed masks its input, so -1 ran as seed 2^64 - 1
+        # seeds are mixed modulo 2^64, so -1 would run as seed 2^64 - 1
         code, out, err = run_cli(capsys, "poq", "--trials", "1",
                                  "--seed", seed)
         assert (code, out) == (2, "")
         assert err == f"error: seed must be in [0, {2**64 - 1}], got {seed}\n"
+
+    def test_claw_stack_over_the_cap_exits_2(self, capsys):
+        # 2049 rows of 13 qubits is one row more than a 2^24-amplitude
+        # stack holds
+        code, out, err = run_cli(capsys, "poq", "--n", "12", "--k", "2049",
+                                 "--trials", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: 2049 rows of 13 qubits exceed the 24-qubit cap\n"
 
     @given(sweep_options())
     @example(("trace", {"--hashed": True, "--k": "9", "--lambda": "8"}))

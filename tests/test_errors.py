@@ -13,7 +13,7 @@ from posverif.errors import ConfigInvalid
 from posverif.nonlocal_game import STRATEGIES, make_strategy, play_nonlocal
 from posverif.protocol import HonestProver, ProtocolConfig, run_prpv
 from posverif.puzzle import N_MAX, N_MIN, BasePuzzle, RepeatedPuzzle
-from posverif.rng import Rng
+from posverif.rng import Rng, child_seed
 from posverif.stats import tally
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "posverif"
@@ -91,6 +91,8 @@ def _owner_cases():
                       partial(tally, bool, 1, 0, workers=value), match))
     for value, match in _bad_values("seed", 0, 2**64 - 1):
         cases.append((f"Rng({value!r})", partial(Rng, value), match))
+        cases.append((f"child_seed({value!r}, 0)", partial(child_seed, value, 0),
+                      match))
         cases.append((f"tally(seed={value!r})",
                       partial(tally, bool, 1, value), match))
         cases.append((f"run_prpv(seed={value!r})",

@@ -87,7 +87,7 @@ class StubForwardPair:
         device = ClassicalProver()
 
         class Trial:
-            def u1(self, handle):
+            def u1(self):
                 y_bytes, _ = device.reply_y(env, tape0)
                 return y_bytes, env.key_id.encode()
 
@@ -95,7 +95,6 @@ class StubForwardPair:
                 return encode_parts(pack_bits(challenge))
 
             def u3(self, m_body, challenge):
-                env.resolve(m_body.decode())
                 y_bytes, _ = device.reply_y(env, tape1)
                 ans = device.reply_ans(env, tape1, challenge)
                 return y_bytes, b"\xff" if pair.garble_ans else ans
@@ -133,7 +132,7 @@ class RecordingPair:
     def new_trial(self, env, actor_seed):
         return self
 
-    def u1(self, handle):
+    def u1(self):
         self.calls.append(("u1", None))
         return b"", b""
 
@@ -161,7 +160,7 @@ class BytesPair:
     def new_trial(self, env, actor_seed):
         return self
 
-    def u1(self, handle):
+    def u1(self):
         return self.bodies[0], self.bodies[1]
 
     def u2(self, challenge):

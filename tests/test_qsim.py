@@ -329,6 +329,13 @@ class TestPlumbing:
         assert (qsim.tensor(a, b).amps.tobytes()
                 == np.kron(a.amps, b.amps).tobytes())
 
+    def test_claw_stack_capacity(self):
+        # rows * 2^(n+1) amplitudes may not pass 2^Q_MAX, checked before
+        # the stack is allocated
+        rows = (1 << (qsim.Q_MAX - 13)) + 1
+        with pytest.raises(CapacityExceeded, match="2049 rows of 13 qubits"):
+            qsim.prepare_claw_state(["0" * 12] * rows, ["1" * 12] * rows)
+
     def test_tensor_capacity(self):
         a = qsim.new_state([("a", 13)])
         with pytest.raises(CapacityExceeded):
