@@ -48,14 +48,6 @@ def _overrun(size: int, offset: int, data: bytes) -> MalformedMessage:
         f"{size} bytes at offset {offset} overrun a {len(data)}-byte message")
 
 
-def _read(data: bytes, offset: int, size: int) -> tuple[bytes, int]:
-    """The size bytes at offset, and the offset after them."""
-    end = offset + size
-    if end > len(data):
-        raise _overrun(size, offset, data)
-    return data[offset:end], end
-
-
 def read_u32(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode one u32 little-endian; returns (value, next offset)."""
     if offset + 4 > len(data):
@@ -74,8 +66,10 @@ def unpack_bits(data: bytes, offset: int = 0) -> tuple[str, int]:
     """Decode one packed bitstring; returns (bits, next offset)."""
     nbits, offset = read_u32(data, offset)
     nbytes = (nbits + 7) // 8
-    chunk, end = _read(data, offset, nbytes)
-    value = int.from_bytes(chunk, "big") >> (8 * nbytes - nbits) if nbits else 0
+    end = offset + nbytes
+    if end > len(data):
+        raise _overrun(nbytes, offset, data)
+    value = int.from_bytes(data[offset:end], "big") >> (8 * nbytes - nbits) if nbits else 0
     return int_to_bits(value, nbits), end
 
 

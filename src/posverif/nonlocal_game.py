@@ -1,16 +1,19 @@
 """The separated two-solver game over a 1-of-2 puzzle.
 
-One agent A prepares an obligation and splits its resources between two
-isolated solvers B and C; then a single challenge bit goes to both, and
-they win iff both answers verify. The interesting ceiling: no strategy
-wins much above 3/4, while either solver alone could answer its own
-preferred challenge perfectly.
+One agent A, holding only the public key, prepares an obligation and
+splits its resources between two isolated solvers B and C; then a single
+challenge bit goes to both, and they win iff both answers verify. The
+interesting ceiling: no strategy wins much above 3/4, while either solver
+alone could answer its own preferred challenge perfectly.
 
-Solver isolation is structural: each solver gets a ScopedState view of the
-shared quantum state restricted to its own registers (touching the other
-side raises RegisterViolation) plus a read-only shared classical tape
-prepared in stage A. Answering both challenges of one obligation at once
-(the 2-of-2 reduction) reuses the same stage-A preparation.
+The referee keeps the trapdoor; stage A gets the public handle and an
+obligation service, obligate(rng) -> (y, claw state). Solver isolation is
+structural: each solver gets a ScopedState view of the shared quantum
+state restricted to its own registers, which it can only measure or
+Hadamard (touching the other side raises RegisterViolation), plus a
+read-only shared classical tape prepared in stage A. Answering both
+challenges of one obligation at once (the 2-of-2 reduction) reuses the
+same stage-A preparation.
 
 Each strategy states its closed forms: win_rate(n) and reduced_rate(n).
 """
@@ -22,7 +25,7 @@ from types import MappingProxyType
 
 from .bits import dot_bits, int_to_bits, xor_bits
 from .errors import ConfigInvalid
-from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle, Trapdoor
+from .puzzle import Answer, BasePuzzle, Equation, Preimage, PublicHandle
 from .qsim import ScopedState, SharedState, measure
 from .rng import Rng
 from .stats import (Estimate, honest_to_b_rate, measure_and_guess_rate, tally,
@@ -66,19 +69,19 @@ def uniform_answer_guess(n: int, challenge: str, rng) -> Answer:
 
 def play_nonlocal(puz: BasePuzzle, strategy, rng) -> GameResult:
     """One round: keygen, stage A, one challenge to both isolated solvers."""
-    handle, env = puz.keygen(rng)
-    prep = strategy.stage_a(handle, env, rng)
+    handle, trapdoor = puz.keygen(rng)
+    prep = strategy.stage_a(handle, lambda r: puz.obligate(handle, trapdoor, r), rng)
     challenge = puz.sample_challenge(rng)
     ans_b = strategy.answer_b(prep.view_b, prep.tape, challenge, rng)
     ans_c = strategy.answer_c(prep.view_c, prep.tape, challenge, rng)
-    accept_b = puz.verify(env, prep.obligation, challenge, ans_b)
-    accept_c = puz.verify(env, prep.obligation, challenge, ans_c)
+    accept_b = puz.verify(trapdoor, prep.obligation, challenge, ans_b)
+    accept_c = puz.verify(trapdoor, prep.obligation, challenge, ans_c)
     return GameResult(accept_b and accept_c, accept_b, accept_c, challenge, prep.obligation)
 
 
-def _solve_2of2(strategy, handle: PublicHandle, env: Trapdoor,
+def _solve_2of2(strategy, handle: PublicHandle, obligate,
                 rng) -> tuple[str, Answer, Answer]:
-    prep = strategy.stage_a(handle, env, rng)
+    prep = strategy.stage_a(handle, obligate, rng)
     ans0 = strategy.answer_b(prep.view_b, prep.tape, "0", rng)
     ans1 = strategy.answer_c(prep.view_c, prep.tape, "1", rng)
     return prep.obligation, ans0, ans1
@@ -100,9 +103,9 @@ def reduce_to_2of2(strategy):
 
 def play_2of2(puz: BasePuzzle, solver, rng) -> bool:
     """One 2-of-2 round: the solver must answer both challenges at once."""
-    handle, env = puz.keygen(rng)
-    y, ans0, ans1 = solver(handle, env, rng)
-    return puz.verify(env, y, "0", ans0) and puz.verify(env, y, "1", ans1)
+    handle, trapdoor = puz.keygen(rng)
+    y, ans0, ans1 = solver(handle, lambda r: puz.obligate(handle, trapdoor, r), rng)
+    return puz.verify(trapdoor, y, "0", ans0) and puz.verify(trapdoor, y, "1", ans1)
 
 
 def _game_trial(puz: BasePuzzle, strategy, seed: int) -> bool:
@@ -133,11 +136,10 @@ class HonestToB:
     reduced_rate = staticmethod(uniform_equation_rate)
 
     def __init__(self, n: int):
-        self.n = n
-        self._puz = BasePuzzle(n)
+        self.n = BasePuzzle(n).n  # the puzzle's rule for n
 
-    def stage_a(self, handle, env, rng):
-        y, state = self._puz.obligate(handle, env, rng)
+    def stage_a(self, handle, obligate, rng):
+        y, state = obligate(rng)
         return make_prep(y, SharedState(state), b_registers=("bit", "preimage"))
 
     def answer_b(self, view, tape, challenge, rng):
@@ -164,11 +166,10 @@ class MeasureAndGuess:
     reduced_rate = staticmethod(uniform_equation_rate)
 
     def __init__(self, n: int):
-        self.n = n
-        self._puz = BasePuzzle(n)
+        self.n = BasePuzzle(n).n  # the puzzle's rule for n
 
-    def stage_a(self, handle, env, rng):
-        y, state = self._puz.obligate(handle, env, rng)
+    def stage_a(self, handle, obligate, rng):
+        y, state = obligate(rng)
         bit, state = measure(state, "bit", rng)
         v, _ = measure(state, "preimage", rng)
         guess = uniform_answer_guess(self.n, "1", rng)
@@ -197,7 +198,7 @@ class BruteForce:
     def __init__(self, n: int):
         self.n = BasePuzzle(n).n  # the puzzle's rule for n
 
-    def stage_a(self, handle, env, rng):
+    def stage_a(self, handle, obligate, rng):
         x0 = rng.bits(self.n)
         y = handle.eval("0", x0)
         target = int(y, 2)
@@ -223,12 +224,10 @@ class AlwaysFail:
     win_rate = reduced_rate = staticmethod(lambda n: 0.0)
 
     def __init__(self, n: int):
-        self.n = n
-        self._puz = BasePuzzle(n)
+        self.n = BasePuzzle(n).n  # the puzzle's rule for n
 
-    def stage_a(self, handle, env, rng):
-        y, _ = self._puz.obligate(handle, env, rng)
-        return make_prep(y)
+    def stage_a(self, handle, obligate, rng):
+        return make_prep(handle.eval("0", rng.bits(self.n)))  # obligate's draw, no state
 
     def answer_b(self, view, tape, challenge, rng):
         if challenge == "0":

@@ -43,7 +43,6 @@ from .puzzle import (
 )
 from .rng import Rng, child_seed, mix64
 from .spacetime import (
-    Coordinate,
     Emission,
     PartyBehavior,
     Simulation,
@@ -105,7 +104,7 @@ class ProtocolConfig:
     n: int = 8
     k: int = 1
     lam: int = 16
-    prover_position: Coordinate = Fraction(3, 2)
+    prover_position: Fraction = Fraction(3, 2)
     puzzle: RepeatedPuzzle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -189,8 +188,8 @@ class TrialEnv:
     Exposes the public handles, the key id V0 announces (theirs joined),
     an obligation service that mints claw states against the key, and
     the run's random oracle (None in the plain variant).  The trapdoors
-    stay with the verdict logic and are not reachable through this
-    object.
+    are held privately for the obligation service; the verdict logic
+    gets them from the run, not from this object.
     """
 
     def __init__(self, puzzle: RepeatedPuzzle, handle: tuple[PublicHandle, ...],
@@ -215,8 +214,7 @@ class _Verifier(PartyBehavior):
 
     def __init__(self, alarm_time: Fraction, payload: bytes):
         self._alarm_time = alarm_time
-        self._payload = payload
-        self.sent: bytes | None = None
+        self.payload = payload
         self.y_msgs: list[tuple[Fraction, bytes]] = []
         self.ans_msgs: list[tuple[Fraction, bytes]] = []
 
@@ -224,8 +222,7 @@ class _Verifier(PartyBehavior):
         return (self._alarm_time,)
 
     def on_alarm(self, time):
-        self.sent = self._payload
-        return (Emission(self.sent),)
+        return (Emission(self.payload),)
 
     def on_receive(self, time, message):
         kind = message.payload[:1]
@@ -246,7 +243,7 @@ class HonestProver:
     miss deadlines.
     """
 
-    def __init__(self, position: Coordinate | None = None):
+    def __init__(self, position: Fraction | None = None):
         self.position = None if position is None else as_coord(position)
 
     def reply_y(self, env: TrialEnv, actor_seed: int):
@@ -403,7 +400,7 @@ def _assemble_verdict(puzzle: RepeatedPuzzle, trapdoor: tuple[Trapdoor, ...],
     ans0_time, ans0 = _first(v0.ans_msgs)
     ans1_time, ans1 = _first(v1.ans_msgs)
     timings = {"y0": y0_time, "y1": y1_time, "ans0": ans0_time, "ans1": ans1_time}
-    transcript = {"pk": v0.sent, "y0": y0, "y1": y1, "ans0": ans0, "ans1": ans1}
+    transcript = {"pk": v0.payload, "y0": y0, "y1": y1, "ans0": ans0, "ans1": ans1}
 
     reason = FailureReason.NONE
     if y0_time is None or not y0_time < Y0_DEADLINE:

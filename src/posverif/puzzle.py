@@ -7,8 +7,10 @@ branches while the public side can only evaluate forward. keygen builds
 each key's forward and inverse maps once, as closures over round keys
 derived from the public seed alone: the public eval calls the forward
 map, the trapdoor's inversion the inverse map. The Trapdoor is the key
-itself (n, seed, s); a k-fold key is a tuple of k handles and a tuple
-of k trapdoors, in instance order.
+itself (n, seed, s), which only the verifier side holds; a k-fold key is
+a tuple of k handles and a tuple of k trapdoors, in instance order.
+RepeatedPuzzle.solve is the one honest solver; RepeatedPuzzle(n, 1)
+solves a single instance.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
@@ -218,7 +220,8 @@ def public_key_bytes(n: int, seed: int) -> bytes:
 
 class BasePuzzle:
     """The 1-of-2 puzzle: one key, one challenge bit. It owns the width
-    n, an int in [N_MIN, N_MAX]; any other n raises ConfigInvalid."""
+    n, an int in [N_MIN, N_MAX]; any other n raises ConfigInvalid. It
+    has no solver: RepeatedPuzzle(n, 1) solves its claw states."""
 
     def __init__(self, n: int):
         self.n = check_int(n, "n", N_MIN, N_MAX)
@@ -243,7 +246,8 @@ class BasePuzzle:
         handle = PublicHandle(self.n, key_id, *_make_eval(self.n, s, forward))
         return handle, Trapdoor(self.n, seed, s, handle.eval, inverse)
 
-    def obligate(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, qsim.StateVector]:
+    def obligate(self, handle: PublicHandle, trapdoor: Trapdoor,
+                 rng) -> tuple[str, qsim.StateVector]:
         """Sample an obligation y and the claw superposition behind it.
 
         Shortcut construction: draw x0, publish y = f_0(x0), and build
@@ -251,64 +255,27 @@ class BasePuzzle:
         (y, state) equals the measured oracle circuit; run_obligate_circuit
         is the cross-check.
         """
-        y, x0, x1 = self._claw(handle, env, rng)
+        y, x0, x1 = self._claw(handle, trapdoor, rng)
         return y, qsim.prepare_claw_state(x0, x1)
 
-    def _claw(self, handle: PublicHandle, env: Trapdoor, rng) -> tuple[str, str, str]:
+    def _claw(self, handle: PublicHandle, trapdoor: Trapdoor, rng) -> tuple[str, str, str]:
         x0 = rng.bits(self.n)
         y = handle.eval("0", x0)
-        return y, x0, env.inv("1", y)
+        return y, x0, trapdoor.inv("1", y)
 
-    def _check_state(self, state: qsim.StateVector, rows: tuple[int, ...] = ()):
-        if state.regs != (("bit", 1), ("preimage", self.n)) or state.amps.shape[:-1] != rows:
-            shape = f"{rows[0]} rows of " if rows else ""
-            raise WrongStateShape(
-                f"expected {shape}registers bit(1), preimage({self.n}), got {state!r}"
-            )
-
-    def solve(self, state: qsim.StateVector, challenge: str, rng) -> Answer:
-        """Honest quantum solver: measure straight or in the Hadamard basis."""
-        _check_bit(challenge)
-        self._check_state(state)
-        return _solve_rows(qsim.stack([state]), challenge, rng)[0]
-
-    def verify(self, env: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
+    def verify(self, trapdoor: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
         """Whether answer solves y. y and answer are the prover's, so a
         wrong kind, a bit other than '0'/'1', or a y, v or d that is not
         n '0'/'1' bits rejects; the verifier's challenge bit raises."""
         _check_bit(challenge)
-        n = env.n
+        n = trapdoor.n
         if challenge == "0":
             # eval returns an n-bit string, which no malformed y equals
             return (isinstance(answer, Preimage) and _is_bits(answer.bit, 1)
-                    and _is_bits(answer.v, n) and env.eval(answer.bit, answer.v) == y)
+                    and _is_bits(answer.v, n) and trapdoor.eval(answer.bit, answer.v) == y)
         return (isinstance(answer, Equation) and _is_bits(answer.c, 1)
                 and _is_bits(answer.d, n) and _is_bits(y, n) and not is_zero(answer.d)
-                and dot_bits(answer.d, env.s) == int(answer.c, 2))
-
-
-def _solve_rows(state: qsim.StateVector, bits: str, rng) -> tuple[Answer, ...]:
-    """Honest answers for a stack of claw states, one challenge bit per row.
-
-    Rows whose bit is 1 turn to the Hadamard basis. Both registers are
-    then measured over the whole stack, each row drawing from rng in
-    per-instance order: bit, then preimage, row by row. Several rows take
-    their draws up front; a single row's order is already that of rng.
-    """
-    bit_draws = preimage_draws = rng
-    if len(bits) > 1:
-        draws = [rng.random() for _ in range(2 * len(bits))]
-        bit_draws, preimage_draws = Uniforms(draws[0::2]), Uniforms(draws[1::2])
-    if "1" in bits:
-        ones = [i for i, b in enumerate(bits) if b == "1"]
-        state = qsim.apply_hadamard(state, "bit", ones)
-        state = qsim.apply_hadamard(state, "preimage", ones)
-    firsts, rest = qsim.measure(state, "bit", bit_draws)
-    seconds, _ = qsim.measure(rest, "preimage", preimage_draws)
-    return tuple([
-        (Equation if b == "1" else Preimage)(first.outcome, second.outcome)
-        for b, first, second in zip(bits, firsts, seconds)
-    ])
+                and dot_bits(answer.d, trapdoor.s) == int(answer.c, 2))
 
 
 def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
@@ -341,13 +308,14 @@ class RepeatedPuzzle:
     """k independent instances, each answering its own challenge bit.
 
     A challenge is a k-bit string, bit i for instance i; verification is
-    the AND over instances. k=1 behaves exactly like the base puzzle.
+    the AND over instances. k=1 is the base puzzle with a solver.
 
     The k claw states travel as one qsim stack, row i holding instance i;
     obligate builds it and solve measures it in one pass per register.
-    Obligations, answers and rng draws equal those of k base puzzles run
-    one after another. It owns k, an int >= 1; any other k raises
-    ConfigInvalid, a ValueError.
+    Keys, obligations and verdicts equal those of k base puzzles run one
+    after another, and solve's answers and rng draws those of solving
+    the instances one after another. It owns k, an int >= 1; any other k
+    raises ConfigInvalid, a ValueError.
     """
 
     def __init__(self, n: int, k: int):
@@ -371,11 +339,33 @@ class RepeatedPuzzle:
         return ys, qsim.prepare_claw_state(x0s, x1s)
 
     def solve(self, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:
-        """Solve all k instances over their stacked claw states; answers
-        and rng draws equal k base-puzzle solves in instance order."""
+        """The honest quantum solver, over the stack of k claw states.
+
+        Rows whose challenge bit is 1 turn to the Hadamard basis. Both
+        registers are then measured over the whole stack, each row drawing
+        from rng in per-instance order: bit, then preimage, row by row.
+        Several rows take their draws up front; a single row's order is
+        already that of rng.
+        """
         _check_bits(challenge, self.k, "challenge")
-        self.base._check_state(state, (self.k,))
-        return _solve_rows(state, challenge, rng)
+        regs = (("bit", 1), ("preimage", self.n))
+        if state.regs != regs or state.amps.shape[:-1] != (self.k,):
+            raise WrongStateShape(f"expected {self.k} rows of registers bit(1), "
+                                  f"preimage({self.n}), got {state!r}")
+        bit_draws = preimage_draws = rng
+        if self.k > 1:
+            draws = [rng.random() for _ in range(2 * self.k)]
+            bit_draws, preimage_draws = Uniforms(draws[0::2]), Uniforms(draws[1::2])
+        if "1" in challenge:
+            ones = [i for i, b in enumerate(challenge) if b == "1"]
+            state = qsim.apply_hadamard(state, "bit", ones)
+            state = qsim.apply_hadamard(state, "preimage", ones)
+        firsts, rest = qsim.measure(state, "bit", bit_draws)
+        seconds, _ = qsim.measure(rest, "preimage", preimage_draws)
+        return tuple([
+            (Equation if b == "1" else Preimage)(first.outcome, second.outcome)
+            for b, first, second in zip(challenge, firsts, seconds)
+        ])
 
     def verify(self, trapdoors, ys, challenge: str, answers) -> bool:
         """AND of the base verdicts; the wrong number of obligations or

@@ -353,16 +353,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(regs, joint.reshape(joint.shape[:-2] + (-1,)), check=False)
 
 
-def stack(states) -> StateVector:
-    """Stack single states over the same registers, one row each."""
-    states = tuple(states)
-    regs = states[0].regs
-    for s in states:
-        if s.regs != regs or s.amps.ndim != 1:
-            raise ValueError(f"cannot stack {s!r} under {states[0]!r}")
-    return StateVector(regs, np.stack([s.amps for s in states]), check=False)
-
-
 def split_register(state: StateVector, register: str, parts) -> StateVector:
     """Relabel one register as several adjacent ones; amplitudes unchanged."""
     parts = tuple(parts)
@@ -417,9 +407,9 @@ class SharedState:
 class ScopedState:
     """View of a SharedState restricted to an allowed register set.
 
-    Models one party's side of an entangled state: operations on registers
-    outside the grant raise RegisterViolation instead of silently acting on
-    the other party's qubits.
+    Models one party's side of an entangled state: it can apply Hadamards
+    and measure, nothing more. A register outside the grant raises
+    RegisterViolation instead of acting on the other party's qubits.
     """
 
     __slots__ = ("_cell", "_allowed")
@@ -442,7 +432,3 @@ class ScopedState:
         record, residual = measure(self._cell.state, register, rng)
         self._cell.state = residual
         return record
-
-    def measurement_distribution(self, register: str) -> dict[str, float]:
-        self._check(register)
-        return measurement_distribution(self._cell.state, register)

@@ -30,8 +30,6 @@ from typing import NamedTuple
 
 from .errors import SimulationStarted
 
-Coordinate = Fraction
-
 
 def as_coord(value) -> Fraction:
     """Exact coordinate from an int, Fraction, or 'num/den' string."""

@@ -7,6 +7,7 @@ answer space, and the stats closed forms must match to float precision.
 """
 
 import pickle
+from functools import partial
 
 import pytest
 
@@ -110,7 +111,7 @@ class TestPlay:
         for seed in range(8):
             rng = Rng(seed)
             handle, td = p.keygen(rng)
-            assert strat.stage_a(handle, td, rng).tape["shift"] == td.s
+            assert strat.stage_a(handle, None, rng).tape["shift"] == td.s
 
     def test_brute_force_stage_a_evals_once(self, monkeypatch):
         """The search runs over images("1"), not 2^n bitstring evals:
@@ -124,7 +125,7 @@ class TestPlay:
 
         monkeypatch.setattr(puzzle.PublicHandle, "eval", counting_eval)
         handle, td = puzzle.BasePuzzle(8).keygen(Rng(3))
-        prep = BruteForce(8).stage_a(handle, td, Rng(4))
+        prep = BruteForce(8).stage_a(handle, None, Rng(4))
         assert calls == ["0"]
         assert prep.tape["shift"] == td.s
 
@@ -236,10 +237,11 @@ class TestReduction:
     @staticmethod
     def _honest_then(equation):
         """2-of-2 solver: honest challenge-0 answer, fixed equation."""
-        def solver(handle, env, rng):
-            p = puzzle.BasePuzzle(handle.n)
-            y, state = p.obligate(handle, env, rng)
-            return y, p.solve(state, "0", rng), equation
+        def solver(handle, obligate, rng):
+            y, state = obligate(rng)
+            bit, state = qsim.measure(state, "bit", rng)
+            v, _ = qsim.measure(state, "preimage", rng)
+            return y, puzzle.Preimage(bit.outcome, v.outcome), equation
 
         return solver
 
@@ -262,11 +264,11 @@ class TestReduction:
 
     def test_bad_branch_bit_solver_loses(self):
         """A true preimage under a branch bit of "2" loses the round."""
-        def solver(handle, env, rng):
-            p = puzzle.BasePuzzle(handle.n)
-            y, state = p.obligate(handle, env, rng)
-            honest = p.solve(state, "0", rng)
-            return y, puzzle.Preimage("2", honest.v), puzzle.Equation("0", "1" * handle.n)
+        def solver(handle, obligate, rng):
+            y, state = obligate(rng)
+            _, state = qsim.measure(state, "bit", rng)
+            v, _ = qsim.measure(state, "preimage", rng)
+            return y, puzzle.Preimage("2", v.outcome), puzzle.Equation("0", "1" * handle.n)
 
         assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s)) for s in range(20))
 
@@ -276,7 +278,7 @@ class BPeeksAtC:
 
     name = "b_peeks_at_c"
 
-    def stage_a(self, handle, env, rng):
+    def stage_a(self, handle, obligate, rng):
         state = qsim.make_epr_pairs(2)
         return make_prep("0" * handle.n, qsim.SharedState(state), ("R",), ("S",))
 
@@ -288,7 +290,53 @@ class BPeeksAtC:
         return puzzle.Preimage("0", "0" * 4)
 
 
+class Recording:
+    """Wraps a strategy and keeps every argument its three methods get."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.seen = inner, inner.name, []
+
+    def stage_a(self, *args):
+        self.seen.extend(args)
+        return self.inner.stage_a(*args)
+
+    def answer_b(self, *args):
+        self.seen.extend(args)
+        return self.inner.answer_b(*args)
+
+    def answer_c(self, *args):
+        self.seen.extend(args)
+        return self.inner.answer_c(*args)
+
+
+def _holds_trapdoor(value) -> bool:
+    """Whether value is a Trapdoor or a partial that hands one back."""
+    if isinstance(value, partial):
+        return any(map(_holds_trapdoor, value.args + tuple(value.keywords.values())))
+    return isinstance(value, puzzle.Trapdoor)
+
+
 class TestIsolation:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_no_player_receives_a_trapdoor(self, name):
+        """Agent A holds only the public key: no argument that reaches a
+        strategy's stage A or its solvers, in the game or through the
+        2-of-2 reduction, nor one that reaches the reduced solver, is the
+        trapdoor. Stage A obligates through the referee's service."""
+        game = Recording(make_strategy(name, 4))
+        reduced = Recording(make_strategy(name, 4))
+        solver_args = []
+
+        def solver(*args):
+            solver_args.extend(args)
+            return reduce_to_2of2(reduced)(*args)
+
+        for seed in range(6):
+            play_nonlocal(puzzle.BasePuzzle(4), game, Rng(seed))
+            play_2of2(puzzle.BasePuzzle(4), solver, Rng(seed))
+        for seen in (game.seen, reduced.seen, solver_args):
+            assert seen and not any(map(_holds_trapdoor, seen))
+
     def test_scope_violation_surfaces(self):
         with pytest.raises(RegisterViolation):
             play_nonlocal(puzzle.BasePuzzle(4), BPeeksAtC(), Rng(1))

@@ -271,8 +271,7 @@ class TestSolveVerify:
                 rp.verify(mtd, ("0000", "0000"), challenge, answers)
 
     def test_wrong_state_shape(self):
-        p, handle, td = make_puzzle(4)
-        y, _ = p.obligate(handle, td, Rng(5))
+        p = puzzle.RepeatedPuzzle(4, 1)
         bad = qsim.new_state([("bit", 1), ("preimage", 3)])
         with pytest.raises(WrongStateShape):
             p.solve(bad, "0", Rng(0))
@@ -347,7 +346,7 @@ class TestSolveVerify:
     def test_honest_completeness_sampled(self):
         """Monte Carlo at n=8: acceptance within 4 sigma of 1 - 2^-9."""
         n = 8
-        p = puzzle.BasePuzzle(n)
+        p = puzzle.RepeatedPuzzle(n, 1)
         handle, td = p.keygen(Rng(2718))
         r = Rng(314159)
         trials = 100_000

@@ -15,6 +15,7 @@ import re
 from pathlib import Path
 
 import posverif
+from posverif import cli
 from posverif.adversary import ATTACKS
 from posverif.nonlocal_game import STRATEGIES
 from posverif.protocol import FailureReason
@@ -71,3 +72,16 @@ def test_every_readme_name_resolves():
     assert len(names) >= 40  # the README's API tour, not an empty match
     namespaces = list(_namespaces())
     assert sorted(n for n in names if not _resolves(n, namespaces)) == []
+
+
+def test_cli_flag_table_matches_the_parser():
+    """The README's flag table lists, for each subcommand, exactly the
+    `--` options its parser takes, `--help` aside."""
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", README.read_text(), re.M)
+    table = {name: sorted(re.findall(r"--[\w-]+", flags)) for name, flags in rows}
+    _, commands = cli._build_parser()
+    parsed = {name: sorted(option for action in parser._actions
+                           for option in action.option_strings
+                           if option.startswith("--") and option != "--help")
+              for name, parser in commands.choices.items()}
+    assert table == parsed

@@ -202,13 +202,6 @@ class TestStackedStates:
         with pytest.raises(ValueError, match="row 1"):
             qsim.StateVector((("r", 2),), np.stack([PLAIN, SHORT, LEADING_ZERO]))
 
-    def test_stack_rejects_mismatched_registers(self):
-        a = qsim.prepare_claw_state("01", "10")
-        with pytest.raises(ValueError):
-            qsim.stack([a, qsim.new_state([("bit", 1), ("other", 2)])])
-        with pytest.raises(ValueError):
-            qsim.stack([qsim.stack([a])])
-
     def test_rows_need_a_stack(self):
         with pytest.raises(ValueError):
             qsim.apply_hadamard(qsim.prepare_claw_state("01", "10"), "bit", [0])
