@@ -146,9 +146,8 @@ class HonestToB:
         if challenge == "1":
             view.apply_hadamard("bit")
             view.apply_hadamard("preimage")
-        bit = view.measure("bit", rng).outcome
-        preimage = view.measure("preimage", rng).outcome
-        return Equation(bit, preimage) if challenge == "1" else Preimage(bit, preimage)
+        return (Equation if challenge == "1" else Preimage)(
+            view.measure("bit", rng), view.measure("preimage", rng))
 
     def answer_c(self, view, tape, challenge, rng):
         return uniform_answer_guess(self.n, challenge, rng)
@@ -173,7 +172,7 @@ class MeasureAndGuess:
         bit, state = measure(state, "bit", rng)
         v, _ = measure(state, "preimage", rng)
         guess = uniform_answer_guess(self.n, "1", rng)
-        tape = {"preimage": Preimage(bit.outcome, v.outcome), "equation": guess}
+        tape = {"preimage": Preimage(bit, v), "equation": guess}
         return make_prep(y, tape=tape)
 
     def answer_b(self, view, tape, challenge, rng):

@@ -299,9 +299,7 @@ def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
 
 def run_obligate_circuit(handle: PublicHandle, rng) -> tuple[str, qsim.StateVector]:
     """Obligate by actually running and measuring the oracle circuit."""
-    state = obligate_circuit_state(handle)
-    rec, residual = qsim.measure(state, "image", rng)
-    return rec.outcome, residual
+    return qsim.measure(obligate_circuit_state(handle), "image", rng)
 
 
 class RepeatedPuzzle:
@@ -344,28 +342,22 @@ class RepeatedPuzzle:
         Rows whose challenge bit is 1 turn to the Hadamard basis. Both
         registers are then measured over the whole stack, each row drawing
         from rng in per-instance order: bit, then preimage, row by row.
-        Several rows take their draws up front; a single row's order is
-        already that of rng.
+        The 2k draws are taken up front.
         """
         _check_bits(challenge, self.k, "challenge")
         regs = (("bit", 1), ("preimage", self.n))
         if state.regs != regs or state.amps.shape[:-1] != (self.k,):
             raise WrongStateShape(f"expected {self.k} rows of registers bit(1), "
                                   f"preimage({self.n}), got {state!r}")
-        bit_draws = preimage_draws = rng
-        if self.k > 1:
-            draws = [rng.random() for _ in range(2 * self.k)]
-            bit_draws, preimage_draws = Uniforms(draws[0::2]), Uniforms(draws[1::2])
+        draws = [rng.random() for _ in range(2 * self.k)]
         if "1" in challenge:
             ones = [i for i, b in enumerate(challenge) if b == "1"]
             state = qsim.apply_hadamard(state, "bit", ones)
             state = qsim.apply_hadamard(state, "preimage", ones)
-        firsts, rest = qsim.measure(state, "bit", bit_draws)
-        seconds, _ = qsim.measure(rest, "preimage", preimage_draws)
-        return tuple([
-            (Equation if b == "1" else Preimage)(first.outcome, second.outcome)
-            for b, first, second in zip(challenge, firsts, seconds)
-        ])
+        firsts, rest = qsim.measure(state, "bit", Uniforms(draws[0::2]))
+        seconds, _ = qsim.measure(rest, "preimage", Uniforms(draws[1::2]))
+        return tuple([(Equation if b == "1" else Preimage)(first, second)
+                      for b, first, second in zip(challenge, firsts, seconds)])
 
     def verify(self, trapdoors, ys, challenge: str, answers) -> bool:
         """AND of the base verdicts; the wrong number of obligations or

@@ -1,9 +1,9 @@
 """Dense statevector engine over named qubit registers.
 
 Scope is deliberately small: claw-state preparation, Hadamard layers,
-standard-basis measurement, EPR pairs and teleportation, plus the plumbing
-(tensor/split/merge/collapse) the higher layers and test oracles need.
-There is no general gate set.
+standard-basis measurement, basis permutations, EPR pairs and
+teleportation, plus the plumbing (tensor/split/merge/collapse) that only
+the tests and the claw_states demo call. There is no general gate set.
 
 Basis convention: concatenate the register bitstrings in declaration order,
 most significant bit first; a basis index is that string read as binary.
@@ -13,12 +13,12 @@ holding registers of one entangled state.
 
 Amplitudes of shape (2^q,) are one state; amplitudes of shape (rows, 2^q)
 are a stack of independent states over the same registers, one per row.
-The Hadamard, CNOT, Born-rule, measurement and tensor kernels act on every
-row of a stack in one numpy pass, and a single state is their batch-free
-case: the same code, with no row axis.
+The Hadamard, Born-rule, measurement, basis-permutation (the Bell CNOT
+layer is one) and tensor kernels act on every row of a stack in one numpy
+pass, and a single state is their batch-free case, with no row axis.
 
 Amplitudes are float64, and StateVector rejects any other dtype. The
-basis, claw and EPR states start real; Hadamard, CNOT, basis permutations
+basis, claw and EPR states start real; Hadamard, basis permutations
 and standard-basis projection map real states to real states; and the
 teleport corrections are classical bits XORed into outcomes, not gates.
 
@@ -31,7 +31,6 @@ puzzle.run_obligate_circuit is for puzzle obligate.
 """
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +78,6 @@ class StateVector:
         spec = ", ".join(f"{name}:{w}" for name, w in self.regs)
         rows = f"; {len(self.amps)} rows" if self.amps.ndim > 1 else ""
         return f"StateVector({spec}{rows})"
-
-
-class MeasurementRecord(NamedTuple):
-    register: str
-    outcome: str
-    probability: float
 
 
 def _check_regs(regs) -> int:
@@ -184,19 +177,6 @@ def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
     return StateVector(state.regs, amps, check=False)
 
 
-def _cnot(amps: np.ndarray, q: int, control: int, target: int) -> np.ndarray:
-    lo, hi = min(control, target), max(control, target)
-    shape = (-1, 2, 1 << (hi - lo - 1), 2, 1 << (q - hi - 1))
-    src = amps.reshape(shape)
-    out = amps.copy()
-    flipped = out.reshape(shape)
-    if control < target:
-        flipped[:, 1] = src[:, 1, :, ::-1]
-    else:
-        flipped[:, :, :, 1] = src[:, ::-1, :, 1]
-    return out
-
-
 def _born(state: StateVector, register: str):
     """The amplitudes as a (row, before, register, after) cube, the
     register's Born probabilities per row and its width; a single state
@@ -252,20 +232,18 @@ def measure(state: StateVector, register: str, rng):
     outcomes: the first outcome whose CDF exceeds the uniform, or the last
     outcome of nonzero probability if the uniform lies at or past the end
     of the CDF or the outcome found has probability zero. The measured
-    register is dropped from the residual state. Returns (record,
-    residual); on a stack, one record per row.
+    register is dropped from the residual state. Returns (outcome,
+    residual), the outcome a bitstring; on a stack, one outcome per row.
     """
     cube, probs, w = _born(state, register)
-    outcomes, ps, records = [], [], []
+    outcomes, ps = [], []
     for row, cdf in zip(probs, probs.cumsum(axis=1)):
         o = int(cdf.searchsorted(rng.random(), "right"))
         if o >= len(row) or row[o] <= 0.0:
             o = int(np.nonzero(row > 0.0)[0][-1])
-        p = float(row[o])
         outcomes.append(o)
-        ps.append(p)
-        records.append(MeasurementRecord(register, int_to_bits(o, w), p))
-    return (_per_row(state, tuple(records)),
+        ps.append(float(row[o]))
+    return (_per_row(state, tuple(int_to_bits(o, w) for o in outcomes)),
             _project(state, register, cube, outcomes, ps))
 
 
@@ -298,7 +276,8 @@ def make_epr_pairs(count: int) -> StateVector:
 
 
 def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector:
-    """Deterministic half of teleportation: pairwise CNOT then H on source.
+    """Deterministic half of teleportation: pairwise CNOT, one basis
+    permutation XORing the source bits into epr_local's, then H on source.
 
     Measuring source (-> k1) and epr_local (-> k0) afterwards completes a
     Bell measurement of each qubit pair. Exposed so tests can enumerate
@@ -306,18 +285,13 @@ def bell_circuit(state: StateVector, source: str, epr_local: str) -> StateVector
     """
     if source == epr_local:
         raise ValueError("source and epr_local must be distinct registers")
-    w = state.width(source)
-    if state.width(epr_local) != w:
-        raise LengthMismatch(
-            f"register widths differ: {source}={w}, {epr_local}={state.width(epr_local)}"
-        )
-    q = state.q
-    src_off = state.offset(source)
-    loc_off = state.offset(epr_local)
-    amps = state.amps
-    for j in range(w):
-        amps = _cnot(amps, q, src_off + j, loc_off + j)
-    working = StateVector(state.regs, amps, check=False)
+    _, w, source_shift = _spans(state, source)
+    _, local_w, local_shift = _spans(state, epr_local)
+    if local_w != w:
+        raise LengthMismatch(f"register widths differ: {source}={w}, {epr_local}={local_w}")
+    index = np.arange(1 << state.q)
+    source_bits = (index >> source_shift) & ((1 << w) - 1)
+    working = permute_basis(state, index ^ (source_bits << local_shift))
     return apply_hadamard(working, source)
 
 
@@ -333,13 +307,9 @@ def teleport(state: StateVector, source: str, epr_local: str, rng):
     stack, rng gives one uniform per row for source, then one per row for
     epr_local, and k0 and k1 are tuples with one outcome per row.
     """
-    working = bell_circuit(state, source, epr_local)
-    rec_src, working = measure(working, source, rng)
-    rec_loc, working = measure(working, epr_local, rng)
-    if state.amps.ndim == 1:
-        return rec_loc.outcome, rec_src.outcome, working
-    return (tuple(r.outcome for r in rec_loc), tuple(r.outcome for r in rec_src),
-            working)
+    k1, working = measure(bell_circuit(state, source, epr_local), source, rng)
+    k0, working = measure(working, epr_local, rng)
+    return k0, k1, working
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -396,20 +366,24 @@ def permute_basis(state: StateVector, new_index_of_old: np.ndarray) -> StateVect
 
 
 class SharedState:
-    """Mutable cell holding one state that several scoped parties act on."""
+    """Mutable cell holding one state that several scoped parties act on,
+    and the set of its registers already granted to one of them."""
 
-    __slots__ = ("state",)
+    __slots__ = ("state", "granted")
 
     def __init__(self, state: StateVector):
         self.state = state
+        self.granted = frozenset()
 
 
 class ScopedState:
     """View of a SharedState restricted to an allowed register set.
 
     Models one party's side of an entangled state: it can apply Hadamards
-    and measure, nothing more. A register outside the grant raises
-    RegisterViolation instead of acting on the other party's qubits.
+    and measure, learning the outcome, nothing more. A register outside
+    the grant raises RegisterViolation instead of acting on the other
+    party's qubits, and so does a grant that overlaps an earlier view's of
+    the same cell: a cell grants each register once (no cloning).
     """
 
     __slots__ = ("_cell", "_allowed")
@@ -417,6 +391,10 @@ class ScopedState:
     def __init__(self, cell: SharedState, allowed):
         self._cell = cell
         self._allowed = frozenset(allowed)
+        if self._allowed & cell.granted:
+            raise RegisterViolation(f"registers {sorted(self._allowed & cell.granted)}"
+                                    " are already granted to another party")
+        cell.granted |= self._allowed
 
     def _check(self, register: str):
         if register not in self._allowed:
@@ -427,8 +405,7 @@ class ScopedState:
         self._check(register)
         self._cell.state = apply_hadamard(self._cell.state, register)
 
-    def measure(self, register: str, rng) -> MeasurementRecord:
+    def measure(self, register: str, rng) -> str:
         self._check(register)
-        record, residual = measure(self._cell.state, register, rng)
-        self._cell.state = residual
-        return record
+        outcome, self._cell.state = measure(self._cell.state, register, rng)
+        return outcome

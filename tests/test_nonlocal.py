@@ -241,7 +241,7 @@ class TestReduction:
             y, state = obligate(rng)
             bit, state = qsim.measure(state, "bit", rng)
             v, _ = qsim.measure(state, "preimage", rng)
-            return y, puzzle.Preimage(bit.outcome, v.outcome), equation
+            return y, puzzle.Preimage(bit, v), equation
 
         return solver
 
@@ -268,7 +268,7 @@ class TestReduction:
             y, state = obligate(rng)
             _, state = qsim.measure(state, "bit", rng)
             v, _ = qsim.measure(state, "preimage", rng)
-            return y, puzzle.Preimage("2", v.outcome), puzzle.Equation("0", "1" * handle.n)
+            return y, puzzle.Preimage("2", v), puzzle.Equation("0", "1" * handle.n)
 
         assert not any(play_2of2(puzzle.BasePuzzle(6), solver, Rng(s)) for s in range(20))
 
@@ -340,6 +340,12 @@ class TestIsolation:
     def test_scope_violation_surfaces(self):
         with pytest.raises(RegisterViolation):
             play_nonlocal(puzzle.BasePuzzle(4), BPeeksAtC(), Rng(1))
+
+    def test_make_prep_grants_each_register_once(self):
+        """No cloning: B and C cannot both be handed the bit register."""
+        cell = qsim.SharedState(qsim.prepare_claw_state("01", "10"))
+        with pytest.raises(RegisterViolation):
+            make_prep("00", cell, ("bit", "preimage"), ("bit",))
 
     def test_no_signaling_under_unitary(self):
         """C applying H on its half leaves B's marginal exactly unchanged."""

@@ -25,12 +25,23 @@ from posverif.errors import (
 from posverif.rng import Rng
 
 H1 = np.array([[1, 1], [1, -1]], dtype=np.float64) / np.sqrt(2)
+X1 = np.array([[0, 1], [1, 0]], dtype=np.float64)
+P0 = np.diag([1.0, 0.0])
+P1 = np.diag([0.0, 1.0])
 
 
 def h_matrix(q: int) -> np.ndarray:
     m = np.array([[1]], dtype=np.float64)
     for _ in range(q):
         m = np.kron(m, H1)
+    return m
+
+
+def qubit_op(q: int, ops: dict) -> np.ndarray:
+    """Kron product over q qubits: ops[j] on qubit j, identity elsewhere."""
+    m = np.array([[1]], dtype=np.float64)
+    for j in range(q):
+        m = np.kron(m, ops.get(j, np.eye(2)))
     return m
 
 
@@ -204,8 +215,8 @@ class TestMeasurement:
         n = 100_000
         counts = {}
         for _ in range(n):
-            rec, _ = qsim.measure(s, "r", r)
-            counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
+            outcome, _ = qsim.measure(s, "r", r)
+            counts[outcome] = counts.get(outcome, 0) + 1
         assert set(counts) <= set(dist)
         for out, p in dist.items():
             bound = 4 * np.sqrt(p * (1 - p) / n)
@@ -213,23 +224,22 @@ class TestMeasurement:
 
     def test_measure_residual_matches_collapse(self):
         s = random_state([("a", 2), ("b", 2)], 8)
-        rec, residual = qsim.measure(s, "a", Rng(1))
-        p, projected = qsim.collapse(s, "a", rec.outcome)
-        assert abs(p - rec.probability) < 1e-12
+        outcome, residual = qsim.measure(s, "a", Rng(1))
+        _, projected = qsim.collapse(s, "a", outcome)
         np.testing.assert_allclose(residual.amps, projected.amps, atol=1e-12)
         assert residual.names() == ("b",)
 
     def test_measure_to_empty_state(self):
         s = qsim.prepare_claw_state("0", "1")
-        rec1, s1 = qsim.measure(s, "bit", Rng(3))
-        rec2, s2 = qsim.measure(s1, "preimage", Rng(4))
+        out1, s1 = qsim.measure(s, "bit", Rng(3))
+        out2, s2 = qsim.measure(s1, "preimage", Rng(4))
         assert s2.q == 0 and len(s2.amps) == 1
-        assert rec2.outcome == rec1.outcome  # claw with x_b = b
+        assert out2 == out1  # claw with x_b = b
 
     def test_measure_deterministic_per_seed(self):
         s = random_state([("r", 4)], 9)
-        a = [qsim.measure(s, "r", Rng(s0))[0].outcome for s0 in range(20)]
-        b = [qsim.measure(s, "r", Rng(s0))[0].outcome for s0 in range(20)]
+        a = [qsim.measure(s, "r", Rng(s0))[0] for s0 in range(20)]
+        b = [qsim.measure(s, "r", Rng(s0))[0] for s0 in range(20)]
         assert a == b
 
     def test_collapse_zero_outcome_rejected(self):
@@ -244,9 +254,9 @@ class TestEprAndTeleport:
         d = qsim.measurement_distribution(s, "R")
         assert d == pytest.approx({int_to_bits(i, 3): 0.125 for i in range(8)}, abs=1e-12)
         # measuring R forces S to the same outcome
-        rec, rest = qsim.measure(s, "R", Rng(5))
+        outcome, rest = qsim.measure(s, "R", Rng(5))
         d2 = qsim.measurement_distribution(rest, "S")
-        assert d2 == pytest.approx({rec.outcome: 1.0}, abs=1e-12)
+        assert d2 == pytest.approx({outcome: 1.0}, abs=1e-12)
 
     def test_teleport_width_mismatch(self):
         s = qsim.tensor(qsim.new_state([("psi", 2)]), qsim.make_epr_pairs(1))
@@ -312,6 +322,46 @@ class TestEprAndTeleport:
         assert rest.q == 1 and len(k0) == 1 and len(k1) == 1
 
 
+def _layouts():
+    """(registers, label) for psi and R of widths 1-3 in both orders, with a
+    spectator register x before, between and after them."""
+    for w in (1, 2, 3):
+        for pair in ((("psi", w), ("R", w)), (("R", w), ("psi", w))):
+            for at in range(3):
+                regs = list(pair)
+                regs.insert(at, ("x", 2))
+                yield tuple(regs), f"w{w}-{pair[0][0]}-first-x{at}"
+
+
+class TestBellCircuitOracle:
+    """bell_circuit equals the explicit matrix (H on psi) times the
+    pairwise CNOT(psi_j -> R_j), qubit by qubit."""
+
+    @staticmethod
+    def bell_matrix(regs) -> np.ndarray:
+        q = sum(w for _, w in regs)
+        starts = dict(zip((name for name, _ in regs),
+                          itertools.accumulate((w for _, w in regs), initial=0)))
+        w = dict(regs)["psi"]
+        pairs = [(starts["psi"] + j, starts["R"] + j) for j in range(w)]
+        m = qubit_op(q, {c: H1 for c, _ in pairs})
+        for c, t in pairs:
+            m = m @ (qubit_op(q, {c: P0}) + qubit_op(q, {c: P1, t: X1}))
+        return m
+
+    @pytest.mark.parametrize("regs", [r for r, _ in _layouts()],
+                             ids=[label for _, label in _layouts()])
+    def test_single_state_and_stack(self, regs):
+        m = self.bell_matrix(regs)
+        single = random_state(regs, 70)
+        got = qsim.bell_circuit(single, "psi", "R")
+        assert got.regs == regs
+        np.testing.assert_allclose(got.amps, m @ single.amps, atol=1e-12)
+        rows = np.stack([single.amps, random_state(regs, 71).amps])
+        got = qsim.bell_circuit(qsim.StateVector(regs, rows), "psi", "R")
+        np.testing.assert_allclose(got.amps, rows @ m.T, atol=1e-12)
+
+
 class TestPlumbing:
     def test_tensor_layout(self):
         a = qsim.new_state([("a", 1)])
@@ -373,10 +423,20 @@ class TestScopedState:
     def test_views_share_the_cell(self):
         cell = qsim.SharedState(qsim.make_epr_pairs(2))
         mine = qsim.ScopedState(cell, {"R"})
-        rec = mine.measure("R", Rng(8))
+        outcome = mine.measure("R", Rng(8))
         assert qsim.measurement_distribution(cell.state, "S") == pytest.approx(
-            {rec.outcome: 1.0}, abs=1e-12
+            {outcome: 1.0}, abs=1e-12
         )
+
+    def test_a_register_is_granted_once(self):
+        """No cloning: a view that overlaps an earlier grant of the same
+        cell is refused, and the refused view takes no register."""
+        cell = qsim.SharedState(qsim.make_epr_pairs(2))
+        qsim.ScopedState(cell, {"R"})
+        with pytest.raises(RegisterViolation):
+            qsim.ScopedState(cell, {"R", "S"})
+        qsim.ScopedState(cell, {"S"})
+        qsim.ScopedState(qsim.SharedState(cell.state), {"R"})  # another cell
 
     def test_unknown_register_after_consumption(self):
         cell = qsim.SharedState(qsim.make_epr_pairs(1))

@@ -50,7 +50,7 @@ def _solve_one(state, bit: str, rng):
         state = qsim.apply_hadamard(qsim.apply_hadamard(state, "bit"), "preimage")
     first, rest = qsim.measure(state, "bit", rng)
     second, _ = qsim.measure(rest, "preimage", rng)
-    return (Equation if bit == "1" else Preimage)(first.outcome, second.outcome)
+    return (Equation if bit == "1" else Preimage)(first, second)
 
 
 def _teleport_one(state, rng):
@@ -147,6 +147,26 @@ def test_teleport_trial_messages_match_per_instance(k):
         assert trial.u4(n_msg, challenge) == encode_answers(answers)
 
 
+def test_teleport_stack_matches_single_rows():
+    """teleport on a 2-row stack gives k0 and k1 as per-row tuples, each row
+    that of a single-state call with the same draws: source draws row by
+    row, then epr_local draws row by row."""
+    claws = qsim.prepare_claw_state(("01", "11"), ("10", "00"))
+    stack = qsim.merge_registers(qsim.tensor(claws, qsim.make_epr_pairs(3)),
+                                 ("bit", "preimage"), "src")
+    for seed in range(20):
+        rng = Rng(seed)
+        u = [rng.random() for _ in range(4)]
+        k0, k1, rest = qsim.teleport(stack, "src", "R", Uniforms(u))
+        assert isinstance(k0, tuple) and isinstance(k1, tuple)
+        for row in range(2):
+            single = qsim.StateVector(stack.regs, stack.amps[row], check=False)
+            keys = qsim.teleport(single, "src", "R", Uniforms(u[row::2]))
+            assert (k0[row], k1[row]) == keys[:2]
+            np.testing.assert_allclose(rest.amps[row], keys[2].amps, atol=1e-12)
+        assert rest.regs == (("S", 3),)
+
+
 class _Fixed:
     """An rng stand-in that always draws the same uniform."""
 
@@ -173,26 +193,26 @@ class TestMeasureFallback:
 
     def test_uniform_past_a_short_cdf_single(self):
         state = qsim.StateVector((("r", 2),), SHORT, check=False)
-        record, residual = qsim.measure(state, "r", _Fixed(TOP))
-        assert record.outcome == "01"
-        assert record.probability == pytest.approx(0.64 - 1e-8)
+        outcome, residual = qsim.measure(state, "r", _Fixed(TOP))
+        assert outcome == "01"
+        assert residual.amps == pytest.approx([1.0])
         assert residual.regs == ()
 
     def test_uniform_on_zero_probability_outcome_single(self):
         state = qsim.StateVector((("r", 2),), LEADING_ZERO)
-        record, _ = qsim.measure(state, "r", _Fixed(-0.25))
-        assert record.outcome == "10"
-        assert record.probability == pytest.approx(0.64)
+        outcome, residual = qsim.measure(state, "r", _Fixed(-0.25))
+        assert outcome == "10"
+        assert residual.amps == pytest.approx([1.0])
 
     def test_stacked_rows_fall_back_independently(self):
         stack = qsim.StateVector((("r", 2),), np.stack([PLAIN, SHORT, LEADING_ZERO]),
                                  check=False)
-        records, _ = qsim.measure(stack, "r", Uniforms([0.5, TOP, -0.25]))
-        assert [r.outcome for r in records] == ["01", "01", "10"]
+        outcomes, _ = qsim.measure(stack, "r", Uniforms([0.5, TOP, -0.25]))
+        assert outcomes == ("01", "01", "10")
         singles = [qsim.measure(qsim.StateVector((("r", 2),), amps, check=False),
                                 "r", _Fixed(u))[0]
                    for amps, u in ((PLAIN, 0.5), (SHORT, TOP), (LEADING_ZERO, -0.25))]
-        assert list(records) == singles
+        assert list(outcomes) == singles
 
 
 class TestStackedStates:
