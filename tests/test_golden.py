@@ -3,8 +3,9 @@
 Every entry of golden.json is the sha256 of what one cell of the grid
 below produces: verdict transcript bytes plus trace JSON lines for timed
 runs over seeds 0-3, transcripts of the timing-free protocol, game
-results per strategy, the output of each CLI subcommand at small
-trial counts, and the exit code and stdout of each script in demos/,
+results per strategy (n=8 over seeds 0-3, n=12 over seeds 0-63), the
+output of each CLI subcommand at small trial counts, and the exit code
+and stdout of each script in demos/,
 run as a subprocess with src/ on PYTHONPATH.  The statistical tests only check that rates cover their
 closed forms, so a change that reorders one random draw passes them;
 it fails here.
@@ -56,7 +57,7 @@ DEMOS = ("attack_gallery", "claw_states", "nonlocal_game_values",
          "proof_of_quantumness", "timing_geometry")
 SEEDS = range(4)
 KS = (1, 2, 8)
-GAME_N = 8
+GAME_CELLS = {"": (8, range(4)), "/n12": (12, range(64))}
 
 
 def _timed(hashed: bool, actor: str, k: int) -> bytes:
@@ -86,12 +87,12 @@ def _poq(prover, k: int) -> bytes:
     return b"".join(out)
 
 
-def _game(name: str) -> bytes:
-    puz = BasePuzzle(GAME_N)
-    strategy = make_strategy(name, GAME_N)
-    solver = reduce_to_2of2(make_strategy(name, GAME_N))
+def _game(name: str, n: int, seeds) -> bytes:
+    puz = BasePuzzle(n)
+    strategy = make_strategy(name, n)
+    solver = reduce_to_2of2(make_strategy(name, n))
     out = []
-    for seed in SEEDS:
+    for seed in seeds:
         r = play_nonlocal(puz, strategy, Rng(seed))
         out.append(f"{int(r.win)}{int(r.accept_b)}{int(r.accept_c)}"
                    f":{r.challenge}:{r.obligation};".encode())
@@ -141,7 +142,8 @@ def _entries():
         for k in KS:
             entries[f"poq/{label}/k{k}"] = lambda p=prover, k=k: _poq(p, k)
     for name in sorted(STRATEGIES):
-        entries[f"game/{name}"] = lambda s=name: _game(s)
+        for suffix, (n, seeds) in GAME_CELLS.items():
+            entries[f"game/{name}{suffix}"] = lambda s=name, n=n, r=seeds: _game(s, n, r)
     entries["cli/completeness"] = lambda: _cli(
         ("completeness", "--trials", "20", "--seed", "1"),
         ("completeness", "--pos", "7/4", "--hashed", "--k", "2",
