@@ -20,7 +20,8 @@ rng = Rng(2024)
 puz = BasePuzzle(n)
 handle, trapdoor = puz.keygen(rng)
 
-y, state = puz.obligate(handle, trapdoor, rng)
+y, claw = puz.obligate(handle, trapdoor, rng)
+state = claw.dense()  # the closed form as a dense vector, to read distributions
 x0 = trapdoor.inv("0", y)
 x1 = trapdoor.inv("1", y)
 shift = xor_bits(x0, x1)

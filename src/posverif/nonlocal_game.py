@@ -7,7 +7,9 @@ interesting ceiling: no strategy wins much above 3/4, while either solver
 alone could answer its own preferred challenge perfectly.
 
 The referee keeps the trapdoor; stage A gets the public handle and an
-obligation service, obligate(rng) -> (y, claw state). Solver isolation is
+obligation service, obligate(rng) -> (y, claw state), the claw state a
+qsim.ClawState in closed form: no round builds a dense state vector, and
+the dense engine is the reference the tests check the game against. Solver isolation is
 structural: each solver gets a ScopedState view of the shared quantum
 state restricted to its own registers, which it can only measure or
 Hadamard (touching the other side raises RegisterViolation), plus a
@@ -16,6 +18,8 @@ challenges of one obligation at once (the 2-of-2 reduction) reuses the
 same stage-A preparation.
 
 Each strategy states its closed forms: win_rate(n) and reduced_rate(n).
+A built-in strategy plays at the width n it was made for; its stage A
+raises ConfigInvalid on a handle of any other width.
 """
 
 import operator
@@ -128,17 +132,29 @@ def estimate_2of2_rate(puz: BasePuzzle, solver, trials: int, seed: int,
     return Estimate.of(counts, True)
 
 
-class HonestToB:
+class _Strategy:
+    """A built-in strategy at width n, an n the puzzle accepts. Its stage
+    A raises ConfigInvalid on a handle of any other width, whose answers
+    could never verify."""
+
+    def __init__(self, n: int):
+        self.n = BasePuzzle(n).n  # the puzzle's rule for n
+
+    def _check_width(self, handle: PublicHandle):
+        if handle.n != self.n:
+            raise ConfigInvalid(f"strategy {self.name} plays at n={self.n}, "
+                                f"the puzzle's handle has n={handle.n}")
+
+
+class HonestToB(_Strategy):
     """B holds the whole claw state and solves honestly; C guesses blind."""
 
     name = "honest_to_B"
     win_rate = staticmethod(honest_to_b_rate)
     reduced_rate = staticmethod(uniform_equation_rate)
 
-    def __init__(self, n: int):
-        self.n = BasePuzzle(n).n  # the puzzle's rule for n
-
     def stage_a(self, handle, obligate, rng):
+        self._check_width(handle)
         y, state = obligate(rng)
         return make_prep(y, SharedState(state), b_registers=("bit", "preimage"))
 
@@ -153,7 +169,7 @@ class HonestToB:
         return uniform_answer_guess(self.n, challenge, rng)
 
 
-class MeasureAndGuess:
+class MeasureAndGuess(_Strategy):
     """Measure everything up front; replay shared classical results.
 
     Challenge 0 is then answered perfectly by both, challenge 1 by one
@@ -164,10 +180,8 @@ class MeasureAndGuess:
     win_rate = staticmethod(measure_and_guess_rate)
     reduced_rate = staticmethod(uniform_equation_rate)
 
-    def __init__(self, n: int):
-        self.n = BasePuzzle(n).n  # the puzzle's rule for n
-
     def stage_a(self, handle, obligate, rng):
+        self._check_width(handle)
         y, state = obligate(rng)
         bit, state = measure(state, "bit", rng)
         v, _ = measure(state, "preimage", rng)
@@ -181,7 +195,7 @@ class MeasureAndGuess:
     answer_c = answer_b
 
 
-class BruteForce:
+class BruteForce(_Strategy):
     """Recover the shift with 2^n public eval queries, then answer anything.
 
     The capability-scoping caveat made concrete: claw-freeness is only as
@@ -194,10 +208,8 @@ class BruteForce:
     name = "brute_force"
     win_rate = reduced_rate = staticmethod(lambda n: 1.0)
 
-    def __init__(self, n: int):
-        self.n = BasePuzzle(n).n  # the puzzle's rule for n
-
     def stage_a(self, handle, obligate, rng):
+        self._check_width(handle)
         x0 = rng.bits(self.n)
         y = handle.eval("0", x0)
         target = int(y, 2)
@@ -216,16 +228,14 @@ class BruteForce:
     answer_c = answer_b
 
 
-class AlwaysFail:
+class AlwaysFail(_Strategy):
     """Answers with the wrong shape on purpose; loses every round."""
 
     name = "always_fail"
     win_rate = reduced_rate = staticmethod(lambda n: 0.0)
 
-    def __init__(self, n: int):
-        self.n = BasePuzzle(n).n  # the puzzle's rule for n
-
     def stage_a(self, handle, obligate, rng):
+        self._check_width(handle)
         return make_prep(handle.eval("0", rng.bits(self.n)))  # obligate's draw, no state
 
     def answer_b(self, view, tape, challenge, rng):

@@ -10,7 +10,9 @@ map, the trapdoor's inversion the inverse map. The Trapdoor is the key
 itself (n, seed, s), which only the verifier side holds; a k-fold key is
 a tuple of k handles and a tuple of k trapdoors, in instance order.
 RepeatedPuzzle.solve is the one honest solver; RepeatedPuzzle(n, 1)
-solves a single instance.
+solves a single instance. BasePuzzle.obligate, which only the two-solver
+game calls, gives its claw state in closed form (qsim.ClawState);
+RepeatedPuzzle.obligate gives the protocol's dense stack.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
@@ -247,16 +249,16 @@ class BasePuzzle:
         return handle, Trapdoor(self.n, seed, s, handle.eval, inverse)
 
     def obligate(self, handle: PublicHandle, trapdoor: Trapdoor,
-                 rng) -> tuple[str, qsim.StateVector]:
+                 rng) -> tuple[str, qsim.ClawState]:
         """Sample an obligation y and the claw superposition behind it.
 
         Shortcut construction: draw x0, publish y = f_0(x0), and build
-        (|0,x0> + |1,x1>)/sqrt(2) with x1 = inv(1, y). Distribution over
-        (y, state) equals the measured oracle circuit; run_obligate_circuit
-        is the cross-check.
+        (|0,x0> + |1,x1>)/sqrt(2) with x1 = inv(1, y), in closed form.
+        Distribution over (y, state) equals the measured oracle circuit;
+        run_obligate_circuit is the cross-check.
         """
         y, x0, x1 = self._claw(handle, trapdoor, rng)
-        return y, qsim.prepare_claw_state(x0, x1)
+        return y, qsim.ClawState.prepare(x0, x1)
 
     def _claw(self, handle: PublicHandle, trapdoor: Trapdoor, rng) -> tuple[str, str, str]:
         x0 = rng.bits(self.n)
@@ -346,7 +348,8 @@ class RepeatedPuzzle:
         """
         _check_bits(challenge, self.k, "challenge")
         regs = (("bit", 1), ("preimage", self.n))
-        if state.regs != regs or state.amps.shape[:-1] != (self.k,):
+        if (not isinstance(state, qsim.StateVector) or state.regs != regs
+                or state.amps.shape[:-1] != (self.k,)):
             raise WrongStateShape(f"expected {self.k} rows of registers bit(1), "
                                   f"preimage({self.n}), got {state!r}")
         draws = [rng.random() for _ in range(2 * self.k)]

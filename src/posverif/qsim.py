@@ -1,9 +1,16 @@
-"""Dense statevector engine over named qubit registers.
+"""Dense statevector engine over named qubit registers, and claw states
+in closed form.
 
 Scope is deliberately small: claw-state preparation, Hadamard layers,
 standard-basis measurement, basis permutations, EPR pairs and
 teleportation, plus the plumbing (tensor/split/merge/collapse) that only
 the tests and the claw_states demo call. There is no general gate set.
+
+The dense engine runs the protocol's claw-state stacks and serves as the
+reference. The two-solver game plays on ClawState, a claw state in closed
+form: apply_hadamard and measure hand it to its own methods, which draw
+what the dense engine would, and ClawState.dense() gives the equivalent
+StateVector for the tests and the claw_states demo.
 
 Basis convention: concatenate the register bitstrings in declaration order,
 most significant bit first; a basis index is that string read as binary.
@@ -70,9 +77,6 @@ class StateVector:
 
     def width(self, register: str) -> int:
         return _spans(self, register)[1]
-
-    def offset(self, register: str) -> int:
-        return _spans(self, register)[0]
 
     def __repr__(self):
         spec = ", ".join(f"{name}:{w}" for name, w in self.regs)
@@ -157,8 +161,12 @@ def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
     """Hadamard on every qubit of the register.
 
     On a stack, rows (a list of row indices) limits it to those rows;
-    None means every row.
+    None means every row. A ClawState applies it in closed form.
     """
+    if isinstance(state, ClawState):
+        if rows is not None:
+            raise ValueError("rows select rows of a stack; this is a single state")
+        return state.apply_hadamard(register)
     off, w, _ = _spans(state, register)
     if rows is not None and state.amps.ndim == 1:
         raise ValueError("rows select rows of a stack; this is a single state")
@@ -234,7 +242,10 @@ def measure(state: StateVector, register: str, rng):
     of the CDF or the outcome found has probability zero. The measured
     register is dropped from the residual state. Returns (outcome,
     residual), the outcome a bitstring; on a stack, one outcome per row.
+    A ClawState measures in closed form, with the same draw.
     """
+    if isinstance(state, ClawState):
+        return state.measure(register, rng)
     cube, probs, w = _born(state, register)
     outcomes, ps = [], []
     for row, cdf in zip(probs, probs.cumsum(axis=1)):
@@ -363,6 +374,102 @@ def permute_basis(state: StateVector, new_index_of_old: np.ndarray) -> StateVect
     amps = np.zeros_like(state.amps)
     amps[..., new_index_of_old] = state.amps
     return StateVector(state.regs, amps, check=False)
+
+
+class ClawState:
+    """Claw state in closed form: H_R(|u0> + (-1)^phase |u1>)/sqrt(2), with
+    R (frame) the set of registers in the Hadamard frame and u0, u1 basis
+    indices over regs. u1 equals u0 once a measurement has split the two
+    branches, and the state is then H_R|u0>.
+
+    prepare builds (|0,x0> + |1,x1>)/sqrt(2) over bit(1), preimage(n), as
+    prepare_claw_state does densely. apply_hadamard and measure are
+    reached through the module functions of the same names. A
+    measurement draws one uniform u, and its outcome is the one the dense
+    CDF walk picks for that u (up to uniforms within a few ulps of a CDF
+    boundary, where the dense sums are not exact):
+    - a register outside R gives its bits in u0 or u1; if they differ,
+      each has probability 1/2, the lower index wins iff u < 1/2, and
+      that branch is kept;
+    - a register S inside R gives the floor(u * 2^|S|)-th member, in
+      index order, of its support: every string if the branches differ
+      outside S or not at all (then phase ^= z.(u0 xor u1)_S), else the
+      strings z with z.(u0 xor u1)_S = phase, and one branch is kept.
+    The residual drops a global sign that the dense residual keeps.
+    """
+
+    __slots__ = ("regs", "q", "u0", "u1", "phase", "frame")
+
+    def __init__(self, regs, u0: int, u1: int | None = None, phase: int = 0,
+                 frame=frozenset()):
+        self.regs = tuple(regs)
+        self.q = sum(w for _, w in self.regs)
+        self.u0 = u0
+        self.u1 = u0 if u1 is None else u1
+        self.phase = phase
+        self.frame = frozenset(frame)
+
+    @classmethod
+    def prepare(cls, x0: str, x1: str) -> "ClawState":
+        if len(x0) != len(x1):
+            raise LengthMismatch(f"preimage lengths {len(x0)} and {len(x1)} differ")
+        n = len(x0)
+        return cls((("bit", 1), ("preimage", n)), int(x0, 2), (1 << n) | int(x1, 2))
+
+    def names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.regs)
+
+    def width(self, register: str) -> int:
+        return _spans(self, register)[1]
+
+    def apply_hadamard(self, register: str) -> "ClawState":
+        self.width(register)  # raises UnknownRegister
+        return ClawState(self.regs, self.u0, self.u1, self.phase,
+                         self.frame ^ {register})
+
+    def measure(self, register: str, rng) -> tuple[str, "ClawState"]:
+        _, w, post = _spans(self, register)
+        u = rng.random()
+        mask, low = (1 << w) - 1, (1 << post) - 1
+        a0, a1 = (self.u0 >> post) & mask, (self.u1 >> post) & mask
+        r0 = (self.u0 >> (post + w) << post) | (self.u0 & low)
+        r1 = (self.u1 >> (post + w) << post) | (self.u1 & low)
+        s, phase = a0 ^ a1, self.phase
+        if register not in self.frame:
+            z = a1 if s and (u < 0.5) != (a0 < a1) else a0
+            if s:
+                r0 = r1 = r0 if z == a0 else r1
+        elif r0 != r1 or not s:
+            z = int(u * (1 << w))
+            phase ^= (z & s).bit_count() & 1
+        else:
+            # z.s = phase: split z at s's lowest set bit p, which z's lower
+            # bits do not reach; bit p of z then follows from its higher bits
+            j = int(u * (1 << (w - 1)))
+            p = (s & -s).bit_length() - 1
+            high = j >> p
+            bit = phase ^ ((high & (s >> (p + 1))).bit_count() & 1)
+            z = (high << (p + 1)) | (bit << p) | (j & ((1 << p) - 1))
+        regs = tuple(r for r in self.regs if r[0] != register)
+        return int_to_bits(z, w), ClawState(regs, r0, r1, phase, self.frame - {register})
+
+    def dense(self) -> StateVector:
+        """The equivalent StateVector."""
+        amps = np.zeros(1 << self.q, dtype=np.float64)
+        if self.u0 == self.u1:
+            amps[self.u0] = 1.0
+        else:
+            amps[self.u0] = _INV_SQRT2
+            amps[self.u1] = -_INV_SQRT2 if self.phase else _INV_SQRT2
+        state = StateVector(self.regs, amps, check=False)
+        for name in self.names():
+            if name in self.frame:
+                state = apply_hadamard(state, name)
+        return state
+
+    def __repr__(self):
+        spec = ", ".join(f"{name}:{w}" for name, w in self.regs)
+        return f"ClawState({spec}; frame {sorted(self.frame)})"
 
 
 class SharedState:

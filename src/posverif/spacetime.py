@@ -28,17 +28,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import SimulationStarted
+from .errors import ConfigInvalid, SimulationStarted
 
 
 def as_coord(value) -> Fraction:
-    """Exact coordinate from an int, Fraction, or 'num/den' string."""
+    """Exact coordinate from an int, Fraction, or 'num/den' string. A
+    float or bool raises TypeError; a string that is no exact rational
+    ('abc', '1/0') raises ConfigInvalid."""
     if type(value) is Fraction:
         return value
     if isinstance(value, (float, bool)):
         raise TypeError(f"refusing {type(value).__name__} coordinate {value!r}; "
                         "pass int, Fraction or 'num/den'")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigInvalid(f"coordinate {value!r} is not an exact rational") from exc
 
 
 def coord_str(value: Fraction) -> str:

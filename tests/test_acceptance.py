@@ -281,7 +281,8 @@ def test_c07_claw_support_law_and_circuit_equivalence():
             puz = BasePuzzle(n)
             rng = Rng(_seed(7, 10 * index + key_index))
             handle, trapdoor = puz.keygen(rng)
-            y, state = puz.obligate(handle, trapdoor, rng)
+            y, claw = puz.obligate(handle, trapdoor, rng)
+            state = claw.dense()
             shift = xor_bits(trapdoor.inv("0", y), trapdoor.inv("1", y))
             h = qsim.apply_hadamard(qsim.apply_hadamard(state, "bit"), "preimage")
             joint = qsim.merge_registers(h, ("bit", "preimage"), "joint")

@@ -150,6 +150,17 @@ class TestPlay:
         with pytest.raises(ConfigInvalid, match="unknown strategy 'nope'"):
             make_strategy("nope", 4)
 
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("puzzle_n, strategy_n", [(4, 5), (5, 4)])
+    def test_strategy_width_must_match_the_puzzle(self, name, puzzle_n, strategy_n):
+        """A strategy of another width would answer with strings that never
+        verify; stage A refuses the handle instead of losing every round."""
+        puz = puzzle.BasePuzzle(puzzle_n)
+        with pytest.raises(ConfigInvalid, match="n="):
+            play_nonlocal(puz, make_strategy(name, strategy_n), Rng(1))
+        with pytest.raises(ConfigInvalid, match="n="):
+            play_2of2(puz, reduce_to_2of2(make_strategy(name, strategy_n)), Rng(1))
+
     @pytest.mark.parametrize("n", [4, 8, 12])
     def test_registry_rates_are_the_closed_forms(self, n):
         expected = {
@@ -378,3 +389,51 @@ class TestIsolation:
         eqs = {uniform_answer_guess(3, "1", Rng(s)) for s in range(200)}
         assert all(isinstance(a, puzzle.Equation) for a in eqs)
         assert any(a.d == "000" for a in eqs)  # d = 0 included in the space
+
+
+class DensePuzzle(puzzle.BasePuzzle):
+    """The base puzzle with its claw states handed out as dense vectors:
+    the reference the closed-form game path is checked against."""
+
+    def obligate(self, handle, trapdoor, rng):
+        y, claw = super().obligate(handle, trapdoor, rng)
+        return y, claw.dense()
+
+
+def _round(puz, strategy, seed: int):
+    """Obligation, challenge and both answers of one play_nonlocal round."""
+    rng = Rng(seed)
+    handle, trapdoor = puz.keygen(rng)
+    prep = strategy.stage_a(handle, lambda r: puz.obligate(handle, trapdoor, r), rng)
+    challenge = puz.sample_challenge(rng)
+    return (prep.obligation, challenge,
+            strategy.answer_b(prep.view_b, prep.tape, challenge, rng),
+            strategy.answer_c(prep.view_c, prep.tape, challenge, rng))
+
+
+class TestClosedFormGame:
+    """The game plays on closed-form claw states; the dense engine is the
+    reference it must agree with."""
+
+    @pytest.mark.parametrize("name", ["honest_to_B", "measure_and_guess"])
+    def test_answers_match_dense_run(self, name):
+        """At n=12, over 10^4 seeds, every answer equals the one the same
+        seed gives when the claw state is a dense vector."""
+        strategy = make_strategy(name, 12)
+        closed, dense = puzzle.BasePuzzle(12), DensePuzzle(12)
+        for seed in range(10_000):
+            assert _round(closed, strategy, seed) == _round(dense, strategy, seed), seed
+
+    def test_game_builds_no_state_vector(self, monkeypatch):
+        """Every built-in strategy plays both games at n=12 without one
+        dense state."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the game built a StateVector")
+
+        monkeypatch.setattr(qsim.StateVector, "__init__", refuse)
+        puz = puzzle.BasePuzzle(12)
+        for name in STRATEGIES:
+            strategy, solver = make_strategy(name, 12), reduce_to_2of2(make_strategy(name, 12))
+            for seed in range(8):
+                play_nonlocal(puz, strategy, Rng(seed))
+                play_2of2(puz, solver, Rng(seed))

@@ -203,6 +203,16 @@ class TestConfig:
         with pytest.raises(TypeError):
             HonestProver(position=True)
 
+    @pytest.mark.parametrize("bad", ["abc", "1/0", "", "3/"])
+    def test_rejects_position_string_that_is_no_rational(self, bad):
+        """A position string Fraction cannot parse, or one with a zero
+        denominator, raises ConfigInvalid, not a bare ValueError or a
+        ZeroDivisionError."""
+        with pytest.raises(ConfigInvalid):
+            ProtocolConfig(prover_position=bad)
+        with pytest.raises(ConfigInvalid):
+            HonestProver(position=bad)
+
     def test_one_puzzle_per_config(self, monkeypatch):
         """A config builds its RepeatedPuzzle once, and every run on it
         reuses that puzzle; the puzzle is no part of the config's value."""

@@ -176,7 +176,7 @@ class TestObligate:
             x0, x1 = td.inv("0", y), td.inv("1", y)
             assert handle.eval("0", x0) == y and handle.eval("1", x1) == y
             expect = qsim.prepare_claw_state(x0, x1)
-            np.testing.assert_allclose(state.amps, expect.amps, atol=1e-12)
+            np.testing.assert_allclose(state.dense().amps, expect.amps, atol=1e-12)
 
     def test_y_uniform(self):
         """Obligation y is uniform: chi-square within 4 sigma at n=4."""
@@ -275,6 +275,11 @@ class TestSolveVerify:
         bad = qsim.new_state([("bit", 1), ("preimage", 3)])
         with pytest.raises(WrongStateShape):
             p.solve(bad, "0", Rng(0))
+        # a single dense claw state and the closed form are no k-row stack
+        for bad in (qsim.prepare_claw_state("0001", "0110"),
+                    qsim.ClawState.prepare("0001", "0110")):
+            with pytest.raises(WrongStateShape):
+                p.solve(bad, "0", Rng(0))
 
     def test_public_verify_agrees_with_trapdoor(self):
         """Public evaluation equals verify on 10^4 random challenge-0
@@ -309,7 +314,7 @@ class TestSolveVerify:
             p = puzzle.BasePuzzle(n)
             handle, td = p.keygen(Rng(500 + n))
             y, state = p.obligate(handle, td, Rng(n))
-            joint = qsim.merge_registers(state, ("bit", "preimage"), "all")
+            joint = qsim.merge_registers(state.dense(), ("bit", "preimage"), "all")
             acc0 = 0.0
             for out, w in qsim.measurement_distribution(joint, "all").items():
                 ans = puzzle.Preimage(out[0], out[1:])
@@ -332,7 +337,7 @@ class TestSolveVerify:
         n = 4
         p, handle, td = make_puzzle(n, seed=37)
         y, state = p.obligate(handle, td, Rng(8))
-        _, collapsed = qsim.collapse(state, "bit", "0")
+        _, collapsed = qsim.collapse(state.dense(), "bit", "0")
         pre = qsim.tensor(qsim.new_state([("bit", 1)]), collapsed)
         h = qsim.apply_hadamard(qsim.apply_hadamard(pre, "bit"), "preimage")
         joint = qsim.merge_registers(h, ("bit", "preimage"), "all")

@@ -22,7 +22,7 @@ from posverif.errors import (
     RegisterViolation,
     UnknownRegister,
 )
-from posverif.rng import Rng
+from posverif.rng import Rng, Uniforms
 
 H1 = np.array([[1, 1], [1, -1]], dtype=np.float64) / np.sqrt(2)
 X1 = np.array([[0, 1], [1, 0]], dtype=np.float64)
@@ -86,7 +86,7 @@ class TestConstruction:
 
     def test_register_layout(self):
         s = qsim.new_state([("a", 2), ("b", 3), ("c", 1)])
-        assert s.offset("a") == 0 and s.offset("b") == 2 and s.offset("c") == 5
+        assert s.regs == (("a", 2), ("b", 3), ("c", 1)) and s.names() == ("a", "b", "c")
         assert s.width("b") == 3
 
     def test_capacity_cap(self):
@@ -101,7 +101,7 @@ class TestConstruction:
             qsim.new_state([("a", 1), ("a", 2)])
         s = qsim.new_state([("a", 1)])
         with pytest.raises(UnknownRegister):
-            s.offset("zz")
+            s.width("zz")
         with pytest.raises(UnknownRegister):
             qsim.apply_hadamard(s, "zz")
 
@@ -444,3 +444,97 @@ class TestScopedState:
         mine.measure("R", Rng(0))
         with pytest.raises(UnknownRegister):
             mine.measure("R", Rng(0))
+
+
+def _claw_states(n: int):
+    """Every two-branch claw state over bit(1), preimage(n) with branch 0
+    on bit 0 and branch 1 on bit 1, in either phase, and every
+    one-branch state."""
+    for x0, x1 in itertools.product(range(1 << n), repeat=2):
+        for phase in (0, 1):
+            yield qsim.ClawState((("bit", 1), ("preimage", n)), x0,
+                                 (1 << n) | x1, phase)
+    for u in range(2 << n):
+        yield qsim.ClawState((("bit", 1), ("preimage", n)), u)
+
+
+def _cell_midpoints(state: qsim.StateVector, register: str) -> list[float]:
+    """One uniform at the midpoint of each outcome's CDF cell; every claw
+    state's outcome distribution is uniform over its support."""
+    dist = qsim.measurement_distribution(state, register)
+    assert list(dist.values()) == pytest.approx([1.0 / len(dist)] * len(dist), abs=1e-12)
+    return [(j + 0.5) / len(dist) for j in range(len(dist))]
+
+
+def _same_state(claw: qsim.ClawState, dense: qsim.StateVector) -> bool:
+    """Equal registers and amplitudes up to the global sign the closed
+    form drops."""
+    overlap = float(np.dot(claw.dense().amps, dense.amps))
+    return claw.regs == dense.regs and abs(abs(overlap) - 1.0) < 1e-9
+
+
+class TestClawState:
+    """The closed form against the dense engine it stands in for."""
+
+    def test_prepare_matches_dense_claw(self):
+        for x0, x1 in (("0", "1"), ("0110", "1011"), ("101", "101")):
+            np.testing.assert_array_equal(qsim.ClawState.prepare(x0, x1).dense().amps,
+                                          qsim.prepare_claw_state(x0, x1).amps)
+        with pytest.raises(LengthMismatch):
+            qsim.ClawState.prepare("01", "011")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_measurements_match_dense(self, n):
+        """Every Hadamard frame, both measurement orders, both phases and
+        every branch pair at width n: at the midpoint of each outcome's
+        CDF cell, the closed form gives the dense engine's outcome and an
+        equal residual, through both measurements."""
+        frames = [(), ("bit",), ("preimage",), ("bit", "preimage")]
+        orders = [("bit", "preimage"), ("preimage", "bit")]
+        for claw in _claw_states(n):
+            for frame in frames:
+                state = claw
+                for register in frame:
+                    state = qsim.apply_hadamard(state, register)
+                assert _same_state(state, qsim.ClawState(
+                    claw.regs, claw.u0, claw.u1, claw.phase, frame).dense())
+                for first, second in orders:
+                    dense = state.dense()
+                    for u in _cell_midpoints(dense, first):
+                        outcome, residual = qsim.measure(state, first, Uniforms([u]))
+                        want, want_residual = qsim.measure(dense, first, Uniforms([u]))
+                        assert outcome == want
+                        assert _same_state(residual, want_residual)
+                        for v in _cell_midpoints(want_residual, second):
+                            got = qsim.measure(residual, second, Uniforms([v]))
+                            ref = qsim.measure(want_residual, second, Uniforms([v]))
+                            assert got[0] == ref[0] and _same_state(got[1], ref[1])
+
+    def test_measure_draws_one_uniform(self):
+        state = qsim.apply_hadamard(qsim.ClawState.prepare("011", "110"), "preimage")
+        rng, twin = Rng(5), Rng(5)
+        qsim.measure(state, "preimage", rng)
+        twin.random()
+        assert rng.next_u64() == twin.next_u64()
+
+    def test_register_errors(self):
+        state = qsim.ClawState.prepare("01", "10")
+        with pytest.raises(UnknownRegister):
+            qsim.apply_hadamard(state, "zz")
+        with pytest.raises(UnknownRegister):
+            qsim.measure(state, "zz", Rng(0))
+        with pytest.raises(ValueError):
+            qsim.apply_hadamard(state, "bit", rows=[0])
+        _, rest = qsim.measure(state, "bit", Rng(0))
+        with pytest.raises(UnknownRegister):
+            rest.width("bit")
+
+    def test_scoped_views_act_on_the_closed_form(self):
+        cell = qsim.SharedState(qsim.ClawState.prepare("0110", "1011"))
+        view = qsim.ScopedState(cell, {"bit", "preimage"})
+        view.apply_hadamard("preimage")
+        assert cell.state.frame == {"preimage"}
+        with pytest.raises(RegisterViolation):
+            qsim.ScopedState(cell, {"bit"})
+        assert view.measure("bit", Uniforms([0.25])) == "0"
+        assert cell.state.names() == ("preimage",) and cell.state.u1 == cell.state.u0
