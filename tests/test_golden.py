@@ -4,7 +4,8 @@ Every entry of golden.json is the sha256 of what one cell of the grid
 below produces: verdict transcript bytes plus trace JSON lines for timed
 runs over seeds 0-3, transcripts of the timing-free protocol, game
 results per strategy (n=8 over seeds 0-3, n=12 over seeds 0-63), the
-output of each CLI subcommand at small trial counts, and the exit code
+k-fold puzzle's keygen, obligate and solve answers (n in {4, 8}, k in
+{1, 4}, seeds 0-255, the challenge drawn from the seed), the output of each CLI subcommand at small trial counts, and the exit code
 and stdout of each script in demos/,
 run as a subprocess with src/ on PYTHONPATH.  The statistical tests only check that rates cover their
 closed forms, so a change that reorders one random draw passes them;
@@ -48,7 +49,7 @@ from posverif.protocol import (
     run_prpv,
     run_roprpv,
 )
-from posverif.puzzle import BasePuzzle
+from posverif.puzzle import BasePuzzle, RepeatedPuzzle, encode_answers
 from posverif.rng import Rng
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -58,6 +59,7 @@ DEMOS = ("attack_gallery", "claw_states", "nonlocal_game_values",
 SEEDS = range(4)
 KS = (1, 2, 8)
 GAME_CELLS = {"": (8, range(4)), "/n12": (12, range(64))}
+SOLVE_CELLS = ((4, 1), (4, 4), (8, 1), (8, 4))
 
 
 def _timed(hashed: bool, actor: str, k: int) -> bytes:
@@ -97,6 +99,21 @@ def _game(name: str, n: int, seeds) -> bytes:
         out.append(f"{int(r.win)}{int(r.accept_b)}{int(r.accept_c)}"
                    f":{r.challenge}:{r.obligation};".encode())
         out.append(b"1" if play_2of2(puz, solver, Rng(seed)) else b"0")
+    return b"".join(out)
+
+
+def _solve(n: int, k: int) -> bytes:
+    puz = RepeatedPuzzle(n, k)
+    out = []
+    for seed in range(256):
+        rng = Rng(seed)
+        handles, trapdoors = puz.keygen(rng)
+        challenge = puz.sample_challenge(rng)
+        ys, state = puz.obligate(handles, trapdoors, rng)
+        answers = puz.solve(state, challenge, rng)
+        accept = puz.verify(trapdoors, ys, challenge, answers)
+        out.append(f"{int(accept)}:{challenge}:{','.join(ys)}:".encode()
+                   + encode_answers(answers) + b";")
     return b"".join(out)
 
 
@@ -144,6 +161,8 @@ def _entries():
     for name in sorted(STRATEGIES):
         for suffix, (n, seeds) in GAME_CELLS.items():
             entries[f"game/{name}{suffix}"] = lambda s=name, n=n, r=seeds: _game(s, n, r)
+    for n, k in SOLVE_CELLS:
+        entries[f"solve/n{n}/k{k}"] = lambda n=n, k=k: _solve(n, k)
     entries["cli/completeness"] = lambda: _cli(
         ("completeness", "--trials", "20", "--seed", "1"),
         ("completeness", "--pos", "7/4", "--hashed", "--k", "2",
