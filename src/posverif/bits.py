@@ -12,7 +12,7 @@ MalformedMessage for bytes that do not decode.
 
 import struct
 
-from .errors import MalformedMessage
+from .errors import LengthMismatch, MalformedMessage
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -32,6 +32,15 @@ def int_to_bits(value: int, width: int) -> str:
     if value < 0 or value >= (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b") if width else ""
+
+
+def check_bits(s: str, width: int, what: str):
+    """Raise unless s is exactly width '0'/'1' characters: LengthMismatch
+    for the wrong width, ValueError for any other character."""
+    if len(s) != width:
+        raise LengthMismatch(f"{what} width {len(s)} != {width}")
+    if s.strip("01"):
+        raise ValueError(f"{what} must be '0'/'1' bits, got {s!r}")
 
 
 def is_zero(s: str) -> bool:

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import qsim
 from .bits import (
+    check_bits,
     dot_bits,
     int_to_bits,
     is_zero,
@@ -137,15 +138,6 @@ def _check_bit(b: str, what: str = "challenge"):
         raise ValueError(f"{what} must be '0' or '1', got {b!r}")
 
 
-def _check_bits(s: str, width: int, what: str):
-    """Raise unless s is exactly width '0'/'1' characters: LengthMismatch
-    for the wrong width, ValueError for any other character."""
-    if len(s) != width:
-        raise LengthMismatch(f"{what} width {len(s)} != {width}")
-    if s.strip("01"):
-        raise ValueError(f"{what} must be '0'/'1' bits, got {s!r}")
-
-
 def _is_bits(s, n: int) -> bool:
     """Whether s is an n-bit string of '0'/'1' characters."""
     return isinstance(s, str) and len(s) == n and not s.strip("01")
@@ -164,7 +156,7 @@ class PublicHandle:
 
     def eval(self, b: str, x: str) -> str:
         _check_bit(b, "branch")
-        _check_bits(x, self.n, "preimage")
+        check_bits(x, self.n, "preimage")
         return self._eval(b, x)
 
     def images(self, b: str):
@@ -194,7 +186,7 @@ class Trapdoor:
 
     def inv(self, b: str, y: str) -> str:
         _check_bit(b, "branch")
-        _check_bits(y, self.n, "image")
+        check_bits(y, self.n, "image")
         pre = int_to_bits(self._inverse(int(y, 2)), self.n)
         return xor_bits(pre, self.s) if b == "1" else pre
 
@@ -333,7 +325,13 @@ class RepeatedPuzzle:
 
     def obligate(self, handles, trapdoors, rng):
         """Sample the k obligations, instance by instance as the base
-        puzzle would, and the stack of their claw states, one row each."""
+        puzzle would, and the stack of their claw states, one row each.
+        Fewer or more than k keys raise LengthMismatch, and a stack over
+        the qubit cap CapacityExceeded, both before the first draw."""
+        if len(handles) != self.k or len(trapdoors) != self.k:
+            raise LengthMismatch(f"{len(handles)} handles and {len(trapdoors)} "
+                                 f"trapdoors for {self.k} instances")
+        qsim.check_claw_stack(self.k, self.n)
         ys, x0s, x1s = zip(*(self.base._claw(h, t, rng)
                              for h, t in zip(handles, trapdoors)))
         return ys, qsim.prepare_claw_state(x0s, x1s)
@@ -346,7 +344,7 @@ class RepeatedPuzzle:
         from rng in per-instance order: bit, then preimage, row by row.
         The 2k draws are taken up front.
         """
-        _check_bits(challenge, self.k, "challenge")
+        check_bits(challenge, self.k, "challenge")
         regs = (("bit", 1), ("preimage", self.n))
         if (not isinstance(state, qsim.StateVector) or state.regs != regs
                 or state.amps.shape[:-1] != (self.k,)):
@@ -365,7 +363,7 @@ class RepeatedPuzzle:
     def verify(self, trapdoors, ys, challenge: str, answers) -> bool:
         """AND of the base verdicts; the wrong number of obligations or
         answers rejects, a malformed challenge raises."""
-        _check_bits(challenge, self.k, "challenge")
+        check_bits(challenge, self.k, "challenge")
         if len(ys) != self.k or len(answers) != self.k:
             return False
         return all(

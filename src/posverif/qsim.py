@@ -9,8 +9,8 @@ the tests and the claw_states demo call. There is no general gate set.
 The dense engine runs the protocol's claw-state stacks and serves as the
 reference. The two-solver game plays on ClawState, a claw state in closed
 form: apply_hadamard and measure hand it to its own methods, which draw
-what the dense engine would, and ClawState.dense() gives the equivalent
-StateVector for the tests and the claw_states demo.
+exactly what the dense engine would, and ClawState.dense() gives the
+equivalent StateVector for the tests and the claw_states demo.
 
 Basis convention: concatenate the register bitstrings in declaration order,
 most significant bit first; a basis index is that string read as binary.
@@ -24,10 +24,15 @@ The Hadamard, Born-rule, measurement, basis-permutation (the Bell CNOT
 layer is one) and tensor kernels act on every row of a stack in one numpy
 pass, and a single state is their batch-free case, with no row axis.
 
-Amplitudes are float64, and StateVector rejects any other dtype. The
-basis, claw and EPR states start real; Hadamard, basis permutations
-and standard-basis projection map real states to real states; and the
-teleport corrections are classical bits XORed into outcomes, not gates.
+Amplitudes are int64 and unnormalized: every state the engine builds is
+integers times a power of 1/sqrt(2), a positive factor left implicit, so
+a Hadamard is a + b, a - b and a projection only selects its slice. A
+row's Born weights are exact integer sums of squares, and a probability
+is a weight over the row's total weight, which _reduced keeps below 2^62.
+A Hadamard layer divides out the power of two common to its amplitudes,
+so H applied twice to a register gives back the amplitudes of any state
+that a layer or the checked constructor made. The teleport corrections
+are classical bits XORed into outcomes, not gates.
 
 The teleport attack does not run the Bell circuit: by the teleportation
 identity its keys are fair coins, and the remote outcome in basis b is
@@ -37,22 +42,20 @@ dense reference the tests check that identity against, as
 puzzle.run_obligate_circuit is for puzzle obligate.
 """
 
-import math
-
 import numpy as np
 
-from .bits import int_to_bits
+from .bits import check_bits, int_to_bits
 from .errors import (
     CapacityExceeded,
     DuplicateRegister,
     LengthMismatch,
     RegisterViolation,
     UnknownRegister,
+    check_int,
 )
 
 Q_MAX = 24
-TOL = 1e-12
-_INV_SQRT2 = 2.0**-0.5
+_AMP_LIMIT = 1 << (62 - Q_MAX) // 2
 
 class StateVector:
     """Pure state, or stack of pure states, over an ordered tuple of named
@@ -61,16 +64,14 @@ class StateVector:
     __slots__ = ("amps", "regs", "q")
 
     def __init__(self, regs, amps, check: bool = True):
+        if amps.dtype != np.int64:
+            raise ValueError(f"amplitudes must be int64, got {amps.dtype}")
         self.regs = tuple(regs)
-        self.amps = amps
+        self.amps = _reduced(amps) if check else amps
         self.q = sum(w for _, w in self.regs)
-        if amps.dtype != np.float64:
-            raise ValueError(f"amplitudes must be float64, got {amps.dtype}")
-        if check:
-            norms = np.einsum("...i,...i->...", amps, amps)
-            for row, norm in enumerate(np.atleast_1d(norms)):
-                if abs(norm - 1.0) > 1e-9:
-                    raise ValueError(f"state norm {norm} of row {row} is not 1")
+        dead = np.flatnonzero(~amps.any(axis=-1)) if check else ()
+        if len(dead):
+            raise ValueError(f"row {dead[0]} has zero weight")
 
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.regs)
@@ -90,51 +91,74 @@ def _check_regs(regs) -> int:
     for name, w in regs:
         if not isinstance(name, str) or not name:
             raise ValueError(f"register name must be a nonempty string, got {name!r}")
-        if w < 1:
-            raise ValueError(f"register {name!r} must have width >= 1, got {w}")
+        total += check_int(w, f"register {name!r} width", 1)
         if name in seen:
             raise DuplicateRegister(f"register {name!r} declared twice")
         seen.add(name)
-        total += w
     if total > Q_MAX:
         raise CapacityExceeded(f"{total} qubits exceeds the {Q_MAX}-qubit cap")
     return total
+
+
+def _reduced(amps: np.ndarray) -> np.ndarray:
+    """amps divided by the largest power of two that divides all of them,
+    an exact rescale that no weight ratio sees. The one overflow guard, run
+    by the checked constructor and by Hadamard and tensor, the only
+    operations that grow an amplitude: a magnitude that still reaches 2^19
+    raises CapacityExceeded, so a row's weight, at most 2^Q_MAX squares,
+    stays below 2^62. The OR of the magnitudes is as long as the largest,
+    with as many trailing zeros as the power of two common to all."""
+    bits = int(np.bitwise_or.reduce(np.abs(amps), axis=None))
+    shift = (bits & -bits).bit_length() - 1 if bits else 0
+    if not 0 <= bits >> shift < _AMP_LIMIT:  # below 0: np.abs wrapped at -2^63
+        raise CapacityExceeded(f"an amplitude reaches {_AMP_LIMIT}, past the int64 weight bound")
+    return amps >> shift if shift else amps
 
 
 def new_state(registers) -> StateVector:
     """All-zeros basis state over the given (name, width) registers."""
     regs = tuple(registers)
     total = _check_regs(regs)
-    amps = np.zeros(1 << total, dtype=np.float64)
-    amps[0] = 1.0
+    amps = np.zeros(1 << total, dtype=np.int64)
+    amps[0] = 1
     return StateVector(regs, amps, check=False)
 
 
+def check_claw_stack(rows: int, n: int) -> tuple:
+    """The registers bit(1), preimage(n) of a stack of rows claw states;
+    rows and n must be ints >= 1 (ConfigInvalid otherwise). The stack counts
+    toward the qubit cap as a whole: rows * 2^(n+1) amplitudes above
+    2^Q_MAX raise CapacityExceeded."""
+    check_int(rows, "claw stack rows", 1)
+    check_int(n, "register 'preimage' width", 1)
+    if rows << (n + 1) > 1 << Q_MAX:
+        raise CapacityExceeded(f"{rows} rows of {n + 1} qubits exceed the {Q_MAX}-qubit cap")
+    return ("bit", 1), ("preimage", n)
+
+
 def prepare_claw_state(x0, x1) -> StateVector:
-    """(|0,x0> + |1,x1>)/sqrt(2) over registers bit(1), preimage(n).
+    """|0,x0> + |1,x1> over registers bit(1), preimage(n).
 
     Given two equal-length sequences of preimages instead of two strings,
-    returns the stack of claw states, one row per (x0, x1) pair. A stack
-    counts toward the qubit cap as a whole: rows * 2^(n+1) amplitudes
-    above 2^Q_MAX raise CapacityExceeded before anything is allocated.
+    returns the stack of claw states, one row per (x0, x1) pair, after
+    check_claw_stack. Each preimage must be n '0'/'1' characters.
     """
     stacked = not isinstance(x0, str)
     x0s, x1s = (x0, x1) if stacked else ((x0,), (x1,))
     if len(x0s) != len(x1s):
         raise LengthMismatch(f"{len(x0s)} x0 preimages but {len(x1s)} x1 preimages")
-    n = len(x0s[0])
-    regs = (("bit", 1), ("preimage", n))
-    _check_regs(regs)
+    n = len(x0s[0]) if x0s else 0
+    regs = check_claw_stack(len(x0s), n)
     size = 2 << n
-    if len(x0s) * size > 1 << Q_MAX:
-        raise CapacityExceeded(
-            f"{len(x0s)} rows of {n + 1} qubits exceed the {Q_MAX}-qubit cap")
-    amps = np.zeros(len(x0s) * size, dtype=np.float64)
+    amps = np.zeros(len(x0s) * size, dtype=np.int64)
     for start, a, b in zip(range(0, amps.size, size), x0s, x1s):
-        if len(a) != n or len(b) != n:
-            raise LengthMismatch(f"preimage lengths {len(a)} and {len(b)} differ from {n}")
-        amps[start + int(a, 2)] = amps[start + (1 << n) + int(b, 2)] = _INV_SQRT2
+        amps[start + _preimage(a, n)] = amps[start + (1 << n) + _preimage(b, n)] = 1
     return StateVector(regs, amps.reshape(len(x0s), size) if stacked else amps, check=False)
+
+
+def _preimage(x: str, n: int) -> int:
+    check_bits(x, n, "preimage")
+    return int(x, 2)
 
 
 def _spans(state: StateVector, register: str) -> tuple[int, int, int]:
@@ -153,23 +177,20 @@ def _h_qubit(amps: np.ndarray, q: int, pos: int, out: np.ndarray) -> np.ndarray:
     dst = out.reshape(cube.shape)
     np.add(cube[:, 0], cube[:, 1], out=dst[:, 0])
     np.subtract(cube[:, 0], cube[:, 1], out=dst[:, 1])
-    dst *= _INV_SQRT2
     return out
 
 
 def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
-    """Hadamard on every qubit of the register.
+    """Hadamard on every qubit of the register, as one layer, _reduced.
 
     On a stack, rows (a list of row indices) limits it to those rows;
     None means every row. A ClawState applies it in closed form.
     """
+    if rows is not None and (isinstance(state, ClawState) or state.amps.ndim == 1):
+        raise ValueError("rows select rows of a stack; this is a single state")
     if isinstance(state, ClawState):
-        if rows is not None:
-            raise ValueError("rows select rows of a stack; this is a single state")
         return state.apply_hadamard(register)
     off, w, _ = _spans(state, register)
-    if rows is not None and state.amps.ndim == 1:
-        raise ValueError("rows select rows of a stack; this is a single state")
     if rows is not None and len(rows) == len(state.amps):
         rows = None
     part = state.amps if rows is None else state.amps[rows]
@@ -178,6 +199,7 @@ def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
         out = np.empty_like(part) if spare is None else spare
         spare = part if j or rows is not None else None
         part = _h_qubit(part, state.q, off + j, out)
+    part = _reduced(part)
     if rows is None:
         return StateVector(state.regs, part, check=False)
     amps = state.amps.copy()
@@ -187,8 +209,7 @@ def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
 
 def _born(state: StateVector, register: str):
     """The amplitudes as a (row, before, register, after) cube, the
-    register's Born probabilities per row and its width; a single state
-    is one row."""
+    register's Born weights per row and its width; a single state is one row."""
     off, w, post = _spans(state, register)
     cube = state.amps.reshape(-1, 1 << off, 1 << w, 1 << post)
     return cube, np.einsum("biok,biok->bo", cube, cube), w
@@ -200,89 +221,77 @@ def _per_row(state: StateVector, values: tuple):
 
 
 def _project(state: StateVector, register: str, cube: np.ndarray,
-             outcomes: list[int], probs: list[float]) -> StateVector:
-    """Each row renormalized onto its outcome, of Born probability probs
-    in that row, with the register dropped."""
-    rows = len(outcomes)
+             outcomes: list[int]) -> StateVector:
+    """Each row's slice at its outcome, with the register dropped."""
     o = outcomes[0]
-    if outcomes.count(o) == rows:
-        picked = cube[:, :, o, :]
-    else:
-        picked = cube[np.arange(rows), :, outcomes, :]
-    if rows == 1:
-        scale = 1.0 / math.sqrt(probs[0])
-    else:
-        scale = (1.0 / np.sqrt(probs)).reshape(rows, 1, 1)
-    residual = picked * scale
+    picked = (cube[:, :, o] if outcomes.count(o) == len(outcomes)
+              else cube[np.arange(len(outcomes)), :, outcomes])
     regs = tuple(r for r in state.regs if r[0] != register)
-    return StateVector(regs, residual.reshape(state.amps.shape[:-1] + (-1,)),
-                       check=False)
+    return StateVector(regs, picked.reshape(state.amps.shape[:-1] + (-1,)), check=False)
+
+
+def _uniform(rng) -> float:
+    u = rng.random()
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform {u!r} lies outside [0, 1)")
+    return u
 
 
 def measurement_distribution(state: StateVector, register: str):
-    """Exact Born probabilities of standard-basis outcomes on the register,
-    as a dict (one per row for a stack).
-
-    Outcomes with probability <= 1e-12 are omitted, so the keys are the
-    support of the distribution.
-    """
-    _, probs, w = _born(state, register)
+    """Born probabilities of standard-basis outcomes on the register, each
+    weight over the row's total as a float, in a dict (one per row for a
+    stack) whose keys are the support: outcomes of weight zero are omitted."""
+    _, weights, w = _born(state, register)
     return _per_row(state, tuple(
-        {int_to_bits(o, w): float(p) for o, p in enumerate(row) if p > TOL}
-        for row in probs))
+        {int_to_bits(o, w): p / total for o, p in enumerate(row) if p}
+        for row, total in zip(weights.tolist(), weights.sum(axis=1).tolist())))
 
 
 def measure(state: StateVector, register: str, rng):
     """Standard-basis measurement of a whole register.
 
-    Draws one uniform real from rng per row, in row order, and walks that
-    row's outcome CDF in index order, so a seed fully determines the
-    outcomes: the first outcome whose CDF exceeds the uniform, or the last
-    outcome of nonzero probability if the uniform lies at or past the end
-    of the CDF or the outcome found has probability zero. The measured
-    register is dropped from the residual state. Returns (outcome,
-    residual), the outcome a bitstring; on a stack, one outcome per row.
-    A ClawState measures in closed form, with the same draw.
+    Draws one uniform u = num/den in [0, 1) from rng per row, in row order
+    (any other u raises ValueError), and picks the first outcome in index
+    order whose cumulative weight exceeds u * W, W the row's total weight:
+    in integers, the first above num * W // den, so every u lands on an
+    outcome of nonzero weight. The register is dropped from the residual.
+    Returns (outcome, residual), the outcome a bitstring; on a stack, one
+    outcome per row. A ClawState measures in closed form, with the same draw.
     """
     if isinstance(state, ClawState):
         return state.measure(register, rng)
-    cube, probs, w = _born(state, register)
-    outcomes, ps = [], []
-    for row, cdf in zip(probs, probs.cumsum(axis=1)):
-        o = int(cdf.searchsorted(rng.random(), "right"))
-        if o >= len(row) or row[o] <= 0.0:
-            o = int(np.nonzero(row > 0.0)[0][-1])
-        outcomes.append(o)
-        ps.append(float(row[o]))
+    cube, weights, w = _born(state, register)
+    outcomes = []
+    for cdf in weights.cumsum(axis=1):
+        num, den = _uniform(rng).as_integer_ratio()
+        outcomes.append(int(cdf.searchsorted(num * int(cdf[-1]) // den, "right")))
     return (_per_row(state, tuple(int_to_bits(o, w) for o in outcomes)),
-            _project(state, register, cube, outcomes, ps))
+            _project(state, register, cube, outcomes))
 
 
 def collapse(state: StateVector, register: str, outcome: str):
     """Deterministic projection onto one outcome; test-oracle plumbing.
 
-    Returns the Born probability (one per row for a stack) and the
-    renormalized residual state. Raises ValueError if the outcome has
-    (numerically) zero weight in some row.
+    Returns the Born probability (one per row for a stack) and the residual
+    state. Raises ValueError if the outcome has zero weight in some row.
     """
-    cube, probs, w = _born(state, register)
+    cube, weights, w = _born(state, register)
     if len(outcome) != w:
         raise LengthMismatch(f"outcome width {len(outcome)} != register width {w}")
     o = int(outcome, 2)
-    if np.any(probs[:, o] <= TOL):
+    if not weights[:, o].all():
         raise ValueError(f"outcome {outcome} has zero probability")
-    ps = [float(row[o]) for row in probs]
-    return _per_row(state, tuple(ps)), _project(state, register, cube, [o] * len(ps), ps)
+    ps = [row[o] / sum(row) for row in weights.tolist()]
+    return _per_row(state, tuple(ps)), _project(state, register, cube, [o] * len(ps))
 
 
 def make_epr_pairs(count: int) -> StateVector:
     """count EPR pairs: registers R and S, pair i = qubit i of R with qubit i of S."""
     regs = (("R", count), ("S", count))
     _check_regs(regs)
-    amps = np.zeros(1 << (2 * count), dtype=np.float64)
-    scale = 2.0 ** (-count / 2)
-    for r in range(1 << count):
-        amps[(r << count) | r] = scale
+    amps = np.zeros(1 << (2 * count), dtype=np.int64)
+    r = np.arange(1 << count)
+    amps[(r << count) | r] = 1
     return StateVector(regs, amps, check=False)
 
 
@@ -330,7 +339,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """
     regs = a.regs + b.regs
     _check_regs(regs)
-    joint = a.amps[..., :, None] * b.amps[..., None, :]
+    joint = _reduced(a.amps[..., :, None] * b.amps[..., None, :])
     return StateVector(regs, joint.reshape(joint.shape[:-2] + (-1,)), check=False)
 
 
@@ -340,14 +349,10 @@ def split_register(state: StateVector, register: str, parts) -> StateVector:
     w = state.width(register)
     if sum(pw for _, pw in parts) != w:
         raise LengthMismatch(f"parts must cover exactly {w} qubits")
-    regs = []
-    for name, rw in state.regs:
-        if name == register:
-            regs.extend(parts)
-        else:
-            regs.append((name, rw))
+    at = state.names().index(register)
+    regs = state.regs[:at] + parts + state.regs[at + 1:]
     _check_regs(regs)
-    return StateVector(tuple(regs), state.amps, check=False)
+    return StateVector(regs, state.amps, check=False)
 
 
 def merge_registers(state: StateVector, names, new_name: str) -> StateVector:
@@ -359,14 +364,10 @@ def merge_registers(state: StateVector, names, new_name: str) -> StateVector:
             break
     else:
         raise UnknownRegister(f"registers {names} are not consecutive in {current}")
-    merged_width = sum(state.width(n) for n in names)
-    regs = (
-        list(state.regs[:start])
-        + [(new_name, merged_width)]
-        + list(state.regs[start + len(names) :])
-    )
+    merged = (new_name, sum(state.width(n) for n in names))
+    regs = state.regs[:start] + (merged,) + state.regs[start + len(names):]
     _check_regs(regs)
-    return StateVector(tuple(regs), state.amps, check=False)
+    return StateVector(regs, state.amps, check=False)
 
 
 def permute_basis(state: StateVector, new_index_of_old: np.ndarray) -> StateVector:
@@ -377,17 +378,17 @@ def permute_basis(state: StateVector, new_index_of_old: np.ndarray) -> StateVect
 
 
 class ClawState:
-    """Claw state in closed form: H_R(|u0> + (-1)^phase |u1>)/sqrt(2), with
-    R (frame) the set of registers in the Hadamard frame and u0, u1 basis
+    """Claw state in closed form: H_R(|u0> + (-1)^phase |u1>), with R
+    (frame) the set of registers in the Hadamard frame and u0, u1 basis
     indices over regs. u1 equals u0 once a measurement has split the two
     branches, and the state is then H_R|u0>.
 
-    prepare builds (|0,x0> + |1,x1>)/sqrt(2) over bit(1), preimage(n), as
-    prepare_claw_state does densely. apply_hadamard and measure are
-    reached through the module functions of the same names. A
-    measurement draws one uniform u, and its outcome is the one the dense
-    CDF walk picks for that u (up to uniforms within a few ulps of a CDF
-    boundary, where the dense sums are not exact):
+    prepare builds |0,x0> + |1,x1> over bit(1), preimage(n), as
+    prepare_claw_state does densely, and raises the errors it raises.
+    apply_hadamard and measure are reached through the module functions
+    of the same names. A measurement draws one uniform u, and its outcome
+    is the one the dense engine picks for that u, on every u in [0, 1),
+    since the dense weights of a claw state are exactly equal:
     - a register outside R gives its bits in u0 or u1; if they differ,
       each has probability 1/2, the lower index wins iff u < 1/2, and
       that branch is kept;
@@ -411,16 +412,10 @@ class ClawState:
 
     @classmethod
     def prepare(cls, x0: str, x1: str) -> "ClawState":
-        if len(x0) != len(x1):
-            raise LengthMismatch(f"preimage lengths {len(x0)} and {len(x1)} differ")
         n = len(x0)
-        return cls((("bit", 1), ("preimage", n)), int(x0, 2), (1 << n) | int(x1, 2))
+        return cls(check_claw_stack(1, n), _preimage(x0, n), (1 << n) | _preimage(x1, n))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.regs)
-
-    def width(self, register: str) -> int:
-        return _spans(self, register)[1]
+    names, width = StateVector.names, StateVector.width
 
     def apply_hadamard(self, register: str) -> "ClawState":
         self.width(register)  # raises UnknownRegister
@@ -429,7 +424,7 @@ class ClawState:
 
     def measure(self, register: str, rng) -> tuple[str, "ClawState"]:
         _, w, post = _spans(self, register)
-        u = rng.random()
+        u = _uniform(rng)
         mask, low = (1 << w) - 1, (1 << post) - 1
         a0, a1 = (self.u0 >> post) & mask, (self.u1 >> post) & mask
         r0 = (self.u0 >> (post + w) << post) | (self.u0 & low)
@@ -455,12 +450,10 @@ class ClawState:
 
     def dense(self) -> StateVector:
         """The equivalent StateVector."""
-        amps = np.zeros(1 << self.q, dtype=np.float64)
-        if self.u0 == self.u1:
-            amps[self.u0] = 1.0
-        else:
-            amps[self.u0] = _INV_SQRT2
-            amps[self.u1] = -_INV_SQRT2 if self.phase else _INV_SQRT2
+        amps = np.zeros(1 << self.q, dtype=np.int64)
+        amps[self.u0] = 1
+        if self.u1 != self.u0:
+            amps[self.u1] = -1 if self.phase else 1
         state = StateVector(self.regs, amps, check=False)
         for name in self.names():
             if name in self.frame:

@@ -17,7 +17,8 @@ tolerance, so `pytest tests/test_acceptance.py -v` reads as a checklist:
 
 Statistical checks use Wilson 95 percent intervals at trial counts chosen
 so the suite stays deterministic for ACCEPT_SEED; exact checks use
-Fraction equality or a 1e-12 amplitude tolerance. c01, c03, c04, c05
+Fraction equality, or compare Born probabilities, each an exact integer
+weight ratio rounded once to a float, at 1e-12. c01, c03, c04, c05
 and c09 spread their estimates over every core, which leaves their
 counts unchanged; everything else runs on a single core. The two
 heavyweight tests assert their own wall-time budget.

@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from posverif import puzzle, qsim, stats
 from posverif.bits import dot_bits, int_to_bits, is_zero, xor_bits
-from posverif.errors import ConfigInvalid, LengthMismatch, MalformedMessage, WrongStateShape
+from posverif.errors import (
+    CapacityExceeded,
+    ConfigInvalid,
+    LengthMismatch,
+    MalformedMessage,
+    WrongStateShape,
+)
 from posverif.rng import Rng, mix64
 
 
@@ -398,6 +404,24 @@ class TestRepetition:
         # the number of obligations and answers is the prover's to get wrong
         assert not rp.verify(td, ys[:2], "011", answers)
         assert not rp.verify(td, ys, "011", answers + answers[:1])
+
+    def test_obligate_needs_k_keys(self):
+        rp = puzzle.RepeatedPuzzle(4, 2)
+        handles, tds = puzzle.RepeatedPuzzle(4, 3).keygen(Rng(4))
+        for keys in ((handles, tds), (handles[:2], tds), (handles[:1], tds[:1])):
+            with pytest.raises(LengthMismatch):
+                rp.obligate(*keys, Rng(5))
+
+    def test_stack_cap_checked_before_the_first_draw(self):
+        """k = 2049 claw states of 13 qubits are one row more than a
+        2^24-amplitude stack holds: obligate raises before it draws."""
+        small = puzzle.RepeatedPuzzle(12, 1)
+        handles, tds = small.keygen(Rng(6))
+        rp = puzzle.RepeatedPuzzle(12, 2049)
+        rng, twin = Rng(7), Rng(7)
+        with pytest.raises(CapacityExceeded, match="2049 rows of 13 qubits"):
+            rp.obligate(handles * 2049, tds * 2049, rng)
+        assert rng.next_u64() == twin.next_u64()
 
     def test_parallel_completeness(self):
         """Fresh challenge bits: honest rate (1 - 2^-(n+1))^k within 4 sigma."""

@@ -7,11 +7,13 @@ and Pauli keys must match exactly, and the rng must stand at the same
 place afterwards. Stacked obligation states match byte for byte. The
 teleport attack draws its keys as the dense per-instance Bell circuit
 does, and its right device's raw outcomes are the per-instance honest
-answers XOR k_b, which u3 and u4 both undo.
-The measurement fallback and the per-row norm check are pinned in both
-the single and the stacked form.
+answers XOR k_b, which u3 and u4 both undo, and its "1 iff u >= 1/2" key
+rule is the dense teleport's at u = 1/2 and just below. Rows of a stack
+draw at their CDF boundaries as single states do, and the zero-weight
+check names its row.
 """
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -163,56 +165,51 @@ def test_teleport_stack_matches_single_rows():
             single = qsim.StateVector(stack.regs, stack.amps[row], check=False)
             keys = qsim.teleport(single, "src", "R", Uniforms(u[row::2]))
             assert (k0[row], k1[row]) == keys[:2]
-            np.testing.assert_allclose(rest.amps[row], keys[2].amps, atol=1e-12)
+            assert rest.amps[row].tobytes() == keys[2].amps.tobytes()
         assert rest.regs == (("S", 3),)
 
 
-class _Fixed:
-    """An rng stand-in that always draws the same uniform."""
+@pytest.mark.parametrize("source", ["0", "1", "plus"])
+def test_teleport_key_rule_matches_dense_teleport_at_one_half(source):
+    """Each Bell outcome of a qubit has weight exactly 1/4, so the dense
+    teleport's key bits are 1 iff their uniform is >= 1/2, as
+    _teleport_keys draws them, at 1/2 and at the float just below."""
+    below = math.nextafter(0.5, 0)
+    psi = qsim.new_state([("src", 1)])
+    if source == "plus":
+        psi = qsim.apply_hadamard(psi, "src")
+    elif source == "1":
+        psi = qsim.permute_basis(psi, np.array([1, 0]))
+    joint = qsim.tensor(psi, qsim.make_epr_pairs(1))
+    for draws in ((0.5, 0.5), (below, below), (0.5, below), (below, 0.5)):
+        k0, k1, _ = qsim.teleport(joint, "src", "R", Uniforms(draws))
+        assert (k0, k1) == _teleport_keys(1, 1, Uniforms(draws))
+        assert k1 == str(int(draws[0] >= 0.5)) and k0 == str(int(draws[1] >= 0.5))
 
-    def __init__(self, u: float):
-        self.u = u
 
-    def random(self) -> float:
-        return self.u
-
-
-# probabilities 0.36 and 0.64 - 1e-8 on outcomes 00 and 01, none on 10, 11:
-# the CDF ends just below 1
-SHORT = np.array([0.6, (0.64 - 1e-8) ** 0.5, 0.0, 0.0], dtype=np.float64)
-# no probability on outcome 00, so a uniform below the first CDF step
-# lands on a zero-probability outcome
-LEADING_ZERO = np.array([0.0, 0.6, 0.8, 0.0], dtype=np.float64)
-PLAIN = np.array([0.6, 0.8, 0.0, 0.0], dtype=np.float64)
+# weights 9 and 16 on outcomes 00 and 01; 0, 9, 16, 0; and 1 on each outcome
+PLAIN = np.array([3, 4, 0, 0])
+LEADING_ZERO = np.array([0, 3, 4, 0])
+FLAT = np.array([1, -1, 1, 1])
 TOP = 1.0 - 2.0**-53  # the largest uniform Rng.random can return
 
 
-class TestMeasureFallback:
-    """Outcomes past the CDF, or with zero probability, fall back to the
-    last outcome of nonzero probability."""
+class TestStackedDraws:
+    def test_rows_draw_independently_at_boundaries(self):
+        rows = (PLAIN, LEADING_ZERO, FLAT)
+        stack = qsim.StateVector((("r", 2),), np.stack(rows))
+        for u in ([TOP, 0.0, 0.5], [0.0, TOP, math.nextafter(0.5, 0)],
+                  [9 / 25, math.nextafter(9 / 25, 1), 0.75]):
+            outcomes, _ = qsim.measure(stack, "r", Uniforms(u))
+            assert outcomes == tuple(
+                qsim.measure(qsim.StateVector((("r", 2),), amps), "r", Uniforms([v]))[0]
+                for amps, v in zip(rows, u))
+        assert qsim.measure(stack, "r", Uniforms([TOP, 0.0, 0.5]))[0] == ("01", "01", "10")
 
-    def test_uniform_past_a_short_cdf_single(self):
-        state = qsim.StateVector((("r", 2),), SHORT, check=False)
-        outcome, residual = qsim.measure(state, "r", _Fixed(TOP))
-        assert outcome == "01"
-        assert residual.amps == pytest.approx([1.0])
-        assert residual.regs == ()
-
-    def test_uniform_on_zero_probability_outcome_single(self):
-        state = qsim.StateVector((("r", 2),), LEADING_ZERO)
-        outcome, residual = qsim.measure(state, "r", _Fixed(-0.25))
-        assert outcome == "10"
-        assert residual.amps == pytest.approx([1.0])
-
-    def test_stacked_rows_fall_back_independently(self):
-        stack = qsim.StateVector((("r", 2),), np.stack([PLAIN, SHORT, LEADING_ZERO]),
-                                 check=False)
-        outcomes, _ = qsim.measure(stack, "r", Uniforms([0.5, TOP, -0.25]))
-        assert outcomes == ("01", "01", "10")
-        singles = [qsim.measure(qsim.StateVector((("r", 2),), amps, check=False),
-                                "r", _Fixed(u))[0]
-                   for amps, u in ((PLAIN, 0.5), (SHORT, TOP), (LEADING_ZERO, -0.25))]
-        assert list(outcomes) == singles
+    def test_a_row_uniform_outside_the_unit_interval_raises(self):
+        stack = qsim.StateVector((("r", 2),), np.stack([PLAIN, LEADING_ZERO]))
+        with pytest.raises(ValueError, match="outside"):
+            qsim.measure(stack, "r", Uniforms([0.5, -0.25]))
 
 
 class TestStackedStates:
@@ -220,7 +217,7 @@ class TestStackedStates:
         good = np.stack([PLAIN, LEADING_ZERO])
         qsim.StateVector((("r", 2),), good)
         with pytest.raises(ValueError, match="row 1"):
-            qsim.StateVector((("r", 2),), np.stack([PLAIN, SHORT, LEADING_ZERO]))
+            qsim.StateVector((("r", 2),), np.stack([PLAIN, 0 * PLAIN, LEADING_ZERO]))
 
     def test_rows_need_a_stack(self):
         with pytest.raises(ValueError):
