@@ -12,7 +12,7 @@ MalformedMessage for bytes that do not decode.
 
 import struct
 
-from .errors import LengthMismatch, MalformedMessage
+from .errors import ConfigInvalid, LengthMismatch, MalformedMessage
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -34,13 +34,17 @@ def int_to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b") if width else ""
 
 
-def check_bits(s: str, width: int, what: str):
-    """Raise unless s is exactly width '0'/'1' characters: LengthMismatch
-    for the wrong width, ValueError for any other character."""
-    if len(s) != width:
+def check_bits(s: str, width: int | None, what: str) -> int:
+    """Return len(s) if s is a str of width '0'/'1' characters (width
+    None: any number), else raise: LengthMismatch for the wrong width,
+    ConfigInvalid for anything but a str or a character other than '0'/'1'."""
+    if not isinstance(s, str):
+        raise ConfigInvalid(f"{what} must be a str of '0'/'1' bits, got {s!r}")
+    if width is not None and len(s) != width:
         raise LengthMismatch(f"{what} width {len(s)} != {width}")
     if s.strip("01"):
-        raise ValueError(f"{what} must be '0'/'1' bits, got {s!r}")
+        raise ConfigInvalid(f"{what} must be '0'/'1' bits, got {s!r}")
+    return len(s)
 
 
 def is_zero(s: str) -> bool:

@@ -12,7 +12,8 @@ a tuple of k handles and a tuple of k trapdoors, in instance order.
 RepeatedPuzzle.solve is the one honest solver; RepeatedPuzzle(n, 1)
 solves a single instance. BasePuzzle.obligate, which only the two-solver
 game calls, gives its claw state in closed form (qsim.ClawState);
-RepeatedPuzzle.obligate gives the protocol's dense stack.
+RepeatedPuzzle.obligate gives the protocol's dense stack. numpy loads
+with the first dense state (see qsim), so the game never loads it.
 
 Hardness is modeled by capability scoping, not computation: a PublicHandle
 exposes eval through a closure and no read of s, but an exhaustive
@@ -29,8 +30,6 @@ a challenge of a k-fold puzzle is a k-bit string.
 import struct
 from dataclasses import dataclass
 from itertools import chain
-
-import numpy as np
 
 from . import qsim
 from .bits import (
@@ -279,6 +278,8 @@ def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
     register. Needs only the public evaluator. Used to cross-check the
     obligate shortcut; n is limited by the 24-qubit cap (2n+1 qubits).
     """
+    import numpy as np
+
     n = handle.n
     state = qsim.new_state([("bit", 1), ("preimage", n), ("image", n)])
     state = qsim.apply_hadamard(state, "bit")

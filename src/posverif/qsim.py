@@ -40,9 +40,13 @@ the honest outcome XOR k_b, so it samples at measurement level through
 the honest solver. make_epr_pairs, bell_circuit and teleport are the
 dense reference the tests check that identity against, as
 puzzle.run_obligate_circuit is for puzzle obligate.
+
+numpy loads on the first call that builds or reads a dense state, not at
+import: ClawState and everything the two-solver game calls run without it,
+so neither `import posverif` nor a game round loads it.
 """
 
-import numpy as np
+from __future__ import annotations
 
 from .bits import check_bits, int_to_bits
 from .errors import (
@@ -56,6 +60,21 @@ from .errors import (
 
 Q_MAX = 24
 _AMP_LIMIT = 1 << (62 - Q_MAX) // 2
+
+
+class _LazyNumpy:
+    """Stands in for numpy until an attribute is first read: that read
+    imports numpy and rebinds this module's np to it, so later calls pay
+    nothing."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+        return getattr(np, name)
+
+
+np = _LazyNumpy()
+
 
 class StateVector:
     """Pure state, or stack of pure states, over an ordered tuple of named
@@ -139,15 +158,16 @@ def check_claw_stack(rows: int, n: int) -> tuple:
 def prepare_claw_state(x0, x1) -> StateVector:
     """|0,x0> + |1,x1> over registers bit(1), preimage(n).
 
-    Given two equal-length sequences of preimages instead of two strings,
-    returns the stack of claw states, one row per (x0, x1) pair, after
-    check_claw_stack. Each preimage must be n '0'/'1' characters.
+    Given two equal-length tuples or lists of preimages instead of two
+    strings, returns the stack of claw states, one row per (x0, x1) pair,
+    after check_claw_stack. Each preimage must be a str of n '0'/'1'
+    characters (bits.check_bits).
     """
-    stacked = not isinstance(x0, str)
+    stacked = isinstance(x0, (tuple, list))
     x0s, x1s = (x0, x1) if stacked else ((x0,), (x1,))
     if len(x0s) != len(x1s):
         raise LengthMismatch(f"{len(x0s)} x0 preimages but {len(x1s)} x1 preimages")
-    n = len(x0s[0]) if x0s else 0
+    n = check_bits(x0s[0], None, "preimage") if x0s else 0
     regs = check_claw_stack(len(x0s), n)
     size = 2 << n
     amps = np.zeros(len(x0s) * size, dtype=np.int64)
@@ -183,16 +203,20 @@ def _h_qubit(amps: np.ndarray, q: int, pos: int, out: np.ndarray) -> np.ndarray:
 def apply_hadamard(state: StateVector, register: str, rows=None) -> StateVector:
     """Hadamard on every qubit of the register, as one layer, _reduced.
 
-    On a stack, rows (a list of row indices) limits it to those rows;
-    None means every row. A ClawState applies it in closed form.
+    On a stack, rows (a list of row indices, each an int naming a row,
+    else ConfigInvalid) limits it to those rows; None means every row.
+    A ClawState applies it in closed form.
     """
     if rows is not None and (isinstance(state, ClawState) or state.amps.ndim == 1):
         raise ValueError("rows select rows of a stack; this is a single state")
     if isinstance(state, ClawState):
         return state.apply_hadamard(register)
     off, w, _ = _spans(state, register)
-    if rows is not None and len(rows) == len(state.amps):
-        rows = None
+    if rows is not None:
+        for row in rows:
+            check_int(row, "stack row", 0, len(state.amps) - 1)
+        if len(set(rows)) == len(state.amps):
+            rows = None
     part = state.amps if rows is None else state.amps[rows]
     spare = None  # a buffer of this call's own that the next qubit may reuse
     for j in range(w):
@@ -412,7 +436,7 @@ class ClawState:
 
     @classmethod
     def prepare(cls, x0: str, x1: str) -> "ClawState":
-        n = len(x0)
+        n = check_bits(x0, None, "preimage")
         return cls(check_claw_stack(1, n), _preimage(x0, n), (1 << n) | _preimage(x1, n))
 
     names, width = StateVector.names, StateVector.width

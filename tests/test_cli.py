@@ -445,6 +445,33 @@ def test_import_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+GAME_ROUNDS = (
+    "from posverif import nonlocal_game as game\n"
+    "from posverif.puzzle import BasePuzzle\n"
+    "from posverif.rng import Rng\n"
+    "puzzle = BasePuzzle(12)\n"
+    "for name in game.STRATEGIES:\n"
+    "    game.play_nonlocal(puzzle, game.make_strategy(name, 12), Rng(1))\n"
+    "    game.play_2of2(puzzle, game.reduce_to_2of2(game.make_strategy(name, 12)), Rng(2))\n")
+
+
+@pytest.mark.parametrize("code, loaded", [
+    ("import posverif, posverif.cli\n", False),
+    (GAME_ROUNDS, False),
+    ("from posverif.cli import main\n"
+     "main(['nonlocal', '--name', 'honest_to_B', '--trials', '5'])\n", False),
+    ("from posverif.protocol import HonestProver, ProtocolConfig, run_prpv\n"
+     "run_prpv(ProtocolConfig(n=4, k=1), 3, prover=HonestProver())\n", True),
+], ids=["import", "game_rounds", "cli_nonlocal", "run_prpv"])
+def test_numpy_loads_only_with_a_dense_state(code, loaded):
+    """The package and the two-solver game, which plays on closed-form
+    claw states, leave numpy unloaded; a protocol run, whose claw states
+    are a dense stack, loads it."""
+    proc = run_python("-c", f"import sys\n{code}print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
 def test_cli_import_binds_every_module_the_benchmark_reads():
     """perfbench imports posverif.cli alone and then reads these modules
     as attributes of the package, so each must be bound by that import."""

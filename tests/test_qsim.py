@@ -178,6 +178,17 @@ class TestConstruction:
         with pytest.raises(error):
             qsim.ClawState.prepare(x0, x1)
 
+    @pytest.mark.parametrize("x0, x1", [
+        ("0x", "01"), ("01", ("01", "10")), (b"01", b"10"), ("01", b"10")],
+        ids=["bad_char", "tuple", "bytes", "bytes_x1"])
+    def test_preimage_not_a_bit_string_is_config_invalid(self, x0, x1):
+        """Both claw constructors raise the typed error, not the
+        AttributeError or TypeError that str methods raise on another type."""
+        with pytest.raises(ConfigInvalid, match="preimage"):
+            qsim.prepare_claw_state(x0, x1)
+        with pytest.raises(ConfigInvalid, match="preimage"):
+            qsim.ClawState.prepare(x0, x1)
+
 
 class TestHadamard:
     def test_matches_matrix_oracle(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posverif.bits import (
+    check_bits,
     decode_parts,
     dot_bits,
     encode_parts,
@@ -15,7 +16,7 @@ from posverif.bits import (
     unpack_bits,
     xor_bits,
 )
-from posverif.errors import MalformedMessage
+from posverif.errors import ConfigInvalid, LengthMismatch, MalformedMessage
 from posverif.rng import Rng, child_seed, mix64
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=80)
@@ -73,6 +74,16 @@ class TestBits:
         assert dot_bits("1010", "0110") == 1
         assert dot_bits("1010", "1010") == 0
         assert is_zero("0000") and not is_zero("0100")
+
+    @pytest.mark.parametrize("s", ["0x", "1 ", "+1", b"01", ("0", "1"), None, 3])
+    def test_check_bits_rejects_other_than_bit_strings(self, s):
+        with pytest.raises(ConfigInvalid):
+            check_bits(s, 2, "y")
+
+    def test_check_bits_width(self):
+        assert check_bits("0110", 4, "y") == check_bits("0110", None, "y") == 4
+        with pytest.raises(LengthMismatch):
+            check_bits("011", 4, "y")
 
     def test_length_checks(self):
         with pytest.raises(ValueError):

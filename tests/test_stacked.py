@@ -22,6 +22,7 @@ import pytest
 from posverif import qsim
 from posverif.adversary import TeleportPair, _teleport_keys
 from posverif.bits import decode_parts, pack_bits, xor_bits
+from posverif.errors import ConfigInvalid
 from posverif.protocol import TrialEnv
 from posverif.puzzle import (
     Equation,
@@ -222,6 +223,21 @@ class TestStackedStates:
     def test_rows_need_a_stack(self):
         with pytest.raises(ValueError):
             qsim.apply_hadamard(qsim.prepare_claw_state("01", "10"), "bit", [0])
+
+    @pytest.mark.parametrize("rows", [[-1], [2], [0.5], [True]])
+    def test_row_outside_the_stack_rejected(self, rows):
+        """A row index is an int naming a row of the stack: -1 does not
+        wrap to the last row, and numpy never sees an index it would
+        reject with IndexError."""
+        claws = qsim.prepare_claw_state(("01", "11"), ("10", "00"))
+        with pytest.raises(ConfigInvalid, match="stack row"):
+            qsim.apply_hadamard(claws, "bit", rows)
+
+    def test_repeated_row_is_transformed_once(self):
+        """[0, 0] on a two-row stack names row 0 alone, not every row."""
+        claws = qsim.prepare_claw_state(("01", "11"), ("10", "00"))
+        once = qsim.apply_hadamard(claws, "bit", [0])
+        assert qsim.apply_hadamard(claws, "bit", [0, 0]).amps.tolist() == once.amps.tolist()
 
     def test_tensor_joins_every_row(self):
         claws = qsim.prepare_claw_state(("01", "11"), ("10", "00"))
