@@ -38,7 +38,6 @@ from .protocol import (
     estimate_acceptance,
     estimate_poq,
     run_prpv,
-    run_roprpv,
 )
 from .puzzle import BasePuzzle
 from .rng import child_seed
@@ -111,19 +110,18 @@ def format_json(rows: list[Row]) -> str:
 
 
 def completeness_rows(args) -> list[Row]:
-    positions = (SWEEP_POSITIONS if args.pos is None
-                 else (_to_position(args.pos, "pos"),))
-    runner = run_roprpv if _to_bool(args.hashed, "hashed") else run_prpv
+    positions = SWEEP_POSITIONS if args.pos is None else (args.pos,)
+    hashed = _to_bool(args.hashed, "hashed")
     rows = []
     for index, position in enumerate(positions):
-        # the config checks n and k before the closed form reads them
+        # the config checks every field before the closed form reads n, k
         config = ProtocolConfig(n=args.n, k=args.k, lam=args.lam,
-                                prover_position=position)
+                                prover_position=position, hashed=hashed)
         est = estimate_acceptance(config, args.trials,
-                                  child_seed(args.seed, index), runner=runner,
+                                  child_seed(args.seed, index),
                                   prover=HonestProver(), workers=args.workers)
-        rows.append(coverage_row(f"completeness@{position}", args.n, args.k,
-                                 est.successes, args.trials,
+        rows.append(coverage_row(f"completeness@{config.prover_position}",
+                                 args.n, args.k, est.successes, args.trials,
                                  honest_completeness(args.n, args.k)))
     return rows
 
@@ -175,13 +173,12 @@ def trace_lines(args) -> str:
     """Event log of one timed run of the honest prover or the named
     attack, one JSON line per event, then one line with its verdict: accept,
     reason, challenge and the four arrival times (null for none)."""
-    position = _to_position(args.pos, "pos")
-    runner = run_roprpv if _to_bool(args.hashed, "hashed") else run_prpv
     config = ProtocolConfig(n=args.n, k=args.k, lam=args.lam,
-                            prover_position=position)
+                            prover_position=args.pos,
+                            hashed=_to_bool(args.hashed, "hashed"))
     actor = ({"prover": HonestProver()} if args.name is None
              else {"adversaries": make_attack(args.name, config)})
-    outcome = runner(config, args.seed, record_trace=True, **actor)
+    outcome = run_prpv(config, args.seed, record_trace=True, **actor)
     verdict = outcome.verdict
     times = {label: None if t is None else coord_str(t)
              for label, t in verdict.timings.items()}
@@ -234,13 +231,6 @@ def _to_bool(value, label: str) -> bool:
     if text in ("0", "false", "no"):
         return False
     raise ConfigInvalid(f"{label} must be a boolean, got {value!r}")
-
-
-def _to_position(value, label: str) -> Fraction:
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError):
-        raise ConfigInvalid(f"{label} must be a rational, got {value!r}") from None
 
 
 def _build_parser():

@@ -12,13 +12,14 @@ cannot.
 Any prover strategy is a set of devices at fixed positions, each mapping
 what it hears to what it sends; a prover is one device, an attack pair two.
 
-The module also provides a hash-challenge variant where the challenge is
-derived from a public random function applied to two verifier nonces,
-and a timing-free interactive protocol reusing the same message flow as
-a test of quantum capability.  Both run the same provers on the same
-seed split: HonestProver and ClassicalProver answer through reply_y and
-reply_ans whether or not a clock is attached, so dropping the timing
-layer from a position prover leaves exactly a proof-of-quantumness prover.
+run_prpv runs either timed variant: ProtocolConfig.hashed picks V1's
+bits as the challenge, or a public random function of the two verifier
+nonces XORed.  The module also provides a timing-free interactive
+protocol reusing the same message flow as a test of quantum capability.
+Both run the same provers on the same seed split: HonestProver and
+ClassicalProver answer through reply_y and reply_ans whether or not a
+clock is attached, so dropping the timing layer from a position prover
+leaves exactly a proof-of-quantumness prover.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ class ProtocolConfig:
     """Parameters of one protocol run.
 
     n is the puzzle width, k the number of parallel instances, lam the
-    nonce width of the hash-challenge variant, and prover_position the
+    nonce width of the hash-challenge variant that hashed selects, and
+    prover_position (any coordinate as_coord reads, such as '3/2') the
     location an honest prover occupies.  Placement must fall inside
     [1, 2): a prover in that window receives the key before the
     challenge and can meet all four response deadlines.  A bad field
@@ -105,11 +107,14 @@ class ProtocolConfig:
     k: int = 1
     lam: int = 16
     prover_position: Fraction = Fraction(3, 2)
+    hashed: bool = False
     puzzle: RepeatedPuzzle = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "puzzle", RepeatedPuzzle(self.n, self.k))
         check_int(self.lam, "lam", 8)
+        if not isinstance(self.hashed, bool):
+            raise ConfigInvalid(f"hashed must be a bool, got {self.hashed!r}")
         object.__setattr__(self, "prover_position", as_coord(self.prover_position))
         if not Fraction(1) <= self.prover_position < Fraction(2):
             raise ConfigInvalid(
@@ -445,7 +450,7 @@ def _setup(config: ProtocolConfig, seed: int, hashed: bool):
 
 def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
                record_trace: bool, hashed: bool) -> PRPVOutcome:
-    """Common driver for the plain and hash-challenge protocols."""
+    """One timed run, plain or hash-challenge as hashed says."""
     if (prover is None) == (adversaries is None):
         raise ConfigInvalid("supply exactly one of prover or adversaries")
 
@@ -480,24 +485,25 @@ def _run_timed(config: ProtocolConfig, seed: int, prover, adversaries,
 
 def run_prpv(config: ProtocolConfig, seed: int, *, prover=None,
              adversaries=None, record_trace: bool = False) -> PRPVOutcome:
-    """One run of the timed protocol with a uniform k-bit challenge.
+    """One run of the timed protocol, in the variant config.hashed names.
 
+    Plain: V1 broadcasts a uniform k-bit challenge.  Hashed: both
+    verifiers broadcast lam-bit nonces and the k-bit challenge is the
+    public random function applied to their XOR, so neither verifier
+    alone fixes it; a fresh oracle is derived per run from the seed.
     Exactly one of prover (HonestProver or ClassicalProver) and
     adversaries (a two-device attack pair) must be supplied.  All
     randomness derives from seed, so a run is reproducible bit for bit.
     """
     return _run_timed(config, seed, prover, adversaries, record_trace,
-                      hashed=False)
+                      config.hashed)
 
 
 def run_roprpv(config: ProtocolConfig, seed: int, *, prover=None,
                adversaries=None, record_trace: bool = False) -> PRPVOutcome:
-    """One run of the hash-challenge variant.
-
-    Both verifiers broadcast lam-bit nonces and the k-bit challenge is
-    the public random function applied to their XOR, so neither verifier
-    alone fixes it.  A fresh oracle is derived per run from the seed.
-    """
+    """run_prpv in the hash-challenge variant whatever config.hashed says,
+    kept as the name perfbench times hashed runs under.  It calls no
+    run_prpv, which perfbench also wraps, and builds no second config."""
     return _run_timed(config, seed, prover, adversaries, record_trace,
                       hashed=True)
 
@@ -517,7 +523,9 @@ def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
     challenge, answers) against prover (HonestProver or ClassicalProver),
     seeded like a timed run.  Acceptance uses the same verification as
     the timed runs, so quantum and classical success rates carry over
-    unchanged."""
+    unchanged.  It has no nonces, so a hashed config raises ConfigInvalid."""
+    if config.hashed:
+        raise ConfigInvalid("the timing-free protocol has no hashed variant")
     env, trapdoor, _, challenge, actor_seed = _setup(config, seed, hashed=False)
     y_bytes, memo = prover.reply_y(env, actor_seed)
     ans_bytes = prover.reply_ans(env, memo, challenge)
@@ -535,19 +543,19 @@ def run_poq(config: ProtocolConfig, seed: int, *, prover) -> PoQResult:
 # Bulk estimation
 
 
-def _acceptance_trial(config, runner, prover, adversaries, seed) -> FailureReason:
-    return runner(config, seed, prover=prover,
-                  adversaries=adversaries).verdict.reason
+def _acceptance_trial(config, prover, adversaries, seed) -> FailureReason:
+    return run_prpv(config, seed, prover=prover,
+                    adversaries=adversaries).verdict.reason
 
 
 def estimate_acceptance(config: ProtocolConfig, trials: int, seed: int, *,
-                        runner=run_prpv, prover=None, adversaries=None,
+                        prover=None, adversaries=None,
                         workers: int = 1) -> Estimate:
     """Acceptance frequency over independent seeded runs with a Wilson
     95 percent interval and a failure-reason histogram.  With workers > 1
     the prover or attack pair is pickled to each worker process."""
-    counts = tally(partial(_acceptance_trial, config, runner, prover,
-                           adversaries), trials, seed, workers)
+    counts = tally(partial(_acceptance_trial, config, prover, adversaries),
+                   trials, seed, workers)
     return Estimate.of(counts, FailureReason.NONE)
 
 

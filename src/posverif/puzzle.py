@@ -43,7 +43,8 @@ from .bits import (
     unpack_bits,
     xor_bits,
 )
-from .errors import LengthMismatch, MalformedMessage, WrongStateShape, check_int
+from .errors import (ConfigInvalid, LengthMismatch, MalformedMessage,
+                     WrongStateShape, check_int)
 from .rng import Uniforms, mix64
 
 N_MIN = 2
@@ -134,7 +135,7 @@ Answer = Preimage | Equation
 
 def _check_bit(b: str, what: str = "challenge"):
     if b not in ("0", "1"):
-        raise ValueError(f"{what} must be '0' or '1', got {b!r}")
+        raise ConfigInvalid(f"{what} must be '0' or '1', got {b!r}")
 
 
 def _is_bits(s, n: int) -> bool:

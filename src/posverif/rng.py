@@ -18,7 +18,7 @@ u1 draws from child_seed(actor_seed, 1) and u2 from child_seed(actor_seed,
 original handler saw.
 """
 
-from .errors import check_int
+from .errors import ConfigInvalid, check_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,7 +38,7 @@ def child_seed(seed: int, index: int) -> int:
     two seeds alias."""
     check_int(seed, "seed", 0, _MASK64)
     if index < 0:
-        raise ValueError(f"child index must be nonnegative, got {index}")
+        raise ConfigInvalid(f"child index must be nonnegative, got {index}")
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
@@ -62,7 +62,7 @@ class Rng:
     def bits(self, width: int) -> str:
         """Uniform bitstring of the given width."""
         if width < 0:
-            raise ValueError(f"width must be nonnegative, got {width}")
+            raise ConfigInvalid(f"width must be nonnegative, got {width}")
         out = []
         remaining = width
         while remaining > 0:

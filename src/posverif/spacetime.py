@@ -143,7 +143,7 @@ class Simulation:
         for t in behavior.alarms():
             t = as_coord(t)
             if t < 0:
-                raise ValueError(f"alarm at negative time {t}")
+                raise ConfigInvalid(f"alarm at negative time {t}")
             self._events.append((t, self._seq, pid, None))
             self._seq += 1
         return pid
@@ -171,7 +171,7 @@ class Simulation:
         """Process all events with time <= until in (time, seq) order."""
         until = as_coord(until)
         if until < 0:
-            raise ValueError(f"until must be nonnegative, got {until}")
+            raise ConfigInvalid(f"until must be nonnegative, got {until}")
         if self._started:
             raise SimulationStarted("run() may only be called once")
         self._started = True

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Hashable
 
-from .errors import check_int
+from .errors import ConfigInvalid, check_int
 from .rng import child_seed
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -32,9 +32,9 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
+        raise ConfigInvalid(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
+        raise ConfigInvalid(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

@@ -28,6 +28,7 @@ import itertools
 import json
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -59,7 +60,6 @@ from posverif.protocol import (
     decode_message,
     estimate_acceptance,
     run_prpv,
-    run_roprpv,
 )
 from posverif.puzzle import BasePuzzle, RepeatedPuzzle, obligate_circuit_state, run_obligate_circuit
 from posverif.rng import Rng, child_seed
@@ -330,15 +330,16 @@ def test_c08_classical_forwarding_matches_lone_prover():
 
 def test_c09_hash_challenge_completeness_and_oracle():
     """Hashed challenges keep honest completeness; the oracle behaves."""
-    cfg = ProtocolConfig(n=8, k=4, lam=16)
+    cfg = ProtocolConfig(n=8, k=4, lam=16, hashed=True)
     theory = honest_completeness(8, 4)
     hashed = estimate_acceptance(cfg, trials=4_000, seed=_seed(9, 0),
-                                 prover=HonestProver(), runner=run_roprpv,
+                                 prover=HonestProver(),
                                  workers=os.cpu_count() or 1)
     assert _covers(hashed, theory), (
         f"hashed CI [{hashed.ci_low:.4f}, {hashed.ci_high:.4f}] misses {theory:.4f}"
     )
-    plain = estimate_acceptance(cfg, trials=4_000, seed=_seed(9, 1),
+    plain = estimate_acceptance(replace(cfg, hashed=False), trials=4_000,
+                                seed=_seed(9, 1),
                                 prover=HonestProver(),
                                 workers=os.cpu_count() or 1)
     assert _covers(plain, theory)
@@ -350,7 +351,7 @@ def test_c09_hash_challenge_completeness_and_oracle():
     challenges = set()
     for i in range(20):
         seed = _seed(9, 100 + i)
-        verdict = run_roprpv(cfg, seed, prover=HonestProver()).verdict
+        verdict = run_prpv(cfg, seed, prover=HonestProver()).verdict
         _, pk_parts = decode_message(verdict.transcript["pk"])
         nonce0, _ = unpack_bits(pk_parts[1])
         nonce1 = Rng(child_seed(seed, 1)).bits(cfg.lam)

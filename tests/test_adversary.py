@@ -25,7 +25,6 @@ from posverif.protocol import (
     TrialEnv,
     estimate_acceptance,
     run_prpv,
-    run_roprpv,
 )
 from posverif.puzzle import RepeatedPuzzle
 from posverif.rng import Rng, child_seed
@@ -69,11 +68,11 @@ class TestGuessingAttack:
         assert a.verdict == b.verdict
 
 
-def _assert_replays(run, cfg, pair, seeds):
+def _assert_replays(cfg, pair, seeds):
     compiled = ForwardingPair(pair)
     for seed in seeds:
-        plain = run(cfg, seed, adversaries=pair)
-        forwarded = run(cfg, seed, adversaries=compiled)
+        plain = run_prpv(cfg, seed, adversaries=pair)
+        forwarded = run_prpv(cfg, seed, adversaries=compiled)
         assert plain.verdict == forwarded.verdict
         assert (plain.verdict.transcript_bytes()
                 == forwarded.verdict.transcript_bytes())
@@ -89,7 +88,7 @@ class TestForwardingCompiler:
         assert compiled.klass == "RF"
         assert compiled.name == f"forward_compiled_{pair.name}"
         seeds = [child_seed(400 + k, s) for s in range(30 if k < 8 else 5)]
-        _assert_replays(run_prpv, ProtocolConfig(n=6, k=k), pair, seeds)
+        _assert_replays(ProtocolConfig(n=6, k=k), pair, seeds)
 
     @pytest.mark.parametrize("make_pair", [GuessingPair, ClassicalForwardPair],
                              ids=["guess", "classical_forward"])
@@ -97,7 +96,8 @@ class TestForwardingCompiler:
     def test_replay_equality_hashed(self, make_pair, k):
         """Hashed challenges keep the per-seed equality too."""
         seeds = [child_seed(900 + k, s) for s in range(20)]
-        _assert_replays(run_roprpv, ProtocolConfig(n=6, k=k), make_pair(), seeds)
+        _assert_replays(ProtocolConfig(n=6, k=k, hashed=True), make_pair(),
+                        seeds)
 
     @pytest.mark.parametrize("k", [1, 4, 8])
     def test_one_replay_per_run(self, k):
@@ -236,8 +236,8 @@ class TestTeleportAttack:
         """Under hashing the right device learns the challenge too late
         to steer its measurements, so the pair has no hashed form."""
         with pytest.raises(ConfigInvalid, match="deadline"):
-            run_roprpv(ProtocolConfig(n=6, k=k), seed=503,
-                       adversaries=TeleportPair(6, k))
+            run_prpv(ProtocolConfig(n=6, k=k, hashed=True), seed=503,
+                     adversaries=TeleportPair(6, k))
 
 
 def _imported(path: Path) -> set[str]:
@@ -329,19 +329,18 @@ class TestRegistry:
         assert ForwardingPair(inner).rate(n, k) == inner.rate(n, k)
 
 
-@pytest.mark.parametrize("runner", [run_prpv, run_roprpv],
-                         ids=["plain", "hashed"])
+@pytest.mark.parametrize("hashed", [False, True], ids=["plain", "hashed"])
 @pytest.mark.parametrize("name", ATTACK_NAMES)
 @pytest.mark.parametrize("k", [1, 2, 4])
-def test_catalog_rate_in_both_variants(runner, name, k):
+def test_catalog_rate_in_both_variants(hashed, name, k):
     """Every attack pair runs to its closed-form rate under both the
     plain and the hashed challenge, or is rejected with a typed error:
     teleport under hashing, whose outcomes would miss ans0's deadline."""
-    cfg = ProtocolConfig(n=6, k=k)
+    cfg = ProtocolConfig(n=6, k=k, hashed=hashed)
     pair = make_attack(name, cfg)
     estimate = partial(estimate_acceptance, cfg, trials=400, seed=1000 + k,
-                       runner=runner, adversaries=pair)
-    if runner is run_roprpv and name == "teleport":
+                       adversaries=pair)
+    if hashed and name == "teleport":
         with pytest.raises(ConfigInvalid):
             estimate()
         return

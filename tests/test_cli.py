@@ -25,7 +25,7 @@ from posverif.cli import (
 )
 from posverif.errors import ConfigInvalid
 from posverif.nonlocal_game import STRATEGIES
-from posverif.protocol import HonestProver, ProtocolConfig, run_prpv, run_roprpv
+from posverif.protocol import HonestProver, ProtocolConfig, run_prpv
 from posverif.stats import tally
 
 
@@ -223,10 +223,11 @@ class TestTrace:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         _, line = split_trace(out)
-        config = ProtocolConfig(n=6, k=2, prover_position=Fraction(5, 4))
+        config = ProtocolConfig(n=6, k=2, prover_position=Fraction(5, 4),
+                                hashed=hashed)
         party = ({"adversaries": make_attack(name, config)} if name
                  else {"prover": HonestProver()})
-        verdict = (run_roprpv if hashed else run_prpv)(config, 5, **party).verdict
+        verdict = run_prpv(config, 5, **party).verdict
         assert (line["accept"], line["reason"], line["challenge"]) == (
             verdict.accept, verdict.reason.value, verdict.challenge)
         assert {label: Fraction(line[label]) for label in ARRIVALS} == verdict.timings

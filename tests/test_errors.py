@@ -1,5 +1,6 @@
 """Every error type declared in errors.py has a raise site in the
-package, so error types that nothing raises cannot pile up there; and
+package, so error types that nothing raises cannot pile up there; every
+raise names one of them unless an allowlist here names the site; and
 every owner of a run parameter rejects a bad one with ConfigInvalid."""
 
 import ast
@@ -14,7 +15,8 @@ from posverif.nonlocal_game import STRATEGIES, make_strategy, play_nonlocal
 from posverif.protocol import HonestProver, ProtocolConfig, run_prpv
 from posverif.puzzle import N_MAX, N_MIN, BasePuzzle, RepeatedPuzzle
 from posverif.rng import Rng, child_seed
-from posverif.stats import tally
+from posverif.spacetime import PartyBehavior, Simulation
+from posverif.stats import tally, wilson_interval
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "posverif"
 
@@ -49,6 +51,61 @@ def test_every_error_type_has_a_raise_site():
     declared = _declared_errors()
     assert {"LengthMismatch", "MalformedMessage", "ConfigInvalid"} <= declared
     assert sorted(declared - _raised_names()) == []
+
+
+# (module, enclosing def, error) of the raises that may name a builtin
+# error: the float or bool coordinate TypeError the tests pin, misuse of
+# a helper inside the package, and the dense engine's own checks.
+RAISE_ALLOWLIST = {
+    ("spacetime", "as_coord", "TypeError"),
+    ("puzzle", "encode_answer", "TypeError"),
+    ("protocol", "encode_message", "ValueError"),
+    ("bits", "xor_bits", "ValueError"),
+    ("bits", "dot_bits", "ValueError"),
+    ("bits", "int_to_bits", "ValueError"),
+    ("qsim", "StateVector.__init__", "ValueError"),
+    ("qsim", "_check_regs", "ValueError"),
+    ("qsim", "apply_hadamard", "ValueError"),
+    ("qsim", "_uniform", "ValueError"),
+    ("qsim", "collapse", "ValueError"),
+    ("qsim", "bell_circuit", "ValueError"),
+}
+
+
+def _raise_sites() -> set[tuple[str, str, str]]:
+    """(module, enclosing def, error) for every raise in src/posverif.  A
+    raised call of a function annotated to return an error counts as that
+    error; a bare re-raise is left out."""
+    sites = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        makes = {node.name: node.returns.id for node in tree.body
+                 if isinstance(node, ast.FunctionDef)
+                 and isinstance(node.returns, ast.Name)}
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    visit(child, f"{scope}.{child.name}".lstrip("."))
+                    continue
+                if isinstance(child, ast.Raise) and child.exc is not None:
+                    exc = child.exc
+                    exc = exc.func if isinstance(exc, ast.Call) else exc
+                    name = exc.id if isinstance(exc, ast.Name) else exc.attr
+                    sites.add((path.stem, scope, makes.get(name, name)))
+                visit(child, scope)
+
+        visit(tree, "")
+    return sites
+
+
+def test_every_raise_is_typed_or_allowlisted():
+    sites = _raise_sites()
+    typed = _declared_errors() | {"PosverifError"}
+    assert sorted(s for s in sites
+                  if s[2] not in typed and s not in RAISE_ALLOWLIST) == []
+    # an entry whose raise has gone or become typed leaves the list
+    assert sorted(RAISE_ALLOWLIST - sites) == []
 
 
 def _bad_values(what: str, low: int, high: int | None = None):
@@ -114,6 +171,31 @@ def _owner_cases():
          "challenge width 9 exceeds the compiler cap 8"),
     ]
     return cases
+
+
+class _AlarmAt(PartyBehavior):
+    def __init__(self, time):
+        self.time = time
+
+    def alarms(self):
+        return (self.time,)
+
+
+@pytest.mark.parametrize("call, match", [
+    (partial(Rng(1).bits, -1), "width must be nonnegative, got -1"),
+    (partial(child_seed, 5, -1), "child index must be nonnegative, got -1"),
+    (partial(wilson_interval, 0, 0), "trials must be positive, got 0"),
+    (partial(wilson_interval, 5, 3), r"successes 5 outside \[0, 3\]"),
+    (partial(Simulation().add_party, 0, _AlarmAt(-1)),
+     "alarm at negative time -1"),
+    (partial(Simulation().run, -1), "until must be nonnegative, got -1"),
+], ids=["Rng.bits", "child_seed", "wilson_no_trials", "wilson_successes",
+        "Simulation.add_party", "Simulation.run"])
+def test_range_check_is_config_invalid(call, match):
+    """The range checks outside the run parameters' owners raise the
+    typed ConfigInvalid too, still a ValueError."""
+    with pytest.raises(ConfigInvalid, match=match):
+        call()
 
 
 @pytest.mark.parametrize("call, match", [

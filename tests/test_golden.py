@@ -47,7 +47,6 @@ from posverif.protocol import (
     ProtocolConfig,
     run_poq,
     run_prpv,
-    run_roprpv,
 )
 from posverif.puzzle import BasePuzzle, RepeatedPuzzle, encode_answers
 from posverif.rng import Rng
@@ -63,8 +62,7 @@ SOLVE_CELLS = ((4, 1), (4, 4), (8, 1), (8, 4))
 
 
 def _timed(hashed: bool, actor: str, k: int) -> bytes:
-    config = ProtocolConfig(k=k)
-    runner = run_roprpv if hashed else run_prpv
+    config = ProtocolConfig(k=k, hashed=hashed)
     out = []
     for seed in SEEDS:
         if actor == "honest":
@@ -73,7 +71,7 @@ def _timed(hashed: bool, actor: str, k: int) -> bytes:
             kwargs = {"prover": ClassicalProver()}
         else:
             kwargs = {"adversaries": make_attack(actor, config)}
-        outcome = runner(config, seed, record_trace=True, **kwargs)
+        outcome = run_prpv(config, seed, record_trace=True, **kwargs)
         out.append(outcome.verdict.transcript_bytes())
         out.append(outcome.trace.to_json_lines().encode())
     return b"".join(out)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posverif.adversary import make_attack
+from posverif.adversary import ATTACK_NAMES, make_attack
 from posverif.bits import (
     decode_parts,
     encode_parts,
@@ -190,7 +190,9 @@ class TestConfig:
                                      dict(prover_position=Fraction(1, 2)),
                                      dict(prover_position=Fraction(2)),
                                      dict(prover_position=Fraction(5, 2)),
-                                     dict(k=True)])
+                                     dict(k=True), dict(hashed=0),
+                                     dict(hashed=1), dict(hashed="yes"),
+                                     dict(hashed=None)])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ConfigInvalid):
             ProtocolConfig(**bad)
@@ -217,6 +219,7 @@ class TestConfig:
         """A config builds its RepeatedPuzzle once, and every run on it
         reuses that puzzle; the puzzle is no part of the config's value."""
         cfg = ProtocolConfig(n=4, k=2)
+        hashed = ProtocolConfig(n=4, k=2, hashed=True)
         built = []
         init = RepeatedPuzzle.__init__
 
@@ -226,15 +229,18 @@ class TestConfig:
 
         monkeypatch.setattr(RepeatedPuzzle, "__init__", counting_init)
         run_prpv(cfg, 1, prover=HonestProver())
+        run_prpv(hashed, 2, prover=HonestProver())
+        # the benchmark's hashed entry point builds no config of its own
         run_roprpv(cfg, 2, prover=HonestProver())
         run_poq(cfg, 3, prover=HonestProver())
         assert built == []
+        assert hashed != cfg
 
         twin = ProtocolConfig(n=4, k=2)
         assert built == [(4, 2)] and twin.puzzle is not cfg.puzzle
         assert twin == cfg and hash(twin) == hash(cfg)
         assert repr(cfg) == ("ProtocolConfig(n=4, k=2, lam=16, "
-                             "prover_position=Fraction(3, 2))")
+                             "prover_position=Fraction(3, 2), hashed=False)")
         wider = dataclasses.replace(cfg, k=3)
         assert (wider.puzzle.n, wider.puzzle.k) == (4, 3)
         with pytest.raises(TypeError):
@@ -377,24 +383,26 @@ class TestDeviceContract:
         """Under hashing the right device hears nonce0 only at t=3, so u2
         runs on V1's broadcast at t=1 without the challenge."""
         pair = RecordingPair()
-        verdict = run_roprpv(ProtocolConfig(n=4, k=k), seed=60 + k,
-                             adversaries=pair).verdict
+        verdict = run_prpv(ProtocolConfig(n=4, k=k, hashed=True), seed=60 + k,
+                           adversaries=pair).verdict
         assert len(verdict.challenge) == k
         assert pair.calls == [("u1", None), ("u2", None),
                               ("u3", verdict.challenge),
                               ("u4", verdict.challenge)]
 
-    @pytest.mark.parametrize("runner", [run_prpv, run_roprpv])
+    # the ids name each variant's entry point, so that test names stay
+    @pytest.mark.parametrize("hashed", [False, True],
+                             ids=["run_prpv", "run_roprpv"])
     @pytest.mark.parametrize("pos", [Fraction(5, 4), Fraction(3, 2),
                                      Fraction(7, 4), Fraction(2),
                                      Fraction(9, 4)])
-    def test_prover_sends_one_obligation_and_one_answer(self, runner, pos):
+    def test_prover_sends_one_obligation_and_one_answer(self, hashed, pos):
         """The key reaches the prover at p and V1's broadcast at 4 - p:
         key first inside the segment, both at once at 2, broadcast first
         at 9/4.  Obligations go out on the key, answers once both are
         in."""
-        out = runner(ProtocolConfig(n=4, k=2), seed=62,
-                     prover=HonestProver(position=pos), record_trace=True)
+        out = run_prpv(ProtocolConfig(n=4, k=2, hashed=hashed), seed=62,
+                       prover=HonestProver(position=pos), record_trace=True)
         sent = [(e.time, e.payload[:1]) for e in out.trace.events
                 if e.kind == "emit" and e.party == 2]
         assert sent == [(pos, b"Y"), (max(pos, 4 - pos), b"A")]
@@ -427,8 +435,7 @@ class TestAcceptanceRates:
     def test_parallel_completeness_interval(self):
         cfg = ProtocolConfig(n=8, k=4)
         tally = estimate_acceptance(cfg, trials=1200, seed=102,
-                                    prover=HonestProver(),
-                                    runner=run_prpv)
+                                    prover=HonestProver())
         theory = honest_completeness(8, 4)
         assert tally.ci_low <= theory <= tally.ci_high
 
@@ -459,8 +466,8 @@ class TestAcceptanceRates:
 
 class TestHashChallengeVariant:
     def test_honest_run_accepts_and_challenge_is_oracle_output(self):
-        cfg = ProtocolConfig(n=8, k=4, lam=16)
-        out = run_roprpv(cfg, seed=55, prover=HonestProver(), record_trace=True)
+        cfg = ProtocolConfig(n=8, k=4, lam=16, hashed=True)
+        out = run_prpv(cfg, seed=55, prover=HonestProver(), record_trace=True)
         assert out.verdict.reason in (FailureReason.NONE, FailureReason.VER_FAIL)
         # recompute the challenge from the announced nonces
         _, pk_parts = decode_message(out.verdict.transcript["pk"])
@@ -472,21 +479,39 @@ class TestHashChallengeVariant:
         assert out.verdict.challenge == oracle.query(xor_bits(nonce0, nonce1))
 
     def test_completeness_matches_plain_protocol(self):
-        cfg = ProtocolConfig(n=8, k=4)
+        cfg = ProtocolConfig(n=8, k=4, hashed=True)
         hashed = estimate_acceptance(cfg, trials=1200, seed=56,
-                                     prover=HonestProver(), runner=run_roprpv)
+                                     prover=HonestProver())
         theory = honest_completeness(8, 4)
         assert hashed.ci_low <= theory <= hashed.ci_high
 
     def test_fresh_oracle_per_seed(self):
-        cfg = ProtocolConfig(n=8, k=8, lam=16)
-        challenges = {run_roprpv(cfg, seed=s, prover=HonestProver()).verdict.challenge
+        cfg = ProtocolConfig(n=8, k=8, lam=16, hashed=True)
+        challenges = {run_prpv(cfg, seed=s, prover=HonestProver()).verdict.challenge
                       for s in range(16)}
         assert len(challenges) > 1
 
     def test_narrow_nonce_rejected(self):
         with pytest.raises(ConfigInvalid):
             ProtocolConfig(lam=4)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("actor", ["honest", "classical", *(
+        name for name in ATTACK_NAMES if name != "teleport")])
+    def test_run_roprpv_is_run_prpv_on_a_hashed_config(self, actor, k):
+        """The hashed entry point the benchmark times and run_prpv on the
+        config with hashed set give the same verdict bytes and trace."""
+        cfg = ProtocolConfig(k=k)
+        party = ({"prover": HonestProver()} if actor == "honest"
+                 else {"prover": ClassicalProver()} if actor == "classical"
+                 else {"adversaries": make_attack(actor, cfg)})
+        hashed = dataclasses.replace(cfg, hashed=True)
+        for seed in range(8):
+            named = run_roprpv(cfg, seed, record_trace=True, **party)
+            field = run_prpv(hashed, seed, record_trace=True, **party)
+            assert (named.verdict.transcript_bytes()
+                    == field.verdict.transcript_bytes())
+            assert named.trace.to_json_lines() == field.trace.to_json_lines()
 
 
 class TestRandomOracle:
@@ -565,6 +590,15 @@ class TestProofOfQuantumness:
                 "b": pack_bits(verdict.challenge), "ans": body["ans0"]}
             assert poq.accept == verdict.accept
 
+    def test_hashed_config_rejected(self):
+        """The timing-free protocol has no nonces to hash, so a hashed
+        config is an error rather than a quietly plain run."""
+        cfg = ProtocolConfig(n=4, k=2, hashed=True)
+        with pytest.raises(ConfigInvalid, match="no hashed variant"):
+            run_poq(cfg, 1, prover=HonestProver())
+        with pytest.raises(ConfigInvalid, match="no hashed variant"):
+            estimate_poq(cfg, trials=4, seed=1, prover=ClassicalProver())
+
     def test_workers_do_not_change_estimate(self, pool_sizes):
         """Two worker processes give the serial Estimate."""
         cfg = ProtocolConfig(n=6, k=2)
@@ -638,12 +672,14 @@ class TestMalformedInput:
         with pytest.raises(MalformedMessage):
             decode(body)
 
-    @pytest.mark.parametrize("runner", [run_prpv, run_roprpv])
+    # the ids name each variant's entry point, so that test names stay
+    @pytest.mark.parametrize("hashed", [False, True],
+                             ids=["run_prpv", "run_roprpv"])
     @pytest.mark.parametrize("body", MALFORMED_BODIES.values(),
                              ids=MALFORMED_BODIES.keys())
-    def test_hostile_pair_fails_verification(self, runner, body):
-        out = runner(ProtocolConfig(n=4, k=2), seed=41,
-                     adversaries=hostile_pair(body))
+    def test_hostile_pair_fails_verification(self, hashed, body):
+        out = run_prpv(ProtocolConfig(n=4, k=2, hashed=hashed), seed=41,
+                       adversaries=hostile_pair(body))
         assert out.verdict.reason is FailureReason.VER_FAIL
 
     def test_fault_inside_verify_propagates(self, monkeypatch):
@@ -706,7 +742,7 @@ class TestArbitraryBytes:
     @given(PAIR_BODIES)
     @settings(max_examples=100, derandomize=True)
     def test_arbitrary_pair_gets_a_reason(self, bodies):
-        for runner in (run_prpv, run_roprpv):
-            out = runner(ProtocolConfig(n=4, k=2), seed=45,
-                         adversaries=BytesPair(bodies))
+        for hashed in (False, True):
+            out = run_prpv(ProtocolConfig(n=4, k=2, hashed=hashed), seed=45,
+                           adversaries=BytesPair(bodies))
             assert isinstance(out.verdict.reason, FailureReason)

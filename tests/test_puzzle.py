@@ -122,6 +122,18 @@ class TestFamily:
             with pytest.raises(ValueError, match="branch must be '0' or '1'"):
                 handle.eval(bad, "010")
 
+    def test_bad_bit_is_config_invalid(self):
+        """A branch or challenge bit other than '0'/'1' raises the typed
+        ConfigInvalid, as RepeatedPuzzle.verify's challenge check does."""
+        p, handle, td = make_puzzle(4)
+        y = handle.eval("0", "0000")
+        calls = [lambda: handle.eval("2", "0000"), lambda: handle.images(1),
+                 lambda: td.inv("x", y),
+                 lambda: p.verify(td, y, "2", puzzle.Preimage("0", "0000"))]
+        for call in calls:
+            with pytest.raises(ConfigInvalid, match="must be '0' or '1'"):
+                call()
+
     # each is 3 characters that int(_, 2) reads as a number
     @pytest.mark.parametrize("bad", ["1_0", " 10", "10\n", "+10", "-10", "0b1",
                                      "\u0661\u0660\u0660"])
