@@ -47,10 +47,6 @@ def check_bits(s: str, width: int | None, what: str) -> int:
     return len(s)
 
 
-def is_zero(s: str) -> bool:
-    return "1" not in s
-
-
 _U32 = struct.Struct("<I")
 pack_u32 = _U32.pack
 _unpack_u32 = _U32.unpack_from

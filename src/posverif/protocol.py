@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .bits import decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
-from .errors import ConfigInvalid, LengthMismatch, MalformedMessage, check_int
+from .bits import check_bits, decode_parts, encode_parts, pack_bits, unpack_bits, xor_bits
+from .errors import ConfigInvalid, MalformedMessage, check_int
 from .puzzle import (
     Equation,
     Preimage,
@@ -173,10 +173,7 @@ class RandomOracle:
         self.out_width = out_width
 
     def query(self, x: str) -> str:
-        if len(x) != self.in_width or set(x) - {"0", "1"}:
-            raise LengthMismatch(
-                f"oracle input must be {self.in_width} bits, got {x!r}"
-            )
+        check_bits(x, self.in_width, "oracle input")
         acc = self.seed
         value = int(x, 2)
         while True:

@@ -23,8 +23,12 @@ maps the forward map over all 2^n preimages of one branch, lazily, as
 ints, the same capability as 2^n eval queries. n is capped at 12 to keep
 that honest.
 
-Challenge bits and preimages are '0'/'1' strings throughout (see bits.py);
-a challenge of a k-fold puzzle is a k-bit string.
+Bits cross the puzzle's edges as '0'/'1' strings (see bits.py): the
+Preimage and Equation fields, the obligations obligate returns, the
+arguments and results of PublicHandle.eval and Trapdoor.inv, Trapdoor.s,
+the claw states' preimages and the wire; a challenge of a k-fold puzzle
+is a k-bit string. Inside, keygen, obligate and verify carry the shift,
+preimages and images as n-bit ints, parsing and formatting each once.
 """
 
 import struct
@@ -32,17 +36,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from . import qsim
-from .bits import (
-    check_bits,
-    dot_bits,
-    int_to_bits,
-    is_zero,
-    pack_bits,
-    pack_u32,
-    read_u32,
-    unpack_bits,
-    xor_bits,
-)
+from .bits import check_bits, pack_bits, pack_u32, read_u32, unpack_bits
 from .errors import (ConfigInvalid, LengthMismatch, MalformedMessage,
                      WrongStateShape, check_int)
 from .rng import Uniforms, mix64
@@ -72,11 +66,9 @@ def _feistel_maps(seed: int, n: int):
       the low bits of its factors, so those read only bits 0-36 of
       z ^ (z >> 27), which read only bits 0-63 of the first product.
       So neither product is reduced mod 2^64.
-    The forward map, which images runs 2^n times, has its four rounds
-    written out; the inverse map loops over them backwards.
+    Both maps have their four rounds written out.
     """
-    keys = [mix64(seed + r * _GOLDEN) for r in (1, 2, 3, 4)]
-    k0, k1, k2, k3 = keys = [k ^ (k >> 30) for k in keys]
+    k0, k1, k2, k3 = [(k := mix64(seed + r * _GOLDEN)) ^ (k >> 30) for r in (1, 2, 3, 4)]
     wr = n - n // 2
     mask_l = (1 << (n // 2)) - 1
     mask_r = (1 << wr) - 1
@@ -101,14 +93,18 @@ def _feistel_maps(seed: int, n: int):
     def inverse(y: int) -> int:
         left = y >> wr
         right = y & mask_r
-        for r in (3, 2, 1, 0):
-            z = (keys[r] ^ (left if r & 1 else right)) * _C1
-            z = (z ^ (z >> 27)) * _C2
-            z ^= z >> 31
-            if r & 1:
-                right ^= z & mask_r
-            else:
-                left ^= z & mask_l
+        z = (k3 ^ left) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        right ^= (z ^ (z >> 31)) & mask_r
+        z = (k2 ^ right) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        left ^= (z ^ (z >> 31)) & mask_l
+        z = (k1 ^ left) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        right ^= (z ^ (z >> 31)) & mask_r
+        z = (k0 ^ right) * _C1
+        z = (z ^ (z >> 27)) * _C2
+        left ^= (z ^ (z >> 31)) & mask_l
         return (left << wr) | right
 
     return forward, inverse
@@ -173,36 +169,41 @@ class PublicHandle:
 class Trapdoor:
     """The full key of one instance, which only the verifier side holds:
     width n, public seed and nonzero shift s (claws are (x, x xor s)),
-    with the key's inverse Feistel map and its public handle's eval."""
+    with the key's forward and inverse Feistel maps. The shift is kept
+    as an n-bit int; s reads it as n '0'/'1' bits."""
 
-    __slots__ = ("n", "seed", "s", "eval", "_inverse")
+    __slots__ = ("n", "seed", "_s", "_forward", "_inverse")
 
-    def __init__(self, n: int, seed: int, s: str, eval_fn, inverse):
+    def __init__(self, n: int, seed: int, s: int, forward, inverse):
         self.n = n
         self.seed = seed
-        self.s = s
-        self.eval = eval_fn
+        self._s = s
+        self._forward = forward
         self._inverse = inverse
+
+    @property
+    def s(self) -> str:
+        return format(self._s, f"0{self.n}b")
 
     def inv(self, b: str, y: str) -> str:
         _check_bit(b, "branch")
         check_bits(y, self.n, "image")
-        pre = int_to_bits(self._inverse(int(y, 2)), self.n)
-        return xor_bits(pre, self.s) if b == "1" else pre
+        pre = self._inverse(int(y, 2))
+        return format(pre ^ self._s if b == "1" else pre, f"0{self.n}b")
 
 
-def _make_eval(n: int, s: str, forward):
+def _make_eval(n: int, s: int, forward):
     """The public handle's eval and images closures over the key's forward
     map; s stays inside them."""
-    s_int = int(s, 2)
+    spec = f"0{n}b"
 
     def eval_fn(b: str, x: str) -> str:
-        arg = int(x, 2) ^ s_int if b == "1" else int(x, 2)
-        return int_to_bits(forward(arg), n)
+        arg = int(x, 2) ^ s if b == "1" else int(x, 2)
+        return format(forward(arg), spec)
 
     def images_fn(b: str):
         if b == "1":
-            return map(forward, map(s_int.__xor__, range(1 << n)))
+            return map(forward, map(s.__xor__, range(1 << n)))
         return map(forward, range(1 << n))
 
     return eval_fn, images_fn
@@ -224,21 +225,22 @@ class BasePuzzle:
         return rng.bits(1)
 
     def keygen(self, rng) -> tuple[PublicHandle, Trapdoor]:
-        """Draw a key: the public seed, then a nonzero shift s.
+        """Draw a key: the public seed, then a nonzero shift s, drawn as
+        rng.bits(n) would draw it.
 
         The key's forward and inverse Feistel maps are built here, once
         per key: the handle's eval and images call the forward map, the
         trapdoor's inv the inverse map. Their round keys follow from the
         seed in key_id, so the handle learns nothing of s.
         """
+        n = self.n
         seed = rng.next_u64()
-        s = rng.bits(self.n)
-        while is_zero(s):  # s = 0 would merge the two branches
-            s = rng.bits(self.n)
-        key_id = public_key_bytes(self.n, seed).hex()
-        forward, inverse = _feistel_maps(seed, self.n)
-        handle = PublicHandle(self.n, key_id, *_make_eval(self.n, s, forward))
-        return handle, Trapdoor(self.n, seed, s, handle.eval, inverse)
+        s = rng.next_u64() >> (64 - n)
+        while not s:  # s = 0 would merge the two branches
+            s = rng.next_u64() >> (64 - n)
+        forward, inverse = _feistel_maps(seed, n)
+        handle = PublicHandle(n, public_key_bytes(n, seed).hex(), *_make_eval(n, s, forward))
+        return handle, Trapdoor(n, seed, s, forward, inverse)
 
     def obligate(self, handle: PublicHandle, trapdoor: Trapdoor,
                  rng) -> tuple[str, qsim.ClawState]:
@@ -249,27 +251,35 @@ class BasePuzzle:
         Distribution over (y, state) equals the measured oracle circuit;
         run_obligate_circuit is the cross-check.
         """
-        y, x0, x1 = self._claw(handle, trapdoor, rng)
+        y, x0, x1 = self._claw(trapdoor, rng)
         return y, qsim.ClawState.prepare(x0, x1)
 
-    def _claw(self, handle: PublicHandle, trapdoor: Trapdoor, rng) -> tuple[str, str, str]:
-        x0 = rng.bits(self.n)
-        y = handle.eval("0", x0)
-        return y, x0, trapdoor.inv("1", y)
+    def _claw(self, trapdoor: Trapdoor, rng) -> tuple[str, str, str]:
+        """(y, x0, x1) on ints, each formatted once; x0 is rng.bits(n)'s draw."""
+        n = self.n
+        if trapdoor.n != n:
+            raise LengthMismatch(f"a {trapdoor.n}-bit key for a {n}-bit puzzle")
+        x0 = rng.next_u64() >> (64 - n)
+        y = trapdoor._forward(x0)
+        x1 = trapdoor._inverse(y) ^ trapdoor._s
+        return format(y, f"0{n}b"), format(x0, f"0{n}b"), format(x1, f"0{n}b")
 
     def verify(self, trapdoor: Trapdoor, y: str, challenge: str, answer: Answer) -> bool:
         """Whether answer solves y. y and answer are the prover's, so a
         wrong kind, a bit other than '0'/'1', or a y, v or d that is not
-        n '0'/'1' bits rejects; the verifier's challenge bit raises."""
+        n '0'/'1' bits rejects; the verifier's challenge bit raises.
+        Each is parsed once: v is checked by the forward map, d against s."""
         _check_bit(challenge)
-        n = trapdoor.n
+        n, s = trapdoor.n, trapdoor._s
         if challenge == "0":
-            # eval returns an n-bit string, which no malformed y equals
             return (isinstance(answer, Preimage) and _is_bits(answer.bit, 1)
-                    and _is_bits(answer.v, n) and trapdoor.eval(answer.bit, answer.v) == y)
+                    and _is_bits(answer.v, n) and _is_bits(y, n)
+                    and trapdoor._forward(int(answer.v, 2) ^ (s if answer.bit == "1" else 0))
+                    == int(y, 2))
         return (isinstance(answer, Equation) and _is_bits(answer.c, 1)
-                and _is_bits(answer.d, n) and _is_bits(y, n) and not is_zero(answer.d)
-                and dot_bits(answer.d, trapdoor.s) == int(answer.c, 2))
+                and _is_bits(answer.d, n) and _is_bits(y, n)
+                and (d := int(answer.d, 2)) != 0
+                and (d & s).bit_count() & 1 == int(answer.c, 2))
 
 
 def obligate_circuit_state(handle: PublicHandle) -> qsim.StateVector:
@@ -334,8 +344,7 @@ class RepeatedPuzzle:
             raise LengthMismatch(f"{len(handles)} handles and {len(trapdoors)} "
                                  f"trapdoors for {self.k} instances")
         qsim.check_claw_stack(self.k, self.n)
-        ys, x0s, x1s = zip(*(self.base._claw(h, t, rng)
-                             for h, t in zip(handles, trapdoors)))
+        ys, x0s, x1s = zip(*(self.base._claw(t, rng) for t in trapdoors))
         return ys, qsim.prepare_claw_state(x0s, x1s)
 
     def solve(self, state: qsim.StateVector, challenge: str, rng) -> tuple[Answer, ...]:

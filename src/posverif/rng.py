@@ -18,7 +18,7 @@ u1 draws from child_seed(actor_seed, 1) and u2 from child_seed(actor_seed,
 original handler saw.
 """
 
-from .errors import ConfigInvalid, check_int
+from .errors import check_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -34,11 +34,10 @@ def mix64(z: int) -> int:
 
 def child_seed(seed: int, index: int) -> int:
     """Derive the index-th independent child seed of a parent seed. The
-    parent is an int in [0, 2^64); any other raises ConfigInvalid, so no
-    two seeds alias."""
+    parent is an int in [0, 2^64) and the index an int >= 0; any other
+    raises ConfigInvalid, so no two seeds alias."""
     check_int(seed, "seed", 0, _MASK64)
-    if index < 0:
-        raise ConfigInvalid(f"child index must be nonnegative, got {index}")
+    check_int(index, "child index", 0)
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
@@ -60,16 +59,15 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def bits(self, width: int) -> str:
-        """Uniform bitstring of the given width."""
-        if width < 0:
-            raise ConfigInvalid(f"width must be nonnegative, got {width}")
-        out = []
-        remaining = width
-        while remaining > 0:
-            take = min(remaining, 64)
-            out.append(format(self.next_u64() >> (64 - take), f"0{take}b"))
-            remaining -= take
-        return "".join(out)
+        """Uniform bitstring of the given width, an int >= 0; any other
+        raises ConfigInvalid. Each draw gives 64 bits, and the last its
+        top bits, so bits(w) for w <= 64 is next_u64() >> (64 - w)."""
+        check_int(width, "width", 0)
+        out = ""
+        while width > 64:
+            out += format(self.next_u64(), "064b")
+            width -= 64
+        return out + format(self.next_u64() >> (64 - width), f"0{width}b") if width else out
 
 
 class Uniforms:

@@ -2,13 +2,15 @@
 the library's entry points: each call runs or raises a PosverifError.
 The one other error allowed is the TypeError that a float or bool
 coordinate raises.  Puzzles that run are at most 6 bits wide, so the
-sweep stays cheap."""
+sweep stays cheap.  Rng.bits and child_seed also get values of the wrong
+kind, which must raise ConfigInvalid."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posverif.adversary import ATTACK_NAMES, make_attack
-from posverif.errors import PosverifError
+from posverif.errors import ConfigInvalid, PosverifError
 from posverif.nonlocal_game import STRATEGIES, make_strategy, play_nonlocal
 from posverif.protocol import (
     ClassicalProver,
@@ -87,12 +89,23 @@ def test_eval_and_inv_bits(b, x):
     _runs_or_raises_typed(lambda: list(handle.images(b)))
 
 
-@given(SEEDS, st.integers(-3, 3) | st.just(-(2**64)),
-       st.integers(-3, 70) | st.just(-(2**64)))
+WRONG_KINDS = st.sampled_from([True, False, 1.5, 2.0, None, "1"])
+
+
+@given(SEEDS, st.integers(-3, 3) | st.just(-(2**64)) | WRONG_KINDS,
+       st.integers(-3, 70) | st.just(-(2**64)) | WRONG_KINDS)
+@example(1, True, True)
+@example(1, 1.5, 2.0)
 @SWEEP
 def test_rng_and_child_seed(seed, index, width):
-    _runs_or_raises_typed(lambda: Rng(seed).bits(width))
-    _runs_or_raises_typed(lambda: child_seed(seed, index))
+    """A bool or a float is never read as a width or an index."""
+    for value, call in ((width, lambda: Rng(seed).bits(width)),
+                        (index, lambda: child_seed(seed, index))):
+        if isinstance(value, int) and not isinstance(value, bool):
+            _runs_or_raises_typed(call)
+        else:
+            with pytest.raises(ConfigInvalid):
+                call()
 
 
 @given(ATTACKS, COUNTS, st.booleans(), SEEDS)

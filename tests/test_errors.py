@@ -182,8 +182,8 @@ class _AlarmAt(PartyBehavior):
 
 
 @pytest.mark.parametrize("call, match", [
-    (partial(Rng(1).bits, -1), "width must be nonnegative, got -1"),
-    (partial(child_seed, 5, -1), "child index must be nonnegative, got -1"),
+    (partial(Rng(1).bits, -1), "width must be >= 0, got -1"),
+    (partial(child_seed, 5, -1), "child index must be >= 0, got -1"),
     (partial(wilson_interval, 0, 0), "trials must be positive, got 0"),
     (partial(wilson_interval, 5, 3), r"successes 5 outside \[0, 3\]"),
     (partial(Simulation().add_party, 0, _AlarmAt(-1)),

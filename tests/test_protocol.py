@@ -537,11 +537,14 @@ class TestRandomOracle:
         assert any(a.query(x) != b.query(x) for x in xs)
 
     def test_input_validation(self):
+        """The wrong width is a LengthMismatch; anything but a str of
+        '0'/'1' bits is ConfigInvalid."""
         oracle = RandomOracle(9, 8, 4)
         with pytest.raises(LengthMismatch):
             oracle.query("0101")
-        with pytest.raises(LengthMismatch):
-            oracle.query("0101010x")
+        for bad in ("0101010x", None, b"01010101"):
+            with pytest.raises(ConfigInvalid):
+                oracle.query(bad)
 
     def test_wide_inputs_fold(self):
         oracle = RandomOracle(9, 96, 4)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posverif import puzzle, qsim, stats
-from posverif.bits import dot_bits, int_to_bits, is_zero, xor_bits
+from posverif.bits import dot_bits, int_to_bits, xor_bits
 from posverif.errors import (
     CapacityExceeded,
     ConfigInvalid,
@@ -158,7 +158,7 @@ class TestFamily:
         r = Rng(42)
         for _ in range(10_000):
             _, td = p.keygen(r)
-            assert not is_zero(td.s)
+            assert "1" in td.s
 
     def test_n_bounds(self):
         with pytest.raises(ConfigInvalid, match=r"n must be in \[2, 12\], got 1"):
@@ -449,6 +449,80 @@ class TestRepetition:
             wins += rp.verify(td, ys, ch, ans)
         expect = stats.honest_completeness(n, k)
         assert abs(wins / trials - expect) < 4 * (expect * (1 - expect) / trials) ** 0.5
+
+
+def _string_verify(handle, td, y, challenge, answer):
+    """BasePuzzle.verify as string expressions: the form it had before
+    it compared on ints, kept as the reference it must agree with."""
+    n = td.n
+
+    def is_bits(s, width):
+        return isinstance(s, str) and len(s) == width and not s.strip("01")
+
+    if challenge == "0":
+        return (isinstance(answer, puzzle.Preimage) and is_bits(answer.bit, 1)
+                and is_bits(answer.v, n) and handle.eval(answer.bit, answer.v) == y)
+    return (isinstance(answer, puzzle.Equation) and is_bits(answer.c, 1)
+            and is_bits(answer.d, n) and is_bits(y, n) and "1" in answer.d
+            and dot_bits(answer.d, td.s) == int(answer.c, 2))
+
+
+class TestStringEdges:
+    """The puzzle layer runs on ints inside and gives and takes strings
+    at its edges; these read only the public string API."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_obligate_is_eval_and_inv(self, n):
+        """obligate draws x0 as rng.bits(n) does, publishes y =
+        eval("0", x0), and its claw state pairs x0 with inv("1", y)."""
+        p = puzzle.BasePuzzle(n)
+        for seed in range(100):
+            rng, twin = Rng(seed), Rng(seed)
+            handle, td = p.keygen(rng)
+            assert p.keygen(twin)[0].key_id == handle.key_id
+            y, state = p.obligate(handle, td, rng)
+            x0 = twin.bits(n)
+            x1 = td.inv("1", y)
+            assert y == handle.eval("0", x0) == handle.eval("1", x1)
+            expect = qsim.ClawState.prepare(x0, x1)
+            assert ((state.regs, state.u0, state.u1, state.phase, state.frame)
+                    == (expect.regs, expect.u0, expect.u1, expect.phase, expect.frame))
+            assert rng.next_u64() == twin.next_u64()
+
+    def test_obligate_rejects_a_key_of_another_width(self):
+        handle, td = puzzle.BasePuzzle(6).keygen(Rng(1))
+        with pytest.raises(LengthMismatch):
+            puzzle.BasePuzzle(4).obligate(handle, td, Rng(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_verify_matches_string_reference(self, n):
+        """Every answer of either kind at width n, the honest answers, and
+        answers of the wrong width, with a non-bit character, of no str
+        or with d = 0, against honest and malformed obligations."""
+        p, solver = puzzle.BasePuzzle(n), puzzle.RepeatedPuzzle(n, 1)
+        every = [int_to_bits(x, n) for x in range(1 << n)]
+        odd = ["", "0" * (n - 1), "1" * (n + 1), "2" * n, "0" * (n - 1) + "x",
+               " " + "1" * (n - 1), None, 0, b"0" * n]
+        fields = every + odd
+        answers = ([puzzle.Preimage(b, v) for b in ("0", "1", "2", "", "01", None)
+                    for v in fields]
+                   + [puzzle.Equation(c, d) for c in ("0", "1", "x", "", None)
+                      for d in fields]
+                   + [None, ("0", "0" * n)])
+        accepted = 0
+        for seed in range(3):
+            handle, td = p.keygen(Rng(seed))
+            claws = [solver.obligate((handle,), (td,), Rng(s)) for s in range(4)]
+            ys = [y for (y,), _ in claws]
+            for challenge in "01":
+                honest = [solver.solve(stack, challenge, Rng(s))[0]
+                          for s, (_, stack) in enumerate(claws)]
+                for y in (*ys, every[1], *odd):
+                    for answer in answers + honest:
+                        got = p.verify(td, y, challenge, answer)
+                        assert got is _string_verify(handle, td, y, challenge, answer)
+                        accepted += got
+        assert accepted > 0
 
 
 class TestSerialization:

@@ -10,7 +10,6 @@ from posverif.bits import (
     dot_bits,
     encode_parts,
     int_to_bits,
-    is_zero,
     pack_bits,
     read_u32,
     unpack_bits,
@@ -49,6 +48,16 @@ class TestRng:
         s = r.bits(130)
         assert len(s) == 130 and set(s) <= {"0", "1"}
 
+    @pytest.mark.parametrize("seed", [0, 1, 77, 2**63, 2**64 - 1])
+    def test_bits_is_one_draw_shifted(self, seed):
+        """Up to 64 bits, bits(w) formats the top w bits of one next_u64
+        draw (the stream the puzzle layer draws as ints), and bits(0)
+        draws nothing."""
+        for w in range(1, 65):
+            assert Rng(seed).bits(w) == format(Rng(seed).next_u64() >> (64 - w), f"0{w}b")
+        r = Rng(seed)
+        assert r.bits(0) == "" and r.next_u64() == Rng(seed).next_u64()
+
     def test_bits_uniform(self):
         """Mean of 3-bit draws sits within 4 sigma of 3.5."""
         r = Rng(11)
@@ -73,7 +82,6 @@ class TestBits:
         assert xor_bits("1010", "0110") == "1100"
         assert dot_bits("1010", "0110") == 1
         assert dot_bits("1010", "1010") == 0
-        assert is_zero("0000") and not is_zero("0100")
 
     @pytest.mark.parametrize("s", ["0x", "1 ", "+1", b"01", ("0", "1"), None, 3])
     def test_check_bits_rejects_other_than_bit_strings(self, s):
