@@ -230,8 +230,8 @@ class BasePuzzle:
 
         The key's forward and inverse Feistel maps are built here, once
         per key: the handle's eval and images call the forward map, the
-        trapdoor's inv the inverse map. Their round keys follow from the
-        seed in key_id, so the handle learns nothing of s.
+        trapdoor holds both (for inv, obligate and verify). Their round
+        keys follow from the seed in key_id, so the handle learns nothing of s.
         """
         n = self.n
         seed = rng.next_u64()

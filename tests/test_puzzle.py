@@ -452,8 +452,9 @@ class TestRepetition:
 
 
 def _string_verify(handle, td, y, challenge, answer):
-    """BasePuzzle.verify as string expressions: the form it had before
-    it compared on ints, kept as the reference it must agree with."""
+    """BasePuzzle.verify written with the public string API (eval's
+    image and dot_bits against Trapdoor.s): the reference its int
+    comparisons must agree with."""
     n = td.n
 
     def is_bits(s, width):
